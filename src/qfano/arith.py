@@ -1,4 +1,4 @@
-"""Exact arithmetic helpers: rationals, residues, modular inverses.
+"""Exact arithmetic helpers: rationals, modular inverses, orientations.
 
 Everything downstream (Riemann-Roch sums, degree filters, the link solver)
 works over exact rationals; floats never enter the pipeline.  ``Rational``
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -37,6 +36,8 @@ def format_rational(x: Rational) -> str:
 
 def parse_rational(text: str) -> Rational:
     """Parse ``"n/d"`` or ``"n"`` (optional sign on the numerator only)."""
+    if not isinstance(text, str):
+        raise TypeError(f"not a rational literal: {text!r}")
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
@@ -75,47 +76,3 @@ def canonical_orientation(a: int, r: int) -> int:
         raise NotCoprimeError(f"multiplier {a} is not coprime to index {r}")
     return min(a, r - a)
 
-
-@dataclass(frozen=True, slots=True)
-class Residue:
-    """An integer residue ``value`` modulo ``modulus``, kept in ``[0, modulus)``.
-
-    Arithmetic between residues requires equal moduli; mixing with plain
-    integers reduces them first.  This is deliberately minimal — just enough
-    for local-index bookkeeping.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: "Residue | int") -> "Residue":
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}"
-                )
-            return other
-        return Residue(other, self.modulus)
-
-    def __add__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value + self._coerce(other).value, self.modulus)
-
-    def __sub__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value - self._coerce(other).value, self.modulus)
-
-    def __mul__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value * self._coerce(other).value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def inverse(self) -> "Residue":
-        return Residue(mod_inverse(self.value, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value

@@ -267,6 +267,13 @@ def cmd_diff(args) -> int:
 # parser
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfano",
@@ -280,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--q", type=int, choices=INDEX_SET, metavar="Q",
                        help=f"one index from {INDEX_SET}")
     p.add_argument("--filter-set", choices=sorted(FILTER_SETS), default="default")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
     p.add_argument("--db", metavar="PATH", help="write the database here")
     p.add_argument("--format", choices=("table", "json", "csv"), default=None)
     p.add_argument("--out", metavar="PATH", help="write formatted output here")
@@ -289,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="render one survey table")
     p.add_argument("--case", choices=sorted(SURVEYS), required=True)
     p.add_argument("--db", metavar="PATH", help="candidate database (else re-enumerate)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_table)
 
@@ -301,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--degree", type=int, default=None,
                     help="hypersurface degree (omit for the whole space)")
     pc.add_argument("--db", metavar="PATH")
-    pc.add_argument("--jobs", type=int, default=1)
+    pc.add_argument("--jobs", type=positive_int, default=1)
     pc.set_defaults(func=cmd_wps_check)
 
     p = sub.add_parser("link", help="two-ray link numerology")
@@ -310,12 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("case", metavar="CASEFILE",
                     help="path to a case file, or the name of a packaged one")
     ps.add_argument("--db", metavar="PATH")
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=positive_int, default=1)
     ps.set_defaults(func=cmd_link_solve)
 
     p = sub.add_parser("facts", help="check the classification-shaped facts")
     p.add_argument("--db", metavar="PATH")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_facts)
 
     p = sub.add_parser("export", help="re-render a stored database")
@@ -328,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, choices=INDEX_SET, metavar="Q", required=True)
     p.add_argument("--flag", choices=FILTER_FLAGS, default=None)
     p.add_argument("--filter-set", choices=sorted(FILTER_SETS), default="default")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_diff)
 
     return parser

@@ -4,23 +4,24 @@ A candidate is a triple ``(q, basket, A^3)`` that survives every numerical
 test an actual Fano threefold of index ``q`` would have to pass:
 
 * each basket index coprime to ``q`` and Kawamata sum ``sigma < 24``;
-* degree ``A^3 = n / lcm(basket indices)`` below the degree cap;
+* the Bogomolov-Miyaoka inequality ``(4q-3) q^3 A^3 <= 4 q^2 (24 - sigma)``;
+* optionally the degree cap ``-K^3 = q^3 A^3 <= 125/2``;
 * ``chi(k)`` integral over a full period, zero on ``-q < k < 0``, and
-  non-negative for ``k >= 0``;
-* the Bogomolov-Miyaoka inequality ``(4q-3) q^3 A^3 <= 4 q^2 (24 - sigma)``.
+  non-negative for ``k >= 0``.
 
-The public predicates (:func:`passes_integrality`, :func:`passes_bm`) work
-over exact rationals and follow the formulas in :mod:`qfano.riemann_roch`
-directly.  The enumeration loop itself runs on a rescaled integer kernel
+:func:`degree_candidates` is the one place that decides the degree range,
+in integers only.  The integrality sieve runs on a rescaled integer kernel
 (:class:`_BasketScanner`) that evaluates ``12 q N chi(k)`` with machine
-integers and bails out at the first failing ``k``; the two implementations
-are cross-checked in the test suite.
+integers and bails out at the first failing ``k``; the test suite
+cross-checks it against a rational re-statement of the formulas in
+:mod:`qfano.riemann_roch`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Iterator, Sequence
@@ -44,37 +45,39 @@ MAX_POINT_INDEX = 24
 
 _SIGMA_LIMIT = Rational(24)
 
+#: Known bound on ``-K^3 = q^3 A^3``, attained only by the quadric cone.
+DEGREE_CAP = Rational(125, 2)
+
+#: The one triple ``(q, basket, A^3)`` kept at the cap with equality.
+DEGREE_CAP_EXCEPTION: tuple[int, Basket, Rational] = (
+    5,
+    Basket((SingularPoint(2, 1),)),
+    Rational(1, 2),
+)
+
 
 @dataclass(frozen=True, slots=True)
 class FilterConfig:
-    """Switches and bounds for the candidate filters.
+    """Switches for the candidate filters; ``qfano diff`` shows each one's effect.
 
-    ``degree_cap`` is the known bound on ``-K^3 = q^3 A^3`` (125/2, attained
-    only by the quadric cone candidate with basket ``(2)``).  Calibration
-    against the reference tallies showed the cap must *not* prune the
-    enumeration itself: the per-index totals (231, 124, ..., 472 in all)
-    include a handful of candidates at or above the cap, and the boundary
-    row with basket ``(2,2,3,6)`` appears in the index-5 survey table.  So
-    by default the cap is carried as metadata — the table renderer applies
-    it (with equality admitted) on top of each survey's genus filter — and
-    enumeration bounds degrees through the Bogomolov-Miyaoka inequality
-    alone.  ``degree_cap_enforced=True`` restores the strict behaviour:
-    degrees are cut at the cap and equality is admitted only for the
-    ``degree_cap_exception`` triple.  Use ``qfano diff`` to see exactly
-    which candidates each switch adds or removes.
+    The degree walk is always bounded by Bogomolov-Miyaoka unless
+    ``degree_cap_enforced`` bounds it instead.  Calibration against the
+    reference tallies showed the cap must *not* prune the enumeration
+    itself: the per-index totals (231, 124, ..., 472 in all) include a
+    handful of candidates above the cap, and the boundary row with basket
+    ``(2,2,3,6)`` appears in the index-5 survey table.  So by default the cap
+    is applied only where the survey tables and facts are rendered.
+    ``degree_cap_enforced=True`` cuts degrees at the cap, admitting equality
+    only for :data:`DEGREE_CAP_EXCEPTION`; ``bm_inequality`` then adds the
+    Bogomolov-Miyaoka bound on top, so it acts only in that set.
+    ``nonnegativity`` was measured to remove nothing in either set at any
+    index; it stays because the benchmark runs ``qfano diff`` over every flag.
     """
 
-    degree_cap: Rational | None = Rational(125, 2)
-    degree_cap_exception: tuple[int, Basket, Rational] = (
-        5,
-        Basket((SingularPoint(2, 1),)),
-        Rational(1, 2),
-    )
     degree_cap_enforced: bool = False
     enforce_vanishing: bool = True
     bm_inequality: bool = True
     nonnegativity: bool = True
-    index_set: tuple[int, ...] = INDEX_SET
 
 
 DEFAULT_CONFIG = FilterConfig()
@@ -185,17 +188,9 @@ def enumerate_baskets(q: int) -> Iterator[Basket]:
     return rec(0, _SIGMA_LIMIT)
 
 
-def _degree_numerator_limit(q: int, basket: Basket, config: FilterConfig) -> int:
-    """Largest admissible ``n`` for ``A^3 = n/N`` (0 if none)."""
-    n_lcm = basket.index_lcm
-    if config.degree_cap_enforced and config.degree_cap is not None:
-        # q^3 n / N <= cap; the boundary case is handled by the caller
-        return math.floor(config.degree_cap * n_lcm / q**3)
-    # otherwise the Bogomolov-Miyaoka inequality supplies finiteness
-    sigma = kawamata_sum(basket)
-    if sigma >= 24:
-        return 0
-    return math.floor(4 * q * q * (24 - sigma) * n_lcm / ((4 * q - 3) * q**3))
+def _scaled_kawamata_sum(basket: Basket, n_lcm: int) -> int:
+    """``N sigma`` as an integer, where ``N`` is a multiple of every index."""
+    return sum((n_lcm // p.r) * (p.r * p.r - 1) for p in basket)
 
 
 def degree_candidates(
@@ -203,31 +198,27 @@ def degree_candidates(
 ) -> list[Rational]:
     """Degree values ``A^3 = n/N`` to feed the filter battery, increasing.
 
-    With ``degree_cap_enforced`` the range is cut at the cap and degrees
-    meeting it with equality are dropped unless the triple is the configured
-    boundary exception.  In the calibrated default the range instead runs to
-    the Bogomolov-Miyaoka bound for the basket (the cap is applied later, at
-    table-rendering level only).
+    ``n`` runs up to the Bogomolov-Miyaoka bound
+    ``(4q-3) q n <= 4 (24N - N sigma)``.  With ``degree_cap_enforced`` it
+    runs up to the cap ``q^3 n / N <= 125/2`` instead (plus the BM bound
+    when ``bm_inequality`` is set), and a degree meeting the cap with
+    equality is dropped unless the triple is :data:`DEGREE_CAP_EXCEPTION`.
     """
     n_lcm = basket.index_lcm
-    result = []
-    enforce_cap = config.degree_cap_enforced and config.degree_cap is not None
-    exception = config.degree_cap_exception
-    for n in range(1, _degree_numerator_limit(q, basket, config) + 1):
-        a3 = Rational(n, n_lcm)
-        if enforce_cap and q**3 * a3 == config.degree_cap:
-            if (q, basket, a3) != exception:
-                continue
-        result.append(a3)
-    return result
-
-
-def passes_bm(fano: FanoInput) -> bool:
-    """Bogomolov-Miyaoka: ``(4q-3) q^3 A^3 <= 4 q^2 (24 - sigma)``, ``sigma < 24``."""
-    sigma = kawamata_sum(fano.basket)
-    if sigma >= 24:
-        return False
-    return (4 * fano.q - 3) * fano.q**3 * fano.a3 <= 4 * fano.q**2 * (24 - sigma)
+    room = 24 * n_lcm - _scaled_kawamata_sum(basket, n_lcm)
+    bounds = []
+    if config.bm_inequality or not config.degree_cap_enforced:
+        bounds.append(4 * room // ((4 * q - 3) * q))
+    if config.degree_cap_enforced:
+        cap_num = DEGREE_CAP.numerator * n_lcm
+        cap_den = DEGREE_CAP.denominator * q**3
+        n_cap = cap_num // cap_den
+        if cap_num % cap_den == 0 and (
+            (q, basket, Rational(n_cap, n_lcm)) != DEGREE_CAP_EXCEPTION
+        ):
+            n_cap -= 1
+        bounds.append(n_cap)
+    return [Rational(n, n_lcm) for n in range(1, min(bounds) + 1)]
 
 
 def integrality_window(fano: FanoInput) -> int:
@@ -246,12 +237,13 @@ def passes_integrality(
     enforce_vanishing: bool = True,
     nonnegativity: bool = True,
 ) -> bool:
-    """Integrality sieve over one full period, in exact rational arithmetic.
+    """Integrality sieve over one full period, on the integer kernel.
 
     Checks ``chi(k) = 0`` on the window ``-q < k < 0``, and integrality
     (plus optional non-negativity) for ``0 <= k < L`` where ``L`` is
-    :func:`integrality_window`.  This is the readable reference predicate;
-    the enumeration loop uses an integer-kernel equivalent.
+    :func:`integrality_window`.  This runs the same :class:`_BasketScanner`
+    as the enumeration; the rational-arithmetic oracle it is checked against
+    is ``_reference_passes`` in ``tests/test_enumeration.py``.
     """
     scanner = _BasketScanner(fano.q, fano.basket)
     return scanner.scan(
@@ -281,8 +273,7 @@ class _BasketScanner:
         n_lcm = basket.index_lcm
         self.n_lcm = n_lcm
         self.modulus = 12 * q * n_lcm
-        sigma = kawamata_sum(basket)
-        self.sigma_scaled = int(n_lcm * sigma)
+        self.sigma_scaled = _scaled_kawamata_sum(basket, n_lcm)
         self.linear_coeff = 24 * n_lcm - self.sigma_scaled
         tables: list[tuple[int, tuple[int, ...]]] = []
         for point in basket:
@@ -358,13 +349,6 @@ def _scan_baskets(
             continue
         scanner = _BasketScanner(q, basket)
         for a3 in degrees:
-            if config.bm_inequality:
-                sigma_scaled = scanner.sigma_scaled
-                n = a3.numerator * (scanner.n_lcm // a3.denominator)
-                if 24 * scanner.n_lcm - sigma_scaled <= 0:
-                    continue
-                if (4 * q - 3) * q * n > 4 * (24 * scanner.n_lcm - sigma_scaled):
-                    continue
             if scanner.scan(
                 a3,
                 enforce_vanishing=config.enforce_vanishing,
@@ -383,36 +367,20 @@ def enumerate_candidates(
 ) -> list[Candidate]:
     """All candidates of index ``q``, canonically sorted.
 
-    ``jobs > 1`` splits the basket list over worker processes; the result is
-    merged and sorted, so it is byte-for-byte independent of ``jobs``.
+    ``jobs > 1`` splits the basket list over worker processes, at most one
+    per CPU and per basket; the result is merged and sorted, so it is
+    byte-for-byte independent of ``jobs``.
     """
     baskets = list(enumerate_baskets(q))
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(baskets))
+    if workers <= 1:
         found = _scan_baskets(q, baskets, config)
     else:
-        chunks = [(q, baskets[i::jobs], config) for i in range(jobs)]
-        with Pool(processes=jobs) as pool:
+        chunks = [(q, baskets[i::workers], config) for i in range(workers)]
+        with Pool(processes=workers) as pool:
             found = list(itertools.chain.from_iterable(pool.map(_scan_job, chunks)))
     found.sort(key=Candidate.sort_key)
     return found
-
-
-def torsion_genus_bound(n: int, g: int) -> int:
-    """Genus forced on an n-fold cover: ``n(g - 1) - 3``.
-
-    If the class group had n-torsion, the associated cover would be another
-    Fano of the same index with genus at least this value — usually beyond
-    every enumerated candidate, which rules the torsion out.
-    """
-    if n < 1:
-        raise ValueError(f"cover degree must be >= 1, got {n}")
-    return n * (g - 1) - 3
-
-
-def genus_degree_bound(minus_k3: Rational) -> int:
-    """Largest genus allowed by ``g < -K^3/2 + 2``."""
-    bound = Rational(minus_k3) / 2 + 2
-    return math.ceil(bound) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -456,8 +424,7 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
     the same facts hold whether or not the database was enumerated with the
     cap enforced.
     """
-    cap = DEFAULT_CONFIG.degree_cap
-    candidates = [c for c in candidates if cap is None or c.minus_k3 <= cap]
+    candidates = [c for c in candidates if c.minus_k3 <= DEGREE_CAP]
     out = []
 
     high = [c for c in candidates if c.q >= 8]
@@ -502,7 +469,7 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
         )
     )
 
-    boundary = [c for c in candidates if c.minus_k3 == Rational(125, 2)]
+    boundary = [c for c in candidates if c.minus_k3 == DEGREE_CAP]
     moving = [c for c in boundary if c.dim(1) >= 2]
     out.append(
         Fact(
@@ -513,8 +480,7 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
             ),
             value=", ".join(c.id for c in boundary) or "none",
             holds=bool(boundary)
-            and [(c.q, c.basket.indices, c.a3) for c in moving]
-            == [(5, (2,), Rational(1, 2))],
+            and [(c.q, c.basket, c.a3) for c in moving] == [DEGREE_CAP_EXCEPTION],
         )
     )
     return out

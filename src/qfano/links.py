@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .arith import Rational, format_rational, parse_rational
-from .enumeration import Candidate
+from .enumeration import INDEX_SET, Candidate
 
-DEFAULT_TARGET_INDICES = (3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 17, 19)
+DEFAULT_TARGET_INDICES = INDEX_SET
 
 
 class LinkCaseError(ValueError):
@@ -347,8 +347,12 @@ def load_case(text: str) -> LinkCase:
             ),
             notes=str(raw.get("notes", "")),
         )
+    except LinkCaseError:
+        raise
     except KeyError as exc:
         raise LinkCaseError(f"case file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise LinkCaseError(f"case file has a malformed value: {exc}") from exc
     if case.source.q != case.q:
         raise LinkCaseError("source candidate index differs from case index")
     return case

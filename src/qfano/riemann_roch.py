@@ -219,23 +219,3 @@ def genus(fano: FanoInput) -> int:
     """Anticanonical genus ``g = dim |-K| - 1 = chi(q) - 2``."""
     return chi_integer(fano.q, fano) - 2
 
-
-@dataclass(frozen=True, slots=True)
-class AnticanonicalData:
-    """Derived anticanonical invariants of a numerical candidate."""
-
-    minus_k3: Rational
-    minus_k_c2: Rational
-    genus: int
-    dim_minus_k: int
-
-
-def anticanonical_data(fano: FanoInput) -> AnticanonicalData:
-    """Bundle ``-K^3 = q^3 A^3``, ``-K.c2 = 24 - sigma``, genus, ``dim |-K|``."""
-    g = genus(fano)
-    return AnticanonicalData(
-        minus_k3=fano.q**3 * fano.a3,
-        minus_k_c2=24 - kawamata_sum(fano.basket),
-        genus=g,
-        dim_minus_k=g + 1,
-    )

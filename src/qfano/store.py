@@ -12,11 +12,20 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
-from .arith import Rational, format_rational, parse_rational
-from .enumeration import Candidate, FilterConfig, FILTER_SETS
+from .arith import format_rational, parse_rational
+from .enumeration import (
+    DEGREE_CAP,
+    DEGREE_CAP_EXCEPTION,
+    FILTER_FLAGS,
+    FILTER_SETS,
+    INDEX_SET,
+    Candidate,
+    FilterConfig,
+)
 from .riemann_roch import Basket
 
 FORMAT_VERSION = 1
@@ -26,56 +35,49 @@ class StoreError(ValueError):
     """The file is not a database this version can vouch for."""
 
 
-def _rational_text(x: Rational) -> str:
-    return format_rational(x)
+@contextmanager
+def _decoding(what: str) -> Iterator[None]:
+    """Turn a missing field or a value of the wrong shape into a StoreError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed {what}: {exc!r}") from exc
 
 
 def config_to_json(config: FilterConfig) -> dict[str, Any]:
-    exc_q, exc_basket, exc_a3 = config.degree_cap_exception
+    exc_q, exc_basket, exc_a3 = DEGREE_CAP_EXCEPTION
     return {
-        "degree_cap": (
-            _rational_text(config.degree_cap) if config.degree_cap is not None else None
-        ),
+        "degree_cap": format_rational(DEGREE_CAP),
         "degree_cap_exception": {
             "q": exc_q,
             "basket": [[p.r, p.a] for p in exc_basket.points],
-            "a3": _rational_text(exc_a3),
+            "a3": format_rational(exc_a3),
         },
         "degree_cap_enforced": config.degree_cap_enforced,
         "enforce_vanishing": config.enforce_vanishing,
         "bm_inequality": config.bm_inequality,
         "nonnegativity": config.nonnegativity,
-        "index_set": list(config.index_set),
+        "index_set": list(INDEX_SET),
     }
 
 
 def config_from_json(data: dict[str, Any]) -> FilterConfig:
-    exc = data["degree_cap_exception"]
-    return FilterConfig(
-        degree_cap=(
-            parse_rational(data["degree_cap"]) if data["degree_cap"] is not None else None
-        ),
-        degree_cap_exception=(
-            int(exc["q"]),
-            Basket.from_pairs((int(r), int(a)) for r, a in exc["basket"]),
-            parse_rational(exc["a3"]),
-        ),
-        degree_cap_enforced=bool(data["degree_cap_enforced"]),
-        enforce_vanishing=bool(data["enforce_vanishing"]),
-        bm_inequality=bool(data["bm_inequality"]),
-        nonnegativity=bool(data["nonnegativity"]),
-        index_set=tuple(int(q) for q in data["index_set"]),
-    )
+    """Read a config snapshot; anything but what config_to_json writes is refused."""
+    with _decoding("filter config"):
+        config = FilterConfig(**{flag: data[flag] is True for flag in FILTER_FLAGS})
+    if config_to_json(config) != data:
+        raise StoreError(f"unsupported filter config snapshot: {data!r}")
+    return config
 
 
 def candidate_to_json(c: Candidate) -> dict[str, Any]:
     return {
         "q": c.q,
         "basket": [[p.r, p.a] for p in c.basket.points],
-        "a3": _rational_text(c.a3),
-        "sigma": _rational_text(c.sigma),
-        "minus_k3": _rational_text(c.minus_k3),
-        "minus_k_c2": _rational_text(c.minus_k_c2),
+        "a3": format_rational(c.a3),
+        "sigma": format_rational(c.sigma),
+        "minus_k3": format_rational(c.minus_k3),
+        "minus_k_c2": format_rational(c.minus_k_c2),
         "dims": list(c.dims),
         "genus": c.genus,
         "id": c.id,
@@ -83,18 +85,19 @@ def candidate_to_json(c: Candidate) -> dict[str, Any]:
 
 
 def candidate_from_json(data: dict[str, Any]) -> Candidate:
-    basket = Basket.from_pairs((int(r), int(a)) for r, a in data["basket"])
-    rebuilt = Candidate.from_parts(
-        q=int(data["q"]), basket=basket, a3=parse_rational(data["a3"])
-    )
-    stored = (
-        parse_rational(data["sigma"]),
-        parse_rational(data["minus_k3"]),
-        parse_rational(data["minus_k_c2"]),
-        tuple(int(d) for d in data["dims"]),
-        int(data["genus"]),
-        data["id"],
-    )
+    with _decoding("candidate row"):
+        basket = Basket.from_pairs((int(r), int(a)) for r, a in data["basket"])
+        rebuilt = Candidate.from_parts(
+            q=int(data["q"]), basket=basket, a3=parse_rational(data["a3"])
+        )
+        stored = (
+            parse_rational(data["sigma"]),
+            parse_rational(data["minus_k3"]),
+            parse_rational(data["minus_k_c2"]),
+            tuple(int(d) for d in data["dims"]),
+            int(data["genus"]),
+            data["id"],
+        )
     recomputed = (
         rebuilt.sigma,
         rebuilt.minus_k3,
@@ -138,25 +141,26 @@ def dumps_database(db: Database) -> str:
 
 
 def loads_database(text: str) -> Database:
-    try:
+    with _decoding("JSON document"):
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, dict) or "candidates" not in doc:
         raise StoreError("not a candidate database")
-    version = int(doc.get("format_version", -1))
+    with _decoding("database"):
+        version = int(doc.get("format_version", -1))
+        rows = list(doc["candidates"])
+        count = int(doc.get("count", len(rows)))
+        filter_set = doc.get("filter_set")
+        named = FILTER_SETS.get(filter_set)
     if version != FORMAT_VERSION:
         raise StoreError(f"unsupported format version {version}")
-    candidates = tuple(candidate_from_json(d) for d in doc["candidates"])
-    if int(doc.get("count", len(candidates))) != len(candidates):
+    candidates = tuple(candidate_from_json(d) for d in rows)
+    if count != len(candidates):
         raise StoreError("stored count disagrees with the candidate list")
-    filter_set = doc.get("filter_set")
-    config = config_from_json(doc["config"])
-    if filter_set is not None and filter_set in FILTER_SETS:
-        if config != FILTER_SETS[filter_set]:
-            raise StoreError(
-                f"config snapshot does not match the named filter set {filter_set!r}"
-            )
+    config = config_from_json(doc.get("config"))
+    if named is not None and config != named:
+        raise StoreError(
+            f"config snapshot does not match the named filter set {filter_set!r}"
+        )
     return Database(
         config=config,
         candidates=candidates,
@@ -183,5 +187,6 @@ def save_database(db: Database, path: str | os.PathLike) -> None:
 
 
 def load_database(path: str | os.PathLike) -> Database:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_database(handle.read())
+    with open(path, "r", encoding="utf-8") as handle, _decoding("database file"):
+        text = handle.read()
+    return loads_database(text)

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .arith import Rational, format_rational
-from .enumeration import Candidate, series_class
-
-#: Ambient degree bound applied by every survey (equality admitted).
-AMBIENT_DEGREE_CAP = Rational(125, 2)
+from .enumeration import DEGREE_CAP, Candidate, series_class
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,7 @@ class Survey:
     def admits(self, candidate: Candidate) -> bool:
         if candidate.q != self.q:
             return False
-        if candidate.minus_k3 > AMBIENT_DEGREE_CAP:
+        if candidate.minus_k3 > DEGREE_CAP:
             return False
         return self.extra(candidate)
 

@@ -94,15 +94,17 @@ def hilbert_coeffs(model: WpsModel, kmax: int) -> list[int]:
     """Return ``[h^0(O(0)), ..., h^0(O(kmax))]`` for the model.
 
     Both internal routes (enumeration and series expansion) are computed and
-    compared; a disagreement would be a bug, not bad input, hence the assert.
+    compared; a disagreement would be a bug, not bad input, hence an
+    :class:`AssertionError` (raised explicitly so it survives ``python -O``).
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     ambient = _counts_by_series(model.weights, kmax)
     enumerated = [_count_by_enumeration(model.weights, k) for k in range(kmax + 1)]
-    assert ambient == enumerated, (
-        f"hilbert series routes disagree for {model}: {ambient} vs {enumerated}"
-    )
+    if ambient != enumerated:
+        raise AssertionError(
+            f"hilbert series routes disagree for {model}: {ambient} vs {enumerated}"
+        )
     if model.degree is None:
         return ambient
     d = model.degree

@@ -7,7 +7,6 @@ from qfano.arith import (
     NotCoprimeError,
     NotInvertibleError,
     Rational,
-    Residue,
     canonical_orientation,
     format_rational,
     mod_inverse,
@@ -86,16 +85,3 @@ def test_canonical_orientation_properties(r, a):
     assert c == canonical_orientation(r - a % r, r)
     assert c == canonical_orientation(c, r)  # idempotent
 
-
-def test_residue_arithmetic():
-    x = Residue(5, 7)
-    assert int(x + 4) == 2
-    assert int(x - 6) == 6
-    assert int(x * x) == 4
-    assert int(-x) == 2
-    assert int(x.inverse()) == 3
-    assert int(Residue(12, 7)) == 5
-    with pytest.raises(ValueError):
-        x + Residue(1, 5)
-    with pytest.raises(NotInvertibleError):
-        Residue(2, 8).inverse()

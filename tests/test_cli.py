@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 from qfano.cli import (
     EXIT_INTERNAL,
     EXIT_MISSING_INPUT,
@@ -5,6 +9,10 @@ from qfano.cli import (
     EXIT_USAGE,
     main,
 )
+from qfano.enumeration import DEFAULT_CONFIG, enumerate_candidates
+from qfano.store import Database, save_database
+
+from test_links import case_path
 
 
 def test_exit_codes_are_distinct():
@@ -145,3 +153,130 @@ def test_diff_reports_filter_effects(capsys):
     out = capsys.readouterr().out
     assert "enforce_vanishing" in out
     assert "removes" in out and "adds" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--q", "6"],
+    ["table", "--case", "q5"],
+    ["facts"],
+    ["link", "solve", "q9_4A.case"],
+    ["diff", "--q", "5"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_bad_jobs_is_usage_error(command, jobs, capsys):
+    assert main(command + ["--jobs", jobs]) == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def q8_doc(tmp_path_factory):
+    """A small stored database (index 8 only), as a parsed JSON document."""
+    path = tmp_path_factory.mktemp("q8") / "q8.json"
+    db = Database(DEFAULT_CONFIG, tuple(enumerate_candidates(8)), filter_set="default")
+    save_database(db, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _bad_input_exit(argv, capsys):
+    code = main(argv)  # any exception escaping here fails the test
+    assert "bad input" in capsys.readouterr().err
+    return code
+
+
+ROW_FIELDS = ["q", "basket", "a3", "sigma", "minus_k3", "minus_k_c2", "dims", "genus", "id"]
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS)
+def test_database_row_missing_field(q8_doc, field, tmp_path, capsys):
+    doc = json.loads(json.dumps(q8_doc))
+    del doc["candidates"][0][field]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("row", "q", "eight"),
+    ("row", "q", None),
+    ("row", "basket", 5),
+    ("row", "basket", [[2]]),
+    ("row", "basket", [[8, 1]]),
+    ("row", "a3", 5),
+    ("row", "a3", "0"),
+    ("row", "a3", "one"),
+    ("row", "dims", ["x"]),
+    ("row", "genus", "many"),
+    ("doc", "candidates", 7),
+    ("doc", "candidates", ["row"]),
+    ("doc", "count", "all"),
+    ("doc", "format_version", [1]),
+    ("doc", "config", None),
+    ("doc", "filter_set", ["default"]),
+    ("config", "bm_inequality", "yes"),
+    ("config", "bm_inequality", 1),
+    ("config", "degree_cap", "100"),
+    ("config", "degree_cap_exception", None),
+    ("config", "index_set", [3, 4]),
+    ("config", "enforce_vanishing", None),
+])
+def test_database_bad_value(q8_doc, where, key, value, tmp_path, capsys):
+    doc = json.loads(json.dumps(q8_doc))
+    target = {"row": doc["candidates"][0], "doc": doc, "config": doc["config"]}[where]
+    target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
+
+
+def test_database_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"candidates": [\xff]}')
+    assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
+
+
+def test_database_config_missing_field(q8_doc, tmp_path, capsys):
+    for key in q8_doc["config"]:
+        doc = json.loads(json.dumps(q8_doc))
+        del doc["config"][key]
+        path = tmp_path / f"bad-{key}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
+
+
+def _case_doc():
+    return json.loads(case_path("q9_4A.case").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("unknowns", 0, "max"), "ten"),
+    (("unknowns", 0, "min"), [0]),
+    (("unknowns", 0), "s1"),
+    (("unknowns",), 5),
+    (("q",), "nine"),
+    (("source",), []),
+    (("source", "basket"), 4),
+    (("source", "a3"), "a twentieth"),
+    (("alpha",), ["1/x"]),
+    (("relations",), [7]),
+    (("dim_constraints",), [["s1", 1]]),
+    (("index_set",), ["all"]),
+    (("threshold_floor",), "high"),
+])
+def test_case_file_bad_value(path, value, tmp_path, capsys):
+    doc = _case_doc()
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    case_file = tmp_path / "bad.case"
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
+
+
+@pytest.mark.parametrize("field", ["q", "source", "alpha", "unknowns", "relations"])
+def test_case_file_missing_field(field, tmp_path, capsys):
+    doc = _case_doc()
+    del doc[field]
+    case_file = tmp_path / "bad.case"
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT

@@ -1,8 +1,11 @@
+import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfano import enumeration
 from qfano.arith import Rational
 from qfano.enumeration import (
     DEFAULT_CONFIG,
@@ -15,13 +18,10 @@ from qfano.enumeration import (
     enumerate_candidates,
     facts,
     filter_diff,
-    genus_degree_bound,
     integrality_window,
-    passes_bm,
     passes_integrality,
     point_domain,
     series_class,
-    torsion_genus_bound,
 )
 from qfano.riemann_roch import Basket, FanoInput, chi, chi_integer
 
@@ -70,7 +70,8 @@ def test_degree_candidates_capped_examples():
         Rational(1, 2)
     ]
     values = degree_candidates(3, Basket.from_pairs([(4, 1), (5, 1)]), CAPPED)
-    assert len(values) == 46
+    # the cap alone allows n <= 46 (of N = 20); BM binds first, at n <= 45
+    assert len(values) == 45
     assert values[0] == Rational(1, 20)
     assert values == sorted(values)
 
@@ -86,14 +87,29 @@ def test_degree_candidates_cap_equality():
     assert Rational(1, 2) in degree_candidates(5, other, DEFAULT_CONFIG)
 
 
-def test_passes_bm():
+def test_degree_candidates_bm_bound():
+    # BM for q = 5, basket (2): 17 * 5 * n <= 4 * (48 - 3), so n <= 2
     two = Basket.from_pairs([(2, 1)])
-    assert passes_bm(FanoInput(q=5, basket=two, a3=Rational(1, 2)))
-    assert passes_bm(FanoInput(q=5, basket=two, a3=Rational(1)))
-    assert not passes_bm(FanoInput(q=5, basket=two, a3=Rational(2)))
-    # sigma >= 24 fails regardless of degree
+    assert degree_candidates(5, two, replace(DEFAULT_CONFIG, bm_inequality=False)) == [
+        Rational(1, 2),
+        Rational(1),
+    ]
+    basket = Basket.from_pairs([(4, 1), (5, 1)])
+    no_bm = replace(CAPPED, bm_inequality=False)
+    assert len(degree_candidates(3, basket, no_bm)) == 46
+    assert degree_candidates(3, basket, CAPPED) == degree_candidates(3, basket, no_bm)[:45]
+    # sigma >= 24 leaves no room for any degree under BM
     heavy = Basket.from_pairs([(23, 1), (23, 1)])
-    assert not passes_bm(FanoInput(q=3, basket=heavy, a3=Rational(1, 23)))
+    assert degree_candidates(3, heavy, DEFAULT_CONFIG) == []
+    assert degree_candidates(3, heavy, CAPPED) == []
+
+
+def test_filter_diff_bm_inequality():
+    # the uncapped walk is bounded by BM whatever the flag says
+    assert filter_diff(5, "bm_inequality") == ([], [])
+    removed, added = filter_diff(5, "bm_inequality", CAPPED)
+    assert removed == []
+    assert len(added) == 66
 
 
 def test_passes_integrality_frozen_cases():
@@ -189,6 +205,39 @@ def test_enumerate_candidates_jobs_equivalence():
     assert enumerate_candidates(8, jobs=3) == enumerate_candidates(8)
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # records the requested size and runs the chunks in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, func, chunks):
+            return [func(chunk) for chunk in chunks]
+
+    serial = enumerate_candidates(6)
+    monkeypatch.setattr(enumeration, "Pool", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    assert enumerate_candidates(6, jobs=2) == serial
+    assert enumerate_candidates(6, jobs=8) == serial
+    assert sizes == [2, 3]
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert enumerate_candidates(6, jobs=8) == serial
+    assert sizes == [2, 3]  # one CPU: no pool at all
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 16)
+    two = list(itertools.islice(enumerate_baskets(6), 2))
+    monkeypatch.setattr(enumeration, "enumerate_baskets", lambda q: iter(two))
+    enumerate_candidates(6, jobs=8)
+    assert sizes == [2, 3, 2]
+
+
 def test_series_class_collapses_orientations():
     found = enumerate_candidates(4)
     groups: dict = {}
@@ -204,21 +253,6 @@ def test_series_class_collapses_orientations():
     assert len({series_class(c) for c in found}) == len(
         {(c.basket.indices, c.a3, c.dims) for c in found}
     )
-
-
-def test_torsion_genus_bound():
-    assert torsion_genus_bound(2, 14) == 23
-    assert torsion_genus_bound(7, 5) == 25
-    for g in (5, 17, 40):
-        assert torsion_genus_bound(1, g) == g - 4
-    with pytest.raises(ValueError):
-        torsion_genus_bound(0, 10)
-
-
-def test_genus_degree_bound():
-    assert genus_degree_bound(Rational(125, 2)) == 33
-    assert genus_degree_bound(Rational(2)) == 2
-    assert genus_degree_bound(Rational(32)) == 17
 
 
 def test_filter_diff_degree_cap():

@@ -5,13 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from qfano.arith import NotCoprimeError, Rational
 from qfano.riemann_roch import (
-    AnticanonicalData,
     Basket,
     FanoInput,
     IndexNotCoprimeError,
     NonIntegralChiError,
     SingularPoint,
-    anticanonical_data,
     chi,
     chi_integer,
     dims,
@@ -147,17 +145,6 @@ def test_chi_non_integral():
     assert exc.value.value == Rational(7, 3)
     with pytest.raises(NonIntegralChiError):
         dims(fano, 3)
-
-
-def test_anticanonical_data():
-    fano = FanoInput(q=5, basket=Basket.from_pairs([(2, 1)]), a3=Rational(1, 2))
-    data = anticanonical_data(fano)
-    assert data == AnticanonicalData(
-        minus_k3=Rational(125, 2),
-        minus_k_c2=Rational(45, 2),
-        genus=32,
-        dim_minus_k=33,
-    )
 
 
 @st.composite

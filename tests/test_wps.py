@@ -7,8 +7,14 @@ reproduce it, and internally cross-checks its closed-form series expansion
 against that same counting route on every call.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qfano
 from qfano.arith import Rational
 from qfano.enumeration import enumerate_candidates
 from qfano.wps import WpsModel, degree_a3, fano_index, hilbert_coeffs, match_candidate
@@ -114,3 +120,23 @@ def test_match_rejects_wrong_candidate():
     ]
     assert mismatch and all(not r.is_match for r in mismatch)
     assert all(r.first_mismatch is not None for r in mismatch)
+
+
+def test_route_disagreement_is_caught_under_optimize():
+    # python -O strips assert statements; the cross-check must not be one
+    script = (
+        "import qfano.wps as wps\n"
+        "wps._count_by_enumeration = lambda weights, k: 0\n"
+        "try:\n"
+        "    wps.hilbert_coeffs(wps.WpsModel((1, 1, 2, 3)), 5)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(qfano.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
