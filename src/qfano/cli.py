@@ -1,7 +1,8 @@
 """The ``qfano`` command line tool.
 
-Exit codes: 0 success, 2 usage error, 3 missing or unreadable input,
-4 internal consistency failure (a check the tool makes about itself).
+Exit codes: 0 success, 2 usage error (including an output path that cannot
+be written), 3 missing or unreadable input, 4 internal consistency failure
+(a check the tool makes about itself).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import io
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from typing import Sequence
 
@@ -109,9 +111,22 @@ def render_counts(db: Database) -> str:
     return f"{len(db.candidates)} candidates ({per_q})"
 
 
+class OutputError(Exception):
+    """An output path the tool was asked to write cannot be written."""
+
+
+@contextmanager
+def _writing(path: str):
+    """Report an unwritable output path as such, not as a missing input."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(path) from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
+        with _writing(out), open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -151,7 +166,8 @@ def cmd_enumerate(args) -> int:
     qs = INDEX_SET if args.all else (args.q,)
     db = _build_database(args.filter_set, qs, args.jobs)
     if args.db:
-        save_database(db, args.db)
+        with _writing(args.db):
+            save_database(db, args.db)
         print(f"{render_counts(db)} -> {args.db}")
         if args.format is None and args.out is None:
             return EXIT_OK
@@ -349,6 +365,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
+    except OutputError as exc:
+        print(f"qfano: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except FileNotFoundError as exc:
         missing = getattr(exc, "filename", None) or exc
         print(f"qfano: input not found: {missing}", file=sys.stderr)

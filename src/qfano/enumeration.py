@@ -10,21 +10,40 @@ test an actual Fano threefold of index ``q`` would have to pass:
   non-negative for ``k >= 0``.
 
 :func:`degree_candidates` is the one place that decides the degree range,
-in integers only.  The integrality sieve runs on a rescaled integer kernel
-(:class:`_BasketScanner`) that evaluates ``12 q N chi(k)`` with machine
-integers and bails out at the first failing ``k``; the test suite
+in integers only.  The sieve runs on a rescaled integer kernel
+(:class:`_BasketScanner`) that evaluates ``T(k) = 12 q N chi(k)`` with
+machine integers and bails out at the first failing ``k``; the test suite
 cross-checks it against a rational re-statement of the formulas in
-:mod:`qfano.riemann_roch`.
+:mod:`qfano.riemann_roch`.  Two facts keep the work small:
+
+* **Closed-form degree.**  For ``q >= 3`` the coefficient of ``A^3`` in
+  ``chi(-1)`` is ``-(q-1)(q-2)/12 != 0``, so the vanishing ``chi(-1) = 0``
+  fixes the degree: ``A^3 = n/N`` with
+  ``n = (12qN - 24N + N sigma + q W(-1)) / (q(q-1)(q-2))``.  With the
+  vanishing filter on, a basket has a candidate only if this ``n`` is a
+  positive integer inside the range :func:`degree_candidates` allows, and
+  only that one degree is scanned (the full battery still runs on it).
+* **The 3N lemma.**  ``W`` is periodic mod ``N``, so on each residue class
+  ``k = k0 + tN`` the value ``T(k)`` is an integer cubic in ``t``.  Its third
+  difference is ``6 * 2qnN^3``, already a multiple of ``12qN``, so by
+  Newton's forward-difference formula ``T`` is divisible by ``12qN`` for
+  every ``t >= 0`` as soon as it is for ``t = 0, 1, 2``: integrality needs
+  only ``k < 3N``.  Non-negativity needs no more when ``sigma <= 24``: for
+  ``k >= 3N`` the cubic term is at least ``54 q n N^3``, each point term
+  ``12 r c_p`` exceeds ``-r^3`` so ``q W(k) > -q N sum r^2 >= -32 q N^2``
+  (``sigma <= 24`` forces ``sum r <= 32``), and the other terms are
+  positive, so ``T(k) > 0``.  The scan stops at ``min(window, 3N)``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import Rational, format_rational
 from .riemann_roch import (
@@ -43,7 +62,8 @@ INDEX_SET: tuple[int, ...] = (3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 17, 19)
 #: ``sigma(r) = r - 1/r < 24`` forces every basket index below this.
 MAX_POINT_INDEX = 24
 
-_SIGMA_LIMIT = Rational(24)
+#: ``lcm(2..24)``: every ``r - 1/r`` is a whole number of ``1/_SIGMA_UNIT``.
+_SIGMA_UNIT = math.lcm(*range(2, MAX_POINT_INDEX + 1))
 
 #: Known bound on ``-K^3 = q^3 A^3``, attained only by the quadric cone.
 DEGREE_CAP = Rational(125, 2)
@@ -170,10 +190,10 @@ def enumerate_baskets(q: int) -> Iterator[Basket]:
     starting with the empty basket.
     """
     domain = point_domain(q)
-    sigmas = [p.sigma for p in domain]
+    sigmas = [(p.r * p.r - 1) * (_SIGMA_UNIT // p.r) for p in domain]
     stack: list[SingularPoint] = []
 
-    def rec(start: int, budget: Rational) -> Iterator[Basket]:
+    def rec(start: int, budget: int) -> Iterator[Basket]:
         yield Basket(tuple(stack))
         for idx in range(start, len(domain)):
             s = sigmas[idx]
@@ -185,7 +205,14 @@ def enumerate_baskets(q: int) -> Iterator[Basket]:
             yield from rec(idx, budget - s)
             stack.pop()
 
-    return rec(0, _SIGMA_LIMIT)
+    return rec(0, 24 * _SIGMA_UNIT)
+
+
+@functools.cache
+def _degree(n: int, n_lcm: int) -> Rational:
+    """``n/N``, built once: a full walk asks for about 170,000 degrees but
+    only about 4,000 distinct ones."""
+    return Rational(n, n_lcm)
 
 
 def _scaled_kawamata_sum(basket: Basket, n_lcm: int) -> int:
@@ -218,7 +245,7 @@ def degree_candidates(
         ):
             n_cap -= 1
         bounds.append(n_cap)
-    return [Rational(n, n_lcm) for n in range(1, min(bounds) + 1)]
+    return [_degree(n, n_lcm) for n in range(1, min(bounds) + 1)]
 
 
 def integrality_window(fano: FanoInput) -> int:
@@ -239,18 +266,43 @@ def passes_integrality(
 ) -> bool:
     """Integrality sieve over one full period, on the integer kernel.
 
-    Checks ``chi(k) = 0`` on the window ``-q < k < 0``, and integrality
+    Decides ``chi(k) = 0`` on the window ``-q < k < 0``, and integrality
     (plus optional non-negativity) for ``0 <= k < L`` where ``L`` is
-    :func:`integrality_window`.  This runs the same :class:`_BasketScanner`
-    as the enumeration; the rational-arithmetic oracle it is checked against
-    is ``_reference_passes`` in ``tests/test_enumeration.py``.
+    :func:`integrality_window`; by the 3N lemma (module docstring) the scan
+    itself may stop well before ``L``.  This runs the same
+    :class:`_BasketScanner` as the enumeration; the rational-arithmetic
+    oracle it is checked against is ``_reference_passes`` in
+    ``tests/test_enumeration.py``.
     """
     scanner = _BasketScanner(fano.q, fano.basket)
+    if scanner.n_lcm % fano.a3.denominator != 0:
+        return False
     return scanner.scan(
-        fano.a3,
+        fano.a3.numerator * (scanner.n_lcm // fano.a3.denominator),
         enforce_vanishing=enforce_vanishing,
         nonnegativity=nonnegativity,
     )
+
+
+def _point_term(r: int, a: int, i: int) -> int:
+    """``12 r c_p`` for the point ``1/r(a, -a, 1)`` at local index ``i``."""
+    inner = 0
+    for j in range(1, i):
+        ja = (j * a) % r
+        inner += ja * (r - ja)
+    return -i * (r * r - 1) + 6 * inner
+
+
+def _vanishing_terms(q: int) -> dict[tuple[int, int], int]:
+    """Each point's share ``r^2 - 1 + q w_p`` of the closed-form degree, by ``(r, a)``.
+
+    ``w_p = 12 r c_p(-1)``, so ``N sigma + q W(-1)`` is the sum of
+    ``(N/r)`` times these over a basket.
+    """
+    return {
+        (p.r, p.a): p.r * p.r - 1 + q * _point_term(p.r, p.a, pow(q, -1, p.r))
+        for p in point_domain(q)
+    }
 
 
 class _BasketScanner:
@@ -275,27 +327,20 @@ class _BasketScanner:
         self.modulus = 12 * q * n_lcm
         self.sigma_scaled = _scaled_kawamata_sum(basket, n_lcm)
         self.linear_coeff = 24 * n_lcm - self.sigma_scaled
-        tables: list[tuple[int, tuple[int, ...]]] = []
+        # merge identical points: many baskets repeat (2,1) etc.
+        merged: dict[SingularPoint, int] = {}
         for point in basket:
+            merged[point] = merged.get(point, 0) + 1
+        tables = []
+        for point, mult in merged.items():
             r, a = point.r, point.a
             qinv = pow(q, -1, r)
-            scale = n_lcm // r
-            column = []
-            for kmod in range(r):
-                i = (-kmod * qinv) % r
-                inner = 0
-                for j in range(1, i):
-                    ja = (j * a) % r
-                    inner += ja * (r - ja)
-                column.append(scale * (-i * (r * r - 1) + 6 * inner))
-            tables.append((r, tuple(column)))
-        # merge identical points: many baskets repeat (2,1) etc.
-        merged: dict[tuple[int, tuple[int, ...]], int] = {}
-        for entry in tables:
-            merged[entry] = merged.get(entry, 0) + 1
-        self.tables = tuple(
-            (r, tuple(c * mult for c in col)) for (r, col), mult in merged.items()
-        )
+            scale = mult * (n_lcm // r)
+            column = tuple(
+                scale * _point_term(r, a, (-kmod * qinv) % r) for kmod in range(r)
+            )
+            tables.append((r, column))
+        self.tables = tuple(tables)
 
     def chi_scaled(self, k: int, n: int) -> int:
         """``12 q N chi(k)`` for ``A^3 = n/N`` as a plain integer."""
@@ -316,21 +361,23 @@ class _BasketScanner:
 
     def scan(
         self,
-        a3: Rational,
+        n: int,
         *,
         enforce_vanishing: bool = True,
         nonnegativity: bool = True,
     ) -> bool:
-        """Run the full integrality battery for one degree."""
-        if self.n_lcm % a3.denominator != 0:
-            return False
-        n = a3.numerator * (self.n_lcm // a3.denominator)
+        """Run the full integrality battery for the degree ``A^3 = n/N``."""
         modulus = self.modulus
         if enforce_vanishing:
             for k in range(1 - self.q, 0):
                 if self.chi_scaled(k, n) != 0:
                     return False
-        for k in range(1, self.window(n)):
+        window = self.window(n)
+        # the 3N lemma (module docstring); its non-negativity half needs
+        # sigma <= 24, so past that the whole period is scanned
+        if not nonnegativity or self.linear_coeff >= 0:
+            window = min(window, 3 * self.n_lcm)
+        for k in range(1, window):
             value = self.chi_scaled(k, n)
             if value % modulus != 0:
                 return False
@@ -340,26 +387,44 @@ class _BasketScanner:
 
 
 def _scan_baskets(
-    q: int, baskets: Sequence[Basket], config: FilterConfig
+    q: int, baskets: Iterable[Basket], config: FilterConfig
 ) -> list[Candidate]:
+    # chi(-1) = 0 fixes the degree when its A^3 coefficient is nonzero
+    divisor = q * (q - 1) * (q - 2)
+    terms = _vanishing_terms(q) if config.enforce_vanishing and divisor else None
     found = []
     for basket in baskets:
         degrees = degree_candidates(q, basket, config)
         if not degrees:
             continue
+        if terms is None:
+            numerators = range(1, len(degrees) + 1)
+        else:
+            n_lcm = basket.index_lcm
+            top = (12 * q - 24) * n_lcm + sum(
+                (n_lcm // p.r) * terms[p.r, p.a] for p in basket
+            )
+            n, rest = divmod(top, divisor)
+            if rest or not 1 <= n <= len(degrees):
+                continue
+            numerators = (n,)
         scanner = _BasketScanner(q, basket)
-        for a3 in degrees:
+        for n in numerators:
             if scanner.scan(
-                a3,
+                n,
                 enforce_vanishing=config.enforce_vanishing,
                 nonnegativity=config.nonnegativity,
             ):
-                found.append(Candidate.from_parts(q, basket, a3))
+                found.append(Candidate.from_parts(q, basket, degrees[n - 1]))
     return found
 
 
-def _scan_job(args: tuple[int, list[Basket], FilterConfig]) -> list[Candidate]:
-    return _scan_baskets(*args)
+def _scan_job(args: tuple[int, int, int, FilterConfig]) -> list[Candidate]:
+    """Scan every ``parts``-th basket of the walk, starting at ``part``."""
+    q, part, parts, config = args
+    return _scan_baskets(
+        q, itertools.islice(enumerate_baskets(q), part, None, parts), config
+    )
 
 
 def enumerate_candidates(
@@ -367,16 +432,16 @@ def enumerate_candidates(
 ) -> list[Candidate]:
     """All candidates of index ``q``, canonically sorted.
 
-    ``jobs > 1`` splits the basket list over worker processes, at most one
-    per CPU and per basket; the result is merged and sorted, so it is
+    ``jobs > 1`` splits the basket walk over worker processes, at most one
+    per CPU; each worker walks the baskets itself and scans every
+    ``workers``-th one.  The result is merged and sorted, so it is
     byte-for-byte independent of ``jobs``.
     """
-    baskets = list(enumerate_baskets(q))
-    workers = min(jobs, os.cpu_count() or 1, len(baskets))
+    workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        found = _scan_baskets(q, baskets, config)
+        found = _scan_baskets(q, enumerate_baskets(q), config)
     else:
-        chunks = [(q, baskets[i::workers], config) for i in range(workers)]
+        chunks = [(q, part, workers, config) for part in range(workers)]
         with Pool(processes=workers) as pool:
             found = list(itertools.chain.from_iterable(pool.map(_scan_job, chunks)))
     found.sort(key=Candidate.sort_key)

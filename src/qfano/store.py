@@ -3,8 +3,10 @@
 The file layout is fixed so that two runs producing the same candidates
 produce byte-identical files (worker count, dict ordering, and platform
 must not leak in).  Loading recomputes every derived invariant from
-``(q, basket, A^3)`` and refuses files whose stored values disagree, so a
-database can be trusted as input without re-running the enumeration.
+``(q, basket, A^3)`` and refuses files whose stored values disagree, whose
+rows repeat a candidate or leave :meth:`Candidate.sort_key` order, or whose
+filter set has no name this version knows, so a database can be trusted as
+input without re-running the enumeration.
 """
 
 from __future__ import annotations
@@ -150,14 +152,22 @@ def loads_database(text: str) -> Database:
         rows = list(doc["candidates"])
         count = int(doc.get("count", len(rows)))
         filter_set = doc.get("filter_set")
-        named = FILTER_SETS.get(filter_set)
+        known = filter_set is None or filter_set in FILTER_SETS
     if version != FORMAT_VERSION:
         raise StoreError(f"unsupported format version {version}")
+    if not known:
+        raise StoreError(f"unknown filter set {filter_set!r}")
     candidates = tuple(candidate_from_json(d) for d in rows)
     if count != len(candidates):
         raise StoreError("stored count disagrees with the candidate list")
+    keys = [c.sort_key() for c in candidates]
+    for before, after, candidate in zip(keys, keys[1:], candidates[1:]):
+        if before == after:
+            raise StoreError(f"duplicate candidate {candidate.id!r}")
+        if before > after:
+            raise StoreError(f"candidate {candidate.id!r} is out of canonical order")
     config = config_from_json(doc.get("config"))
-    if named is not None and config != named:
+    if filter_set is not None and config != FILTER_SETS[filter_set]:
         raise StoreError(
             f"config snapshot does not match the named filter set {filter_set!r}"
         )

@@ -37,6 +37,22 @@ def test_missing_database_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--out", "--db"])
+def test_unwritable_output_is_usage_error(option, tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.csv"
+    assert main(["enumerate", "--q", "8", option, str(target)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot write output: {target}" in err
+    assert "not found" not in err
+    assert not target.parent.exists()
+
+
+def test_export_to_unwritable_path_is_usage_error(db_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["export", "--db", str(db_path), "--out", str(target)]) == EXIT_USAGE
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_enumerate_single_index_table(capsys):
     assert main(["enumerate", "--q", "6", "--format", "table"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -159,6 +160,67 @@ def test_scanner_agrees_with_rational_reference(q):
                 )
 
 
+def test_short_scan_agrees_with_rational_reference():
+    # the scan stops at min(window, 3N); the reference runs the whole
+    # period, so random triples on both sides of 3N must agree
+    rng = random.Random(2010)
+    small = {q: [b for b in enumerate_baskets(q) if b.index_lcm <= 12] for q in (3, 4, 5)}
+    triples = []
+    for _ in range(40):
+        q = rng.choice(sorted(small))
+        basket = rng.choice(small[q])
+        n_lcm = basket.index_lcm
+        a3 = Rational(rng.randint(1, 3 * n_lcm), n_lcm)
+        triples.append(FanoInput(q=q, basket=basket, a3=a3))
+    # sigma = 23 is whole, so for q = 1 and A^3 in Z/2 the period (12 or 24)
+    # is below 3N = 36
+    short = Basket.from_pairs([(3, 1)] * 3 + [(4, 1)] * 4)
+    triples += [FanoInput(q=1, basket=short, a3=Rational(n, 12)) for n in range(1, 25)]
+    # integral and vanishing, but chi(k) < 0 somewhere in the period
+    negative = FanoInput(
+        q=3, basket=Basket.from_pairs([(2, 1)] * 6 + [(5, 1), (10, 1)]), a3=Rational(1, 10)
+    )
+    triples.append(negative)
+    assert passes_integrality(negative, nonnegativity=False)
+    assert not passes_integrality(negative)
+    spans = {integrality_window(f) > 3 * f.basket.index_lcm for f in triples}
+    assert spans == {True, False}
+    passed = 0
+    for fano in triples:
+        for vanish, nonneg in itertools.product((True, False), repeat=2):
+            verdict = passes_integrality(
+                fano, enforce_vanishing=vanish, nonnegativity=nonneg
+            )
+            assert verdict == _reference_passes(
+                fano, enforce_vanishing=vanish, nonnegativity=nonneg
+            )
+            passed += verdict
+    assert passed
+
+
+def _walked_ids(q, config):
+    # every degree degree_candidates allows, each through the public sieve
+    return sorted(
+        candidate_id(q, basket, a3)
+        for basket in enumerate_baskets(q)
+        for a3 in degree_candidates(q, basket, config)
+        if passes_integrality(
+            FanoInput(q=q, basket=basket, a3=a3),
+            enforce_vanishing=config.enforce_vanishing,
+            nonnegativity=config.nonnegativity,
+        )
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SETS))
+@pytest.mark.parametrize("q", [6, 8, 11, 13])
+def test_closed_form_degree_matches_the_walk(q, name):
+    config = FILTER_SETS[name]
+    found = enumerate_candidates(q, config)
+    assert found
+    assert sorted(c.id for c in found) == _walked_ids(q, config)
+
+
 @given(st.integers(0, 400))
 @settings(max_examples=60)
 def test_window_is_a_period(k):
@@ -231,11 +293,14 @@ def test_worker_count_is_clamped(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert enumerate_candidates(6, jobs=8) == serial
     assert sizes == [2, 3]  # one CPU: no pool at all
+    # each worker walks the baskets itself, so a stride past the end of a
+    # short walk is idle and contributes nothing
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 16)
-    two = list(itertools.islice(enumerate_baskets(6), 2))
+    two = [c.basket for c in serial[:2]]
     monkeypatch.setattr(enumeration, "enumerate_baskets", lambda q: iter(two))
-    enumerate_candidates(6, jobs=8)
-    assert sizes == [2, 3, 2]
+    assert enumeration._scan_job((6, 5, 8, DEFAULT_CONFIG)) == []
+    assert enumerate_candidates(6, jobs=8) == serial[:2]
+    assert sizes == [2, 3, 8]
 
 
 def test_series_class_collapses_orientations():

@@ -97,3 +97,27 @@ def test_unnamed_filter_set_roundtrips(small_db):
     again = loads_database(dumps_database(bare))
     assert again.filter_set is None
     assert again.config == FILTER_SETS["capped"]
+
+
+def test_unknown_filter_set_is_rejected(small_db):
+    doc = json.loads(dumps_database(small_db))
+    for name in ("no-such-set", "Default", "", 5, True):
+        doc["filter_set"] = name
+        with pytest.raises(StoreError):
+            loads_database(json.dumps(doc))
+
+
+def test_rows_out_of_canonical_order_are_rejected(small_db):
+    doc = json.loads(dumps_database(small_db))
+    rows = doc["candidates"]
+    rows[3], rows[4] = rows[4], rows[3]
+    with pytest.raises(StoreError, match="canonical order"):
+        loads_database(json.dumps(doc))
+
+
+def test_duplicate_rows_are_rejected(small_db):
+    doc = json.loads(dumps_database(small_db))
+    doc["candidates"].insert(5, doc["candidates"][5])
+    doc["count"] += 1
+    with pytest.raises(StoreError, match="duplicate"):
+        loads_database(json.dumps(doc))
