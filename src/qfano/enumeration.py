@@ -30,7 +30,7 @@ cross-checks it against a rational re-statement of the formulas in
   every ``t >= 0`` as soon as it is for ``t = 0, 1, 2``: integrality needs
   only ``k < 3N``.  Non-negativity needs no more when ``sigma <= 24``: for
   ``k >= 3N`` the cubic term is at least ``54 q n N^3``, each point term
-  ``12 r c_p`` exceeds ``-r^3`` so ``q W(k) > -q N sum r^2 >= -32 q N^2``
+  ``12 r c_p`` exceeds ``-r^3`` so ``q W(k) >= -q N sum r^2 >= -32 q N^2``
   (``sigma <= 24`` forces ``sum r <= 32``), and the other terms are
   positive, so ``T(k) > 0``.  The scan stops at ``min(window, 3N)``.
 """
