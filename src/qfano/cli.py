@@ -187,6 +187,11 @@ def cmd_wps_check(args) -> int:
     try:
         weights = tuple(int(w) for w in args.weights.split(","))
         model = WpsModel(weights=weights, degree=args.degree)
+        dimension = len(model.weights) - 1 - (model.degree is not None)
+        if dimension != 3:
+            raise ValueError(
+                f"{model} has dimension {dimension}; candidates are threefolds"
+            )
     except ValueError as exc:
         print(f"qfano wps check: {exc}", file=sys.stderr)
         return EXIT_USAGE

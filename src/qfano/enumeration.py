@@ -12,9 +12,10 @@ test an actual Fano threefold of index ``q`` would have to pass:
 :func:`degree_candidates` is the one place that decides the degree range,
 in integers only.  The sieve runs on a rescaled integer kernel
 (:class:`_BasketScanner`) that evaluates ``T(k) = 12 q N chi(k)`` with
-machine integers and bails out at the first failing ``k``; the test suite
-cross-checks it against a rational re-statement of the formulas in
-:mod:`qfano.riemann_roch`.  Two facts keep the work small:
+machine integers, from the terms of :mod:`qfano.riemann_roch`, and bails
+out at the first failing ``k``; the test suite cross-checks it against
+``_reference_chi``, a rational transcription of the formula kept in the
+tests.  Two facts keep the work small:
 
 * **Closed-form degree.**  For ``q >= 3`` the coefficient of ``A^3`` in
   ``chi(-1)`` is ``-(q-1)(q-2)/12 != 0``, so the vanishing ``chi(-1) = 0``
@@ -54,6 +55,9 @@ from .riemann_roch import (
     dims,
     genus,
     kawamata_sum,
+    local_index,
+    point_term,
+    scaled_kawamata_sum,
 )
 
 #: Fano indices a terminal threefold can have in the range this tool covers.
@@ -190,7 +194,7 @@ def enumerate_baskets(q: int) -> Iterator[Basket]:
     starting with the empty basket.
     """
     domain = point_domain(q)
-    sigmas = [(p.r * p.r - 1) * (_SIGMA_UNIT // p.r) for p in domain]
+    sigmas = [scaled_kawamata_sum((p,), _SIGMA_UNIT) for p in domain]
     stack: list[SingularPoint] = []
 
     def rec(start: int, budget: int) -> Iterator[Basket]:
@@ -215,11 +219,6 @@ def _degree(n: int, n_lcm: int) -> Rational:
     return Rational(n, n_lcm)
 
 
-def _scaled_kawamata_sum(basket: Basket, n_lcm: int) -> int:
-    """``N sigma`` as an integer, where ``N`` is a multiple of every index."""
-    return sum((n_lcm // p.r) * (p.r * p.r - 1) for p in basket)
-
-
 def degree_candidates(
     q: int, basket: Basket, config: FilterConfig = DEFAULT_CONFIG
 ) -> list[Rational]:
@@ -232,7 +231,7 @@ def degree_candidates(
     equality is dropped unless the triple is :data:`DEGREE_CAP_EXCEPTION`.
     """
     n_lcm = basket.index_lcm
-    room = 24 * n_lcm - _scaled_kawamata_sum(basket, n_lcm)
+    room = 24 * n_lcm - scaled_kawamata_sum(basket, n_lcm)
     bounds = []
     if config.bm_inequality or not config.degree_cap_enforced:
         bounds.append(4 * room // ((4 * q - 3) * q))
@@ -250,12 +249,7 @@ def degree_candidates(
 
 def integrality_window(fano: FanoInput) -> int:
     """Period of the fractional part of ``chi``: checking one period suffices."""
-    sigma = kawamata_sum(fano.basket)
-    return math.lcm(
-        12 * fano.a3.denominator,
-        12 * fano.q * sigma.denominator,
-        fano.basket.index_lcm,
-    )
+    return _BasketScanner(fano.q, fano.basket).window(fano.a3.denominator)
 
 
 def passes_integrality(
@@ -270,9 +264,9 @@ def passes_integrality(
     (plus optional non-negativity) for ``0 <= k < L`` where ``L`` is
     :func:`integrality_window`; by the 3N lemma (module docstring) the scan
     itself may stop well before ``L``.  This runs the same
-    :class:`_BasketScanner` as the enumeration; the rational-arithmetic
-    oracle it is checked against is ``_reference_passes`` in
-    ``tests/test_enumeration.py``.
+    :class:`_BasketScanner` as the enumeration; its oracle in the tests is
+    ``_reference_passes``, which runs the whole period on ``_reference_chi``,
+    a rational transcription of the formula.
     """
     scanner = _BasketScanner(fano.q, fano.basket)
     if scanner.n_lcm % fano.a3.denominator != 0:
@@ -284,15 +278,6 @@ def passes_integrality(
     )
 
 
-def _point_term(r: int, a: int, i: int) -> int:
-    """``12 r c_p`` for the point ``1/r(a, -a, 1)`` at local index ``i``."""
-    inner = 0
-    for j in range(1, i):
-        ja = (j * a) % r
-        inner += ja * (r - ja)
-    return -i * (r * r - 1) + 6 * inner
-
-
 def _vanishing_terms(q: int) -> dict[tuple[int, int], int]:
     """Each point's share ``r^2 - 1 + q w_p`` of the closed-form degree, by ``(r, a)``.
 
@@ -300,7 +285,7 @@ def _vanishing_terms(q: int) -> dict[tuple[int, int], int]:
     ``(N/r)`` times these over a basket.
     """
     return {
-        (p.r, p.a): p.r * p.r - 1 + q * _point_term(p.r, p.a, pow(q, -1, p.r))
+        (p.r, p.a): p.r * p.r - 1 + q * point_term(p.r, p.a, local_index(-1, q, p))
         for p in point_domain(q)
     }
 
@@ -325,7 +310,7 @@ class _BasketScanner:
         n_lcm = basket.index_lcm
         self.n_lcm = n_lcm
         self.modulus = 12 * q * n_lcm
-        self.sigma_scaled = _scaled_kawamata_sum(basket, n_lcm)
+        self.sigma_scaled = scaled_kawamata_sum(basket, n_lcm)
         self.linear_coeff = 24 * n_lcm - self.sigma_scaled
         # merge identical points: many baskets repeat (2,1) etc.
         merged: dict[SingularPoint, int] = {}
@@ -337,7 +322,7 @@ class _BasketScanner:
             qinv = pow(q, -1, r)
             scale = mult * (n_lcm // r)
             column = tuple(
-                scale * _point_term(r, a, (-kmod * qinv) % r) for kmod in range(r)
+                scale * point_term(r, a, (-kmod * qinv) % r) for kmod in range(r)
             )
             tables.append((r, column))
         self.tables = tuple(tables)
@@ -354,8 +339,8 @@ class _BasketScanner:
             value += q * column[k % r]
         return value
 
-    def window(self, n: int) -> int:
-        a3_den = self.n_lcm // math.gcd(n, self.n_lcm)
+    def window(self, a3_den: int) -> int:
+        """Period of chi's fractional part: ``lcm(12 den A^3, 12 q den sigma, N)``."""
         sigma_den = self.n_lcm // math.gcd(self.sigma_scaled, self.n_lcm)
         return math.lcm(12 * a3_den, 12 * self.q * sigma_den, self.n_lcm)
 
@@ -372,7 +357,7 @@ class _BasketScanner:
             for k in range(1 - self.q, 0):
                 if self.chi_scaled(k, n) != 0:
                     return False
-        window = self.window(n)
+        window = self.window(self.n_lcm // math.gcd(n, self.n_lcm))
         # the 3N lemma (module docstring); its non-negativity half needs
         # sigma <= 24, so past that the whole period is scanned
         if not nonnegativity or self.linear_coeff >= 0:

@@ -4,7 +4,7 @@ A Fano threefold ``X`` of index ``q`` carries an ample Weil divisor ``A``
 with ``-K_X = qA``.  Its terminal cyclic quotient singularities are recorded
 as a basket of points ``1/r(a, -a, 1)``; each point of index ``r`` must have
 ``r`` coprime to ``q``.  For such data the Euler characteristic of ``O(kA)``
-is a closed form in exact rationals:
+is
 
     chi(k) = 1 + k(k+q)(2k+q) A^3 / 12 + k (24 - sigma) / (12 q)
                + sum over basket points of c_p(k)
@@ -16,12 +16,19 @@ index ``i = (-k q^{-1}) mod r`` is
     c_p(k) = -i (r^2 - 1) / (12 r)
              + sum_{j=1}^{i-1} (ja mod r)(r - (ja mod r)) / (2 r).
 
+This module states the formula once, in integers: with ``N`` the lcm of
+the basket indices, :func:`scaled_kawamata_sum` is ``N sigma`` and
+:func:`point_term` is ``12 r c_p(k)``, so ``12qN chi(k)`` less its degree
+term is the integer ``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r c_p(k)``.
+:func:`chi` adds the degree term in one exact rational, and the sieve in
+:mod:`qfano.enumeration` is built from the same two functions.
+
 For an actual Fano threefold ``chi(k) = h^0(kA)`` for ``k >= 0`` (vanishing)
 and ``chi(k) = 0`` on the window ``-q < k < 0``, which is what makes the
 formula a strong integrality sieve on hypothetical ``(q, basket, A^3)``.
-The convention above is pinned down by two independent checks in the test
-suite: reference dimension tables and monomial counts on weighted
-projective models (:mod:`qfano.wps`).
+The test suite pins the convention down by reference dimension tables,
+monomial counts on weighted projective models (:mod:`qfano.wps`), and a
+rational transcription of the formula that shares no code with this module.
 """
 
 from __future__ import annotations
@@ -60,11 +67,6 @@ class SingularPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", canonical_orientation(self.a, self.r))
-
-    @property
-    def sigma(self) -> Rational:
-        """This point's share of the Kawamata sum, ``r - 1/r``."""
-        return Rational(self.r * self.r - 1, self.r)
 
     def __str__(self) -> str:
         return f"{self.r}:{self.a}"
@@ -127,9 +129,15 @@ class Basket:
         return "(" + ",".join(str(r) for r in self.indices) + ")"
 
 
+def scaled_kawamata_sum(points: Iterable[SingularPoint], n_lcm: int) -> int:
+    """``N sigma`` as an integer, where ``N`` is a multiple of every index."""
+    return sum((n_lcm // p.r) * (p.r * p.r - 1) for p in points)
+
+
 def kawamata_sum(basket: Basket) -> Rational:
     """``sigma = sum (r - 1/r)``; terminal Fano baskets satisfy ``sigma < 24``."""
-    return sum((p.sigma for p in basket), Rational(0))
+    n_lcm = basket.index_lcm
+    return Rational(scaled_kawamata_sum(basket, n_lcm), n_lcm)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,19 +174,22 @@ def local_index(k: int, q: int, point: SingularPoint) -> int:
     return (-k * mod_inverse(q, point.r)) % point.r
 
 
+def point_term(r: int, a: int, i: int) -> int:
+    """``12 r c_p`` for the point ``1/r(a, -a, 1)`` at local index ``i``."""
+    inner = 0
+    for j in range(1, i):
+        ja = (j * a) % r
+        inner += ja * (r - ja)
+    return -i * (r * r - 1) + 6 * inner
+
+
 def point_contribution(k: int, q: int, point: SingularPoint) -> Rational:
-    """Local Riemann-Roch correction of one basket point at ``kA``.
+    """Local Riemann-Roch correction ``c_p(k)`` of one basket point at ``kA``.
 
     Zero exactly when the local index vanishes, i.e. when ``kA`` is Cartier
     at the point; symmetric in the orientation ``a <-> r - a``.
     """
-    r, a = point.r, point.a
-    i = local_index(k, q, point)
-    total = Rational(-i * (r * r - 1), 12 * r)
-    for j in range(1, i):
-        ja = (j * a) % r
-        total += Rational(ja * (r - ja), 2 * r)
-    return total
+    return Rational(point_term(point.r, point.a, local_index(k, q, point)), 12 * point.r)
 
 
 def chi(k: int, fano: FanoInput) -> Rational:
@@ -187,15 +198,16 @@ def chi(k: int, fano: FanoInput) -> Rational:
     Satisfies ``chi(0) = 1`` and the Serre symmetry
     ``chi(k) + chi(-q-k) = 0`` identically in the input data.
     """
-    q = fano.q
-    value = (
-        1
-        + Rational(k * (k + q) * (2 * k + q), 12) * fano.a3
-        + Rational(k, 12 * q) * (24 - kawamata_sum(fano.basket))
+    q, basket, a3 = fano.q, fano.basket, fano.a3
+    n_lcm = basket.index_lcm
+    # 12qN chi(k) less its degree term, in integers (module docstring)
+    rest = 12 * q * n_lcm + k * (24 * n_lcm - scaled_kawamata_sum(basket, n_lcm))
+    for p in basket:
+        rest += q * (n_lcm // p.r) * point_term(p.r, p.a, local_index(k, q, p))
+    return Rational(
+        rest * a3.denominator + q * n_lcm * k * (k + q) * (2 * k + q) * a3.numerator,
+        12 * q * n_lcm * a3.denominator,
     )
-    for p in fano.basket:
-        value += point_contribution(k, q, p)
-    return value
 
 
 def chi_integer(k: int, fano: FanoInput) -> int:

@@ -2,8 +2,8 @@
 
 The file layout is fixed so that two runs producing the same candidates
 produce byte-identical files (worker count, dict ordering, and platform
-must not leak in).  Loading recomputes every derived invariant from
-``(q, basket, A^3)`` and refuses files whose stored values disagree, whose
+must not leak in).  Loading recomputes every row from ``(q, basket, A^3)``
+and refuses files whose rows do not re-serialise to themselves, whose
 rows repeat a candidate or leave :meth:`Candidate.sort_key` order, or whose
 filter set has no name this version knows, so a database can be trusted as
 input without re-running the enumeration.
@@ -63,11 +63,16 @@ def config_to_json(config: FilterConfig) -> dict[str, Any]:
     }
 
 
+def _same_json(written: Any, read: Any) -> bool:
+    """Whether ``read`` is what writing ``written`` gives (``1.0`` is not ``1``)."""
+    return json.dumps(written) == json.dumps(read)
+
+
 def config_from_json(data: dict[str, Any]) -> FilterConfig:
     """Read a config snapshot; anything but what config_to_json writes is refused."""
     with _decoding("filter config"):
         config = FilterConfig(**{flag: data[flag] is True for flag in FILTER_FLAGS})
-    if config_to_json(config) != data:
+    if not _same_json(config_to_json(config), data):
         raise StoreError(f"unsupported filter config snapshot: {data!r}")
     return config
 
@@ -87,31 +92,14 @@ def candidate_to_json(c: Candidate) -> dict[str, Any]:
 
 
 def candidate_from_json(data: dict[str, Any]) -> Candidate:
+    """Rebuild a row from ``(q, basket, A^3)``; it must re-serialise to itself."""
     with _decoding("candidate row"):
         basket = Basket.from_pairs((int(r), int(a)) for r, a in data["basket"])
         rebuilt = Candidate.from_parts(
             q=int(data["q"]), basket=basket, a3=parse_rational(data["a3"])
         )
-        stored = (
-            parse_rational(data["sigma"]),
-            parse_rational(data["minus_k3"]),
-            parse_rational(data["minus_k_c2"]),
-            tuple(int(d) for d in data["dims"]),
-            int(data["genus"]),
-            data["id"],
-        )
-    recomputed = (
-        rebuilt.sigma,
-        rebuilt.minus_k3,
-        rebuilt.minus_k_c2,
-        rebuilt.dims,
-        rebuilt.genus,
-        rebuilt.id,
-    )
-    if stored != recomputed:
-        raise StoreError(
-            f"stored invariants for {data['id']!r} disagree with recomputation"
-        )
+    if not _same_json(candidate_to_json(rebuilt), data):
+        raise StoreError(f"stored row for {rebuilt.id!r} disagrees with recomputation")
     return rebuilt
 
 
@@ -148,10 +136,11 @@ def loads_database(text: str) -> Database:
     if not isinstance(doc, dict) or "candidates" not in doc:
         raise StoreError("not a candidate database")
     with _decoding("database"):
-        version = int(doc.get("format_version", -1))
+        version = int(doc["format_version"])
         rows = list(doc["candidates"])
-        count = int(doc.get("count", len(rows)))
-        filter_set = doc.get("filter_set")
+        count = int(doc["count"])
+        filter_set = doc["filter_set"]
+        config_data = doc["config"]
         known = filter_set is None or filter_set in FILTER_SETS
     if version != FORMAT_VERSION:
         raise StoreError(f"unsupported format version {version}")
@@ -166,7 +155,7 @@ def loads_database(text: str) -> Database:
             raise StoreError(f"duplicate candidate {candidate.id!r}")
         if before > after:
             raise StoreError(f"candidate {candidate.id!r} is out of canonical order")
-    config = config_from_json(doc.get("config"))
+    config = config_from_json(config_data)
     if filter_set is not None and config != FILTER_SETS[filter_set]:
         raise StoreError(
             f"config snapshot does not match the named filter set {filter_set!r}"

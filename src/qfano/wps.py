@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .arith import Rational
+from .riemann_roch import chi
 
 if TYPE_CHECKING:  # pragma: no cover
     from .enumeration import Candidate
@@ -137,15 +138,13 @@ def match_candidate(
     side is the Riemann-Roch evaluation, so agreement here is the two-route
     consistency check.  ``kmax`` defaults to ``2q + 5``.
     """
-    from .riemann_roch import FanoInput, chi
-
     q = fano_index(model)
     if kmax is None:
         kmax = 2 * q + 5
     index_match = q == candidate.q
     degree_match = degree_a3(model) == candidate.a3
     coeffs = hilbert_coeffs(model, kmax)
-    fano = FanoInput(q=candidate.q, basket=candidate.basket, a3=candidate.a3)
+    fano = candidate.fano
     first_mismatch = None
     if index_match:
         for k in range(kmax + 1):

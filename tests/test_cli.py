@@ -133,6 +133,21 @@ def test_wps_check_rejects_bad_weights(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["--weights", "1,1"],
+        ["--weights", "1,1,1"],
+        ["--weights", "1,1,1,1,1,1,1", "--degree", "2"],
+    ],
+)
+def test_wps_check_rejects_non_threefolds(db_path, capsys, command):
+    assert main(["wps", "check", *command, "--db", str(db_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "candidates are threefolds" in captured.err
+    assert captured.out == ""
+
+
 def test_link_solve_packaged_case(db_path, capsys):
     assert main(["link", "solve", "q9_4A.case", "--db", str(db_path)]) == EXIT_OK
     out = capsys.readouterr().out

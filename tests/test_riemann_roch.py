@@ -81,6 +81,24 @@ def _raw_contribution(k: int, q: int, r: int, a: int) -> Fraction:
     return total
 
 
+def _reference_sigma(basket: Basket) -> Fraction:
+    return sum((Fraction(r * r - 1, r) for r in basket.indices), Fraction(0))
+
+
+def _reference_chi(k: int, fano: FanoInput) -> Fraction:
+    # the formula of the riemann_roch docstring term by term in rationals;
+    # it is the oracle for the integer code, so it calls none of it
+    q = fano.q
+    value = (
+        1
+        + Fraction(k * (k + q) * (2 * k + q), 12) * fano.a3
+        + Fraction(k, 12 * q) * (24 - _reference_sigma(fano.basket))
+    )
+    for p in fano.basket:
+        value += _raw_contribution(k, q, p.r, p.a)
+    return value
+
+
 @given(
     st.integers(-30, 30),
     st.sampled_from([3, 4, 5, 7, 8, 9, 11]),
@@ -172,3 +190,17 @@ def test_chi_identities(fano):
     assert chi(0, fano) == 1
     for k in range(-fano.q - 6, 7):
         assert chi(k, fano) + chi(-fano.q - k, fano) == 0
+
+
+@given(_fano_inputs())
+@settings(max_examples=200)
+def test_chi_matches_reference(fano):
+    for k in range(-fano.q - 6, 2 * fano.q + 7):
+        assert chi(k, fano) == _reference_chi(k, fano)
+
+
+def test_chi_matches_reference_on_every_candidate(full_db):
+    for c in full_db:
+        fano = c.fano
+        for k in range(-c.q - 12, 13):
+            assert chi(k, fano) == _reference_chi(k, fano)

@@ -1,7 +1,9 @@
+import copy
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfano.enumeration import DEFAULT_CONFIG, FILTER_SETS, enumerate_candidates
 from qfano.store import (
@@ -121,3 +123,79 @@ def test_duplicate_rows_are_rejected(small_db):
     doc["count"] += 1
     with pytest.raises(StoreError, match="duplicate"):
         loads_database(json.dumps(doc))
+
+
+def _unreduced_a3(row):
+    num, den = row["a3"].split("/")
+    row["a3"] = f"{2 * int(num)}/{2 * int(den)}"
+
+
+def _mirror_orientation(row):
+    row["basket"] = [[r, r - a] for r, a in row["basket"]]
+
+
+# each edit leaves (q, basket, A^3) the same candidate, so a loader that
+# parses the row back into values would accept it
+ROW_EDITS = {
+    "unreduced-a3": _unreduced_a3,
+    "genus-as-string": lambda row: row.update(genus=str(row["genus"])),
+    "extra-key": lambda row: row.update(note="checked"),
+    "mirror-orientation": _mirror_orientation,
+    "dims-as-floats": lambda row: row.update(dims=[float(d) for d in row["dims"]]),
+    "padded-sigma": lambda row: row.update(sigma=" " + row["sigma"]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(ROW_EDITS))
+def test_row_must_reserialise_to_itself(small_db, edit):
+    doc = json.loads(dumps_database(small_db))
+    row = doc["candidates"][1]
+    assert row["id"] == "q6-7.3-a2.7"
+    ROW_EDITS[edit](row)
+    with pytest.raises(StoreError, match="disagrees with recomputation"):
+        loads_database(json.dumps(doc))
+
+
+_SWAPS = (None, True, 0, 2.0, "", "1", "1/2", [], {}, [[1, 1]], [[2, 1]], [[0, 1]])
+
+
+@st.composite
+def _edited_documents(draw, doc):
+    doc = copy.deepcopy(doc)
+    where = draw(st.sampled_from(["header", "config", "row"]))
+    if where == "header":
+        target = doc
+    elif where == "config":
+        target = doc["config"]
+    else:
+        target = draw(st.sampled_from(doc["candidates"]))
+    key = draw(st.sampled_from(sorted(target)))
+    action = draw(st.sampled_from(["delete", "swap", "insert"]))
+    if action == "delete":
+        del target[key]
+    elif action == "swap":
+        old = target[key]
+        target[key] = draw(
+            st.sampled_from([v for v in (*_SWAPS, str(old)) if type(v) is not type(old)])
+        )
+    else:
+        target[draw(st.text(min_size=1, max_size=8))] = draw(st.sampled_from(_SWAPS))
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def q8_db():
+    return Database(DEFAULT_CONFIG, tuple(enumerate_candidates(8)), filter_set="default")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edited_document_loads_unchanged_or_is_refused(q8_db, data):
+    text = data.draw(_edited_documents(json.loads(dumps_database(q8_db))))
+    try:
+        loaded = loads_database(text)
+    except StoreError:
+        return
+    # an edit can leave a valid database (filter_set null): then it must be
+    # exactly the database the edited text describes
+    assert loaded == q8_db or json.dumps(json.loads(dumps_database(loaded))) == text
