@@ -15,14 +15,25 @@ empty result eliminates the case.  :func:`audit` re-verifies any claimed
 solution independently of the search.
 
 Expressions use ``+``, ``*``, non-negative integer literals, declared
-variable names, the token ``alpha``, and parentheses.  All variables are
-non-negative integers, so every expression is monotone in every variable —
-which is what the branch-and-prune interval bound relies on.
+variable names, the token ``alpha``, and parentheses.  For each alpha the
+search compiles every relation once into an integer polynomial: its
+monomials over the unknowns, with the coefficients alpha brings in scaled by
+their common denominator ``d``, so a branch ``(qhat, alpha)`` only asks for
+the value ``qhat * d`` and every search node is plain ``int`` arithmetic.
+Alpha is positive, so every coefficient is non-negative; with non-negative
+unknowns each relation is then monotone in every variable, which is what
+the branch-and-prune interval bound relies on.  The expression trees are
+evaluated over exact rationals only by :func:`audit`.
+
+Case documents are strict JSON: integer fields must be JSON integers,
+``genus_transfer`` a JSON boolean, and a key the format does not define is
+refused rather than ignored.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -54,6 +65,10 @@ class NoCandidateError(LookupError):
 # expression mini-language
 
 
+#: A polynomial in the unknowns: sorted position tuple -> coefficient.
+_Poly = dict[tuple[int, ...], Rational]
+
+
 class Expr:
     __slots__ = ()
 
@@ -61,6 +76,10 @@ class Expr:
         raise NotImplementedError
 
     def names(self) -> set[str]:
+        raise NotImplementedError
+
+    def monomials(self, alpha: Rational, position: Mapping[str, int]) -> _Poly:
+        """Expand with ``alpha`` substituted: sorted unknown positions -> coefficient."""
         raise NotImplementedError
 
 
@@ -74,6 +93,9 @@ class Num(Expr):
     def names(self):
         return set()
 
+    def monomials(self, alpha, position):
+        return {(): Rational(self.n)}
+
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
@@ -85,6 +107,11 @@ class Var(Expr):
     def names(self):
         return {self.name}
 
+    def monomials(self, alpha, position):
+        if self.name == "alpha":
+            return {(): alpha}
+        return {(position[self.name],): Rational(1)}
+
 
 @dataclass(frozen=True, slots=True)
 class Sum(Expr):
@@ -95,6 +122,13 @@ class Sum(Expr):
 
     def names(self):
         return set().union(*(t.names() for t in self.terms))
+
+    def monomials(self, alpha, position):
+        out: _Poly = {}
+        for t in self.terms:
+            for mono, coef in t.monomials(alpha, position).items():
+                out[mono] = out.get(mono, 0) + coef
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +143,18 @@ class Prod(Expr):
 
     def names(self):
         return set().union(*(f.names() for f in self.factors))
+
+    def monomials(self, alpha, position):
+        out: _Poly = {(): Rational(1)}
+        for f in self.factors:
+            fpoly = f.monomials(alpha, position)
+            product: _Poly = {}
+            for mono, coef in out.items():
+                for fmono, fcoef in fpoly.items():
+                    key = tuple(sorted(mono + fmono))
+                    product[key] = product.get(key, 0) + coef * fcoef
+            out = product
+        return out
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+*=]))")
@@ -290,6 +336,35 @@ class LinkCase:
                 raise LinkCaseError("dim constraint source power must be >= 0")
         if not self.alpha_options:
             raise LinkCaseError("a case needs at least one alpha option")
+        if any(alpha <= 0 for alpha in self.alpha_options):
+            # a discrepancy is positive, and the search's pruning needs
+            # every compiled coefficient to be non-negative
+            raise LinkCaseError("alpha options must be positive")
+
+
+_CASE_KEYS = frozenset({
+    "name", "q", "source", "alpha", "unknowns", "relations", "dim_constraints",
+    "index_set", "genus_transfer", "threshold_floor", "notes",
+})
+_SOURCE_KEYS = frozenset({"q", "basket", "a3"})
+_UNKNOWN_KEYS = frozenset({"name", "min", "max", "note"})
+
+
+def _fields(obj, allowed: frozenset[str], what: str) -> dict:
+    """``obj`` as a JSON object using only ``allowed`` keys (a typo is an error)."""
+    if not isinstance(obj, dict):
+        raise LinkCaseError(f"{what} must be a JSON object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise LinkCaseError(f"{what} has unknown keys {sorted(unknown)}")
+    return obj
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer: ``true``, ``40.7`` and ``"40"`` are refused, not coerced."""
+    if type(value) is not int:
+        raise LinkCaseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def load_case(text: str) -> LinkCase:
@@ -299,35 +374,49 @@ def load_case(text: str) -> LinkCase:
     except json.JSONDecodeError as exc:
         raise LinkCaseError(f"case file is not valid JSON: {exc}") from exc
     try:
-        src = raw["source"]
+        raw = _fields(raw, _CASE_KEYS, "case file")
+        src = _fields(raw["source"], _SOURCE_KEYS, "source")
         basket_raw = list(src["basket"])
         if basket_raw and isinstance(basket_raw[0], (list, tuple)):
-            pairs = tuple(sorted((int(r), int(a)) for r, a in basket_raw))
+            pairs = tuple(sorted(
+                (_integer(r, "basket index"), _integer(a, "basket orientation"))
+                for r, a in basket_raw
+            ))
             indices = tuple(r for r, _ in pairs)
         else:
             pairs = None
-            indices = tuple(sorted(int(r) for r in basket_raw))
+            indices = tuple(sorted(_integer(r, "basket index") for r in basket_raw))
         source = SourceRef(
-            q=int(src["q"]),
+            q=_integer(src["q"], "source q"),
             indices=indices,
             a3=parse_rational(str(src["a3"])),
             pairs=pairs,
         )
         unknowns = []
         for u in raw["unknowns"]:
+            u = _fields(u, _UNKNOWN_KEYS, "unknown")
             name = str(u["name"])
             if u.get("min") is None or u.get("max") is None:
                 raise UnboundedCaseError(
                     f"unknown {name!r} needs explicit min and max bounds"
                 )
             unknowns.append(
-                Unknown(name=name, lo=int(u["min"]), hi=int(u["max"]),
+                Unknown(name=name, lo=_integer(u["min"], f"min of {name!r}"),
+                        hi=_integer(u["max"], f"max of {name!r}"),
                         note=str(u.get("note", "")))
             )
         unknowns = tuple(unknowns)
+        genus_transfer = raw.get("genus_transfer", False)
+        if not isinstance(genus_transfer, bool):
+            raise LinkCaseError(
+                f"genus_transfer must be a JSON boolean, got {genus_transfer!r}"
+            )
+        threshold_floor = raw.get("threshold_floor")
+        if "threshold_floor" in raw and _integer(threshold_floor, "threshold_floor") < 1:
+            raise LinkCaseError(f"threshold_floor must be positive, got {threshold_floor}")
         case = LinkCase(
             name=str(raw.get("name", "unnamed case")),
-            q=int(raw["q"]),
+            q=_integer(raw["q"], "q"),
             source=source,
             alpha_options=tuple(
                 sorted(parse_rational(str(a)) for a in raw["alpha"])
@@ -335,16 +424,16 @@ def load_case(text: str) -> LinkCase:
             unknowns=unknowns,
             relations=tuple(Relation.parse(str(r)) for r in raw["relations"]),
             dim_constraints=tuple(
-                DimConstraint(var=str(v), source_k=int(k), genus_min=int(g))
+                DimConstraint(var=str(v), source_k=_integer(k, "dim constraint power"),
+                              genus_min=_integer(g, "dim constraint genus floor"))
                 for v, k, g in raw.get("dim_constraints", [])
             ),
             target_index_set=tuple(
-                sorted(int(q) for q in raw.get("index_set", DEFAULT_TARGET_INDICES))
+                sorted(_integer(q, "index_set entry")
+                       for q in raw.get("index_set", DEFAULT_TARGET_INDICES))
             ),
-            genus_transfer=bool(raw.get("genus_transfer", False)),
-            threshold_floor=(
-                int(raw["threshold_floor"]) if raw.get("threshold_floor") else None
-            ),
+            genus_transfer=genus_transfer,
+            threshold_floor=threshold_floor,
             notes=str(raw.get("notes", "")),
         )
     except LinkCaseError:
@@ -420,10 +509,31 @@ class _DimCache:
 # the solver
 
 
-def _interval(expr: Expr, lo_env: Mapping, hi_env: Mapping) -> tuple[Rational, Rational]:
-    # all variables are >= 0 and the grammar has no subtraction, so every
-    # expression is monotone non-decreasing in every variable
-    return expr.value(lo_env), expr.value(hi_env)
+#: A compiled relation: integer ``(coefficient, unknown positions)`` terms.
+_Terms = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _compile(rhs: Expr, alpha: Rational, position: Mapping[str, int]) -> tuple[_Terms, int]:
+    """``rhs`` at ``alpha`` as integer terms ``(coef, positions)`` and a scale ``d``.
+
+    ``d`` is the lcm of the coefficient denominators, so ``rhs == qhat``
+    exactly when the terms sum to ``qhat * d``.
+    """
+    poly = rhs.monomials(alpha, position)
+    scale = math.lcm(*(c.denominator for c in poly.values()))
+    terms = tuple(
+        (int(coef * scale), mono) for mono, coef in sorted(poly.items()) if coef
+    )
+    return terms, scale
+
+
+def _evaluate(terms: _Terms, values: Sequence[int]) -> int:
+    total = 0
+    for coef, positions in terms:
+        for p in positions:
+            coef *= values[p]
+        total += coef
+    return total
 
 
 def _effective_genus_min(case: LinkCase, source: Candidate, alpha: Rational, base: int) -> int:
@@ -441,6 +551,11 @@ def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
     source = case.source.resolve(db)
     cache = _DimCache(db)
     names = [u.name for u in case.unknowns]
+    position = {name: i for i, name in enumerate(names)}
+    compiled = {
+        alpha: [_compile(rel.rhs, alpha, position) for rel in case.relations]
+        for alpha in case.alpha_options
+    }
     solutions: list[LinkSolution] = []
 
     for qhat in case.target_index_set:
@@ -451,14 +566,15 @@ def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
                     continue
 
             # per-variable bounds, tightened by the dimension constraints
-            lo = {u.name: u.lo for u in case.unknowns}
-            hi = {u.name: u.hi for u in case.unknowns}
+            lo = [u.lo for u in case.unknowns]
+            hi = [u.hi for u in case.unknowns]
             feasible = True
             for con in case.dim_constraints:
+                idx = position[con.var]
                 need = source.dim(con.source_k)
                 gmin = _effective_genus_min(case, source, alpha, con.genus_min)
-                smin = lo[con.var]
-                while smin <= hi[con.var]:
+                smin = lo[idx]
+                while smin <= hi[idx]:
                     got = cache.lookup(qhat, smin, gmin)
                     if got is not None and got >= need:
                         break
@@ -466,44 +582,39 @@ def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
                 else:
                     feasible = False
                     break
-                if smin > hi[con.var]:
+                if smin > hi[idx]:
                     feasible = False
                     break
-                lo[con.var] = smin
+                lo[idx] = smin
             if not feasible:
                 continue
 
-            target = Rational(qhat)
-            env: dict[str, Rational] = {"alpha": alpha}
-            lo_env: dict[str, Rational] = {"alpha": alpha}
-            hi_env: dict[str, Rational] = {"alpha": alpha}
-            for name in names:
-                lo_env[name] = Rational(lo[name])
-                hi_env[name] = Rational(hi[name])
+            relations = [(terms, qhat * scale) for terms, scale in compiled[alpha]]
+            lo_vals = list(lo)
+            hi_vals = list(hi)
 
-            def assign(idx: int) -> Iterator[dict[str, Rational]]:
-                for rel in case.relations:
-                    rlo, rhi = _interval(rel.rhs, lo_env, hi_env)
-                    if not (rlo <= target <= rhi):
+            def assign(idx: int) -> Iterator[tuple[int, ...]]:
+                # every coefficient is >= 0, so over the box of remaining
+                # values a relation ranges between its two corner values
+                for terms, target in relations:
+                    if not _evaluate(terms, lo_vals) <= target <= _evaluate(terms, hi_vals):
                         return
                 if idx == len(names):
-                    if all(rel.rhs.value(env) == target for rel in case.relations):
-                        yield dict(env)
+                    # lo_vals == hi_vals here, so every relation holds exactly
+                    yield tuple(lo_vals)
                     return
-                name = names[idx]
-                for value in range(lo[name], hi[name] + 1):
-                    env[name] = lo_env[name] = hi_env[name] = Rational(value)
+                for value in range(lo[idx], hi[idx] + 1):
+                    lo_vals[idx] = hi_vals[idx] = value
                     yield from assign(idx + 1)
-                del env[name]
-                lo_env[name] = Rational(lo[name])
-                hi_env[name] = Rational(hi[name])
+                lo_vals[idx] = lo[idx]
+                hi_vals[idx] = hi[idx]
 
             for found in assign(0):
                 # final exact re-check of the dimension constraints
                 ok = True
                 for con in case.dim_constraints:
                     gmin = _effective_genus_min(case, source, alpha, con.genus_min)
-                    got = cache.lookup(qhat, int(found[con.var]), gmin)
+                    got = cache.lookup(qhat, found[position[con.var]], gmin)
                     if got is None or got < source.dim(con.source_k):
                         ok = False
                         break
@@ -511,7 +622,7 @@ def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
                     solutions.append(
                         LinkSolution(
                             qhat=qhat,
-                            assignment=tuple((n, int(found[n])) for n in names),
+                            assignment=tuple(zip(names, found)),
                             alpha=alpha,
                         )
                     )

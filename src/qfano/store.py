@@ -4,9 +4,11 @@ The file layout is fixed so that two runs producing the same candidates
 produce byte-identical files (worker count, dict ordering, and platform
 must not leak in).  Loading recomputes every row from ``(q, basket, A^3)``
 and refuses files whose rows do not re-serialise to themselves, whose
-rows repeat a candidate or leave :meth:`Candidate.sort_key` order, or whose
-filter set has no name this version knows, so a database can be trusted as
-input without re-running the enumeration.
+rows repeat a candidate or leave :meth:`Candidate.sort_key` order, whose
+filter set has no name this version knows, or whose header has a key or a
+value type :func:`dumps_database` does not write, so a database can be
+trusted as input without re-running the enumeration.  A row whose basket
+has an index above ``MAX_POINT_INDEX`` is refused before it is recomputed.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from .enumeration import (
     FILTER_FLAGS,
     FILTER_SETS,
     INDEX_SET,
+    MAX_POINT_INDEX,
     Candidate,
     FilterConfig,
 )
 from .riemann_roch import Basket
 
 FORMAT_VERSION = 1
+
+#: The header fields :func:`dumps_database` writes; no other key is read.
+_HEADER_KEYS = frozenset({"format_version", "filter_set", "config", "count", "candidates"})
 
 
 class StoreError(ValueError):
@@ -94,7 +100,13 @@ def candidate_to_json(c: Candidate) -> dict[str, Any]:
 def candidate_from_json(data: dict[str, Any]) -> Candidate:
     """Rebuild a row from ``(q, basket, A^3)``; it must re-serialise to itself."""
     with _decoding("candidate row"):
-        basket = Basket.from_pairs((int(r), int(a)) for r, a in data["basket"])
+        pairs = [(int(r), int(a)) for r, a in data["basket"]]
+    if any(r > MAX_POINT_INDEX for r, _ in pairs):
+        # no enumerated basket has such a point, and recomputing the row
+        # would cost time linear in its index
+        raise StoreError(f"basket index above {MAX_POINT_INDEX} in a stored row")
+    with _decoding("candidate row"):
+        basket = Basket.from_pairs(pairs)
         rebuilt = Candidate.from_parts(
             q=int(data["q"]), basket=basket, a3=parse_rational(data["a3"])
         )
@@ -135,13 +147,18 @@ def loads_database(text: str) -> Database:
         doc = json.loads(text)
     if not isinstance(doc, dict) or "candidates" not in doc:
         raise StoreError("not a candidate database")
+    unknown = set(doc) - _HEADER_KEYS
+    if unknown:
+        raise StoreError(f"unknown header keys {sorted(unknown)}")
     with _decoding("database"):
-        version = int(doc["format_version"])
+        version = doc["format_version"]
         rows = list(doc["candidates"])
-        count = int(doc["count"])
+        count = doc["count"]
         filter_set = doc["filter_set"]
         config_data = doc["config"]
         known = filter_set is None or filter_set in FILTER_SETS
+    if type(version) is not int or type(count) is not int:
+        raise StoreError("format_version and count must be JSON integers")
     if version != FORMAT_VERSION:
         raise StoreError(f"unsupported format version {version}")
     if not known:

@@ -1,17 +1,23 @@
 import json
+import math
 from importlib.resources import files
+from typing import Iterator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfano.arith import Rational
 from qfano.links import (
     DEFAULT_TARGET_INDICES,
+    LinkCase,
     LinkCaseError,
     LinkSolution,
     NoCandidateError,
     Relation,
     SourceRef,
     UnboundedCaseError,
+    _DimCache,
+    _effective_genus_min,
     audit,
     describe_case,
     dims_lookup,
@@ -43,6 +49,9 @@ def make_case_text(**overrides):
     }
     doc.update(overrides)
     return json.dumps(doc)
+
+
+WIDE = [{"name": "s1", "min": 0, "max": 13}, {"name": "e", "min": 1, "max": 3}]
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +114,9 @@ def test_load_case_missing_bounds_is_unbounded():
         load_case(text)
 
 
+E_UNKNOWN = {"name": "e", "min": 1, "max": 3}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -120,6 +132,30 @@ def test_load_case_missing_bounds_is_unbounded():
         {"unknowns": [{"name": "s1", "min": 3, "max": 1}]},
         {"dim_constraints": [["zz", 1, 0]]},
         {"q": 7},  # disagrees with the source candidate's index
+        # JSON types are not coerced: bool("false") is true, int(40.7) is 40
+        {"genus_transfer": "false"},
+        {"genus_transfer": 1},
+        {"unknowns": [{"name": "s1", "min": 0, "max": 40.7}, E_UNKNOWN]},
+        {"unknowns": [{"name": "s1", "min": True, "max": 5}, E_UNKNOWN]},
+        {"unknowns": [{"name": "s1", "min": "0", "max": 5}, E_UNKNOWN]},
+        {"q": 6.0},
+        {"source": {"q": "6", "basket": [7], "a3": "2/7"}},
+        {"source": {"q": 6, "basket": [7.0], "a3": "2/7"}},
+        {"dim_constraints": [["s1", 1.0, 0]]},
+        {"dim_constraints": [["s1", 1, False]]},
+        {"index_set": [3, 4.0]},
+        {"index_set": [True]},
+        {"threshold_floor": 0},  # read as absent before
+        {"threshold_floor": -6},
+        {"threshold_floor": 6.0},
+        {"threshold_floor": None},
+        # a misspelt key is refused, not ignored
+        {"genus_tranfer": True},
+        {"source": {"q": 6, "basket": [7], "a3": "2/7", "orientation": 1}},
+        {"unknowns": [{"name": "s1", "min": 0, "max": 5, "mx": 9}, E_UNKNOWN]},
+        # the search prunes on non-negative coefficients
+        {"alpha": ["-1/2"]},
+        {"alpha": ["0"]},
     ],
 )
 def test_load_case_validation_errors(overrides):
@@ -244,11 +280,246 @@ def test_solve_respects_index_set(full_db):
 def test_genus_transfer_prunes_targets(full_db):
     # source genus 31 exceeds the genus ceiling 18 at index 13, so with
     # transfer on and alpha < 1 the target index dies outright
-    wide = [{"name": "s1", "min": 0, "max": 13}, {"name": "e", "min": 1, "max": 3}]
     text = make_case_text(alpha=["1/2"], genus_transfer=True,
-                          index_set=[13], unknowns=wide)
+                          index_set=[13], unknowns=WIDE)
     assert solve(load_case(text), full_db) == []
     # alpha >= 1 carries no genus down and the arithmetic solutions survive
     relaxed = make_case_text(alpha=["1"], genus_transfer=True,
-                             index_set=[13], unknowns=wide)
+                             index_set=[13], unknowns=WIDE)
     assert len(solve(load_case(relaxed), full_db)) == 3
+
+
+# ---------------------------------------------------------------------------
+# the compiled search against the tree-evaluating search it replaced
+
+
+def _reference_interval(expr, lo_env, hi_env):
+    # all variables are >= 0 and the grammar has no subtraction, so every
+    # expression is monotone non-decreasing in every variable
+    return expr.value(lo_env), expr.value(hi_env)
+
+
+def _reference_solve(case, db):
+    """The search over Fraction expression trees, kept as the oracle."""
+    source = case.source.resolve(db)
+    cache = _DimCache(db)
+    names = [u.name for u in case.unknowns]
+    solutions: list[LinkSolution] = []
+
+    for qhat in case.target_index_set:
+        for alpha in case.alpha_options:
+            if case.genus_transfer and alpha < 1:
+                # the target must support the transferred genus at all
+                if cache.lookup(qhat, 0, source.genus) is None:
+                    continue
+
+            # per-variable bounds, tightened by the dimension constraints
+            lo = {u.name: u.lo for u in case.unknowns}
+            hi = {u.name: u.hi for u in case.unknowns}
+            feasible = True
+            for con in case.dim_constraints:
+                need = source.dim(con.source_k)
+                gmin = _effective_genus_min(case, source, alpha, con.genus_min)
+                smin = lo[con.var]
+                while smin <= hi[con.var]:
+                    got = cache.lookup(qhat, smin, gmin)
+                    if got is not None and got >= need:
+                        break
+                    smin += 1
+                else:
+                    feasible = False
+                    break
+                if smin > hi[con.var]:
+                    feasible = False
+                    break
+                lo[con.var] = smin
+            if not feasible:
+                continue
+
+            target = Rational(qhat)
+            env: dict[str, Rational] = {"alpha": alpha}
+            lo_env: dict[str, Rational] = {"alpha": alpha}
+            hi_env: dict[str, Rational] = {"alpha": alpha}
+            for name in names:
+                lo_env[name] = Rational(lo[name])
+                hi_env[name] = Rational(hi[name])
+
+            def assign(idx: int) -> Iterator[dict[str, Rational]]:
+                for rel in case.relations:
+                    rlo, rhi = _reference_interval(rel.rhs, lo_env, hi_env)
+                    if not (rlo <= target <= rhi):
+                        return
+                if idx == len(names):
+                    if all(rel.rhs.value(env) == target for rel in case.relations):
+                        yield dict(env)
+                    return
+                name = names[idx]
+                for value in range(lo[name], hi[name] + 1):
+                    env[name] = lo_env[name] = hi_env[name] = Rational(value)
+                    yield from assign(idx + 1)
+                del env[name]
+                lo_env[name] = Rational(lo[name])
+                hi_env[name] = Rational(hi[name])
+
+            for found in assign(0):
+                # final exact re-check of the dimension constraints
+                ok = True
+                for con in case.dim_constraints:
+                    gmin = _effective_genus_min(case, source, alpha, con.genus_min)
+                    got = cache.lookup(qhat, int(found[con.var]), gmin)
+                    if got is None or got < source.dim(con.source_k):
+                        ok = False
+                        break
+                if ok:
+                    solutions.append(
+                        LinkSolution(
+                            qhat=qhat,
+                            assignment=tuple((n, int(found[n])) for n in names),
+                            alpha=alpha,
+                        )
+                    )
+
+    solutions.sort(key=LinkSolution.sort_key)
+    return solutions
+
+
+SHIPPED_CASES = ("q9_4A.case", "q6_basket7.case", "q8_basket_3_9.case")
+
+# the toy cases the solver-semantics tests above build
+TOY_OVERRIDES = [
+    {},
+    {"dim_constraints": [["s1", 1, 0]]},
+    {"index_set": [5]},
+    {"alpha": ["1/2"], "genus_transfer": True, "index_set": [13], "unknowns": WIDE},
+    {"alpha": ["1"], "genus_transfer": True, "index_set": [13], "unknowns": WIDE},
+    # alpha = 1/2 compiles to 2*s1 + e = 2*qhat, so the scale d is 2
+    {"alpha": ["1/2", "2"], "relations": ["qhat = s1 + alpha*e"]},
+]
+
+
+@pytest.mark.parametrize("name", SHIPPED_CASES)
+def test_solve_matches_reference_on_shipped_cases(name, full_db):
+    case = load_case_file(case_path(name))
+    assert solve(case, full_db) == _reference_solve(case, full_db)
+
+
+@pytest.mark.parametrize("overrides", TOY_OVERRIDES)
+def test_solve_matches_reference_on_toy_cases(overrides, full_db):
+    case = load_case(make_case_text(**overrides))
+    assert solve(case, full_db) == _reference_solve(case, full_db)
+
+
+def _case_doc(name):
+    return json.loads(case_path(name).read_text(encoding="utf-8"))
+
+
+# the shipped sources, and one of genus 3 that the genus transfer keeps
+# few targets away from
+_SOURCES = (
+    *(_case_doc(name)["source"] for name in SHIPPED_CASES),
+    {"q": 5, "basket": [7, 14], "a3": "1/14"},
+)
+
+
+@st.composite
+def _random_cases(draw):
+    """A small case whose relations all hold at one drawn point, when they can."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    unknowns = []
+    env = {}
+    for name in names:
+        lo = draw(st.integers(0, 6))
+        hi = draw(st.integers(lo, 6))
+        unknowns.append({"name": name, "min": lo, "max": hi})
+        env[name] = Rational(draw(st.integers(lo, hi)))
+    alphas = draw(st.lists(st.sampled_from(["1/2", "1/3", "1", "2"]),
+                           min_size=1, max_size=4, unique=True))
+    env["alpha"] = Rational(draw(st.sampled_from(alphas)))
+    atom = st.sampled_from([*names, "alpha", "0", "1", "2", "3"])
+    factor = st.one_of(atom, st.tuples(atom, atom).map(lambda ab: f"({ab[0]} + {ab[1]})"))
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    rhs = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    # plant a solution: pad each relation to an integer at the point with a
+    # multiple of a power of alpha, then up to the smallest index no relation
+    # exceeds there
+    planted = []
+    for text in draw(st.lists(rhs, min_size=1, max_size=2)):
+        value = parse_expression(text).value(env)
+        if value.denominator > 1:
+            # value.denominator is a power of 1/alpha
+            power, unit = 0, Rational(1)
+            while unit != value.denominator:
+                power, unit = power + 1, unit / env["alpha"]
+            text += f" + {-value.numerator % value.denominator}" + "*alpha" * power
+            value = math.ceil(value)
+        planted.append((text, int(value)))
+    top = max(n for _, n in planted)
+    qhat = next((q for q in DEFAULT_TARGET_INDICES if q >= top), None)
+    index_set = draw(st.lists(st.sampled_from(DEFAULT_TARGET_INDICES),
+                              min_size=1, max_size=4, unique=True))
+    if qhat is not None:
+        planted = [(f"{text} + {qhat - n}", qhat) for text, n in planted]
+        index_set = sorted({*index_set, qhat})
+    source = draw(st.sampled_from(_SOURCES))
+    doc = {
+        "q": source["q"],
+        "source": source,
+        "alpha": alphas,
+        "unknowns": unknowns,
+        "relations": [f"qhat = {text}" for text, _ in planted],
+        "dim_constraints": draw(st.lists(
+            st.tuples(st.sampled_from(names), st.integers(0, 4), st.integers(0, 20)).map(list),
+            max_size=1,
+        )),
+        "index_set": index_set,
+        "genus_transfer": draw(st.booleans()),
+    }
+    return load_case(json.dumps(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_cases())
+def test_solve_matches_reference_on_random_cases(case, full_db):
+    assert solve(case, full_db) == _reference_solve(case, full_db)
+
+
+# ---------------------------------------------------------------------------
+# edited case documents load or are refused, never crash
+
+_SWAPS = (None, True, 0, -1, 2.5, "", "1", "1/2", "0", [], {}, ["x"], [1, 2], [[7, 1]], {"k": 1})
+
+
+@st.composite
+def _edited_case_documents(draw):
+    doc = _case_doc(draw(st.sampled_from(SHIPPED_CASES)))
+    where = draw(st.sampled_from(["top", "source", "unknown"]))
+    if where == "top":
+        target = doc
+    elif where == "source":
+        target = doc["source"]
+    else:
+        target = draw(st.sampled_from(doc["unknowns"]))
+    key = draw(st.sampled_from(sorted(target)))
+    action = draw(st.sampled_from(["delete", "swap", "insert"]))
+    if action == "delete":
+        del target[key]
+    elif action == "swap":
+        old = target[key]
+        target[key] = draw(
+            st.sampled_from([v for v in (*_SWAPS, str(old)) if type(v) is not type(old)])
+        )
+    else:
+        target[draw(st.text(min_size=1, max_size=8))] = draw(st.sampled_from(_SWAPS))
+    return json.dumps(doc)
+
+
+# the edited cases are only loaded: an edited bound could make a search
+# arbitrarily long
+@settings(max_examples=300, deadline=None)
+@given(text=_edited_case_documents())
+def test_edited_case_loads_or_is_refused(text):
+    try:
+        case = load_case(text)
+    except LinkCaseError:
+        return
+    assert isinstance(case, LinkCase)
