@@ -146,9 +146,7 @@ def _render_db(db: Database, fmt: str) -> str:
 
 def _build_database(filter_set: str, qs: Sequence[int], jobs: int) -> Database:
     config = FILTER_SETS[filter_set]
-    candidates: list[Candidate] = []
-    for q in sorted(qs):
-        candidates.extend(enumerate_candidates(q, config, jobs=jobs))
+    candidates = enumerate_candidates(qs, config, jobs=jobs)
     return Database(config=config, candidates=tuple(candidates), filter_set=filter_set)
 
 

@@ -38,7 +38,7 @@ tests.  Two facts keep the work small:
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
 import os
@@ -191,47 +191,44 @@ def enumerate_baskets(q: int) -> Iterator[Basket]:
     """Yield every basket with indices coprime to ``q`` and ``sigma < 24``.
 
     Baskets come out exactly once each, in canonical (lexicographic) order,
-    starting with the empty basket.
+    starting with the empty basket.  The walk carries each basket's points,
+    lcm ``N`` and remaining sigma budget (in units of ``1/L``, ``L`` =
+    :data:`_SIGMA_UNIT`), so a yielded basket gets its ``index_lcm`` and
+    ``sigma_scaled = N sigma = (24L - budget) / (L/N)`` without a sort or a
+    sum over its points.
     """
     domain = point_domain(q)
     sigmas = [scaled_kawamata_sum((p,), _SIGMA_UNIT) for p in domain]
-    stack: list[SingularPoint] = []
-
-    def rec(start: int, budget: int) -> Iterator[Basket]:
-        yield Basket(tuple(stack))
-        for idx in range(start, len(domain)):
-            s = sigmas[idx]
-            if s >= budget:
-                # sigma is non-decreasing along the domain, so nothing
-                # later fits either
-                break
-            stack.append(domain[idx])
-            yield from rec(idx, budget - s)
-            stack.pop()
-
-    return rec(0, 24 * _SIGMA_UNIT)
-
-
-@functools.cache
-def _degree(n: int, n_lcm: int) -> Rational:
-    """``n/N``, built once: a full walk asks for about 170,000 degrees but
-    only about 4,000 distinct ones."""
-    return Rational(n, n_lcm)
+    full = 24 * _SIGMA_UNIT
+    make = Basket._from_sorted
+    # depth-first, children pushed last-first so they pop in order; a node
+    # is (first domain index it may add, points, N, budget)
+    stack = [(0, (), 1, full)]
+    while stack:
+        start, points, n_lcm, budget = stack.pop()
+        yield make(points, n_lcm, (full - budget) // (_SIGMA_UNIT // n_lcm))
+        # sigma is non-decreasing along the domain, so the points that still
+        # fit are a prefix of domain[start:]
+        for idx in range(bisect.bisect_left(sigmas, budget, start) - 1, start - 1, -1):
+            p = domain[idx]
+            stack.append((idx, points + (p,), math.lcm(n_lcm, p.r), budget - sigmas[idx]))
 
 
 def degree_candidates(
     q: int, basket: Basket, config: FilterConfig = DEFAULT_CONFIG
-) -> list[Rational]:
-    """Degree values ``A^3 = n/N`` to feed the filter battery, increasing.
+) -> range:
+    """Numerators ``n`` of the degrees ``A^3 = n/N`` to feed the filter battery.
 
-    ``n`` runs up to the Bogomolov-Miyaoka bound
+    ``N`` is ``basket.index_lcm``, and the result is ``range(1, n_max + 1)``
+    (empty when no degree is allowed), so its ``len`` is the number of
+    degrees.  ``n`` runs up to the Bogomolov-Miyaoka bound
     ``(4q-3) q n <= 4 (24N - N sigma)``.  With ``degree_cap_enforced`` it
     runs up to the cap ``q^3 n / N <= 125/2`` instead (plus the BM bound
     when ``bm_inequality`` is set), and a degree meeting the cap with
     equality is dropped unless the triple is :data:`DEGREE_CAP_EXCEPTION`.
     """
     n_lcm = basket.index_lcm
-    room = 24 * n_lcm - scaled_kawamata_sum(basket, n_lcm)
+    room = 24 * n_lcm - basket.sigma_scaled
     bounds = []
     if config.bm_inequality or not config.degree_cap_enforced:
         bounds.append(4 * room // ((4 * q - 3) * q))
@@ -244,7 +241,7 @@ def degree_candidates(
         ):
             n_cap -= 1
         bounds.append(n_cap)
-    return [_degree(n, n_lcm) for n in range(1, min(bounds) + 1)]
+    return range(1, min(bounds) + 1)
 
 
 def integrality_window(fano: FanoInput) -> int:
@@ -310,7 +307,7 @@ class _BasketScanner:
         n_lcm = basket.index_lcm
         self.n_lcm = n_lcm
         self.modulus = 12 * q * n_lcm
-        self.sigma_scaled = scaled_kawamata_sum(basket, n_lcm)
+        self.sigma_scaled = basket.sigma_scaled
         self.linear_coeff = 24 * n_lcm - self.sigma_scaled
         # merge identical points: many baskets repeat (2,1) etc.
         merged: dict[SingularPoint, int] = {}
@@ -379,18 +376,16 @@ def _scan_baskets(
     terms = _vanishing_terms(q) if config.enforce_vanishing and divisor else None
     found = []
     for basket in baskets:
-        degrees = degree_candidates(q, basket, config)
-        if not degrees:
+        numerators = degree_candidates(q, basket, config)
+        if not numerators:
             continue
-        if terms is None:
-            numerators = range(1, len(degrees) + 1)
-        else:
-            n_lcm = basket.index_lcm
+        n_lcm = basket.index_lcm
+        if terms is not None:
             top = (12 * q - 24) * n_lcm + sum(
                 (n_lcm // p.r) * terms[p.r, p.a] for p in basket
             )
             n, rest = divmod(top, divisor)
-            if rest or not 1 <= n <= len(degrees):
+            if rest or n not in numerators:
                 continue
             numerators = (n,)
         scanner = _BasketScanner(q, basket)
@@ -400,7 +395,7 @@ def _scan_baskets(
                 enforce_vanishing=config.enforce_vanishing,
                 nonnegativity=config.nonnegativity,
             ):
-                found.append(Candidate.from_parts(q, basket, degrees[n - 1]))
+                found.append(Candidate.from_parts(q, basket, Rational(n, n_lcm)))
     return found
 
 
@@ -413,20 +408,29 @@ def _scan_job(args: tuple[int, int, int, FilterConfig]) -> list[Candidate]:
 
 
 def enumerate_candidates(
-    q: int, config: FilterConfig = DEFAULT_CONFIG, jobs: int = 1
+    q: int | Iterable[int], config: FilterConfig = DEFAULT_CONFIG, jobs: int = 1
 ) -> list[Candidate]:
-    """All candidates of index ``q``, canonically sorted.
+    """All candidates of index ``q`` (or of every index in ``q``), canonically sorted.
 
-    ``jobs > 1`` splits the basket walk over worker processes, at most one
-    per CPU; each worker walks the baskets itself and scans every
-    ``workers``-th one.  The result is merged and sorted, so it is
+    ``jobs > 1`` starts one pool of worker processes, at most one per CPU,
+    for all the indices.  Its jobs are ``(index, part)`` pairs: each walks
+    the baskets of its index itself and scans every ``parts``-th one,
+    starting at ``part``.  An index is split into parts only as far as the
+    indices alone cannot keep every worker busy (one part each for the 12
+    indices of ``--all``).  The result is merged and sorted, so it is
     byte-for-byte independent of ``jobs``.
     """
+    qs = (q,) if isinstance(q, int) else tuple(q)
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        found = _scan_baskets(q, enumerate_baskets(q), config)
+        found = [
+            c for index in qs for c in _scan_baskets(index, enumerate_baskets(index), config)
+        ]
     else:
-        chunks = [(q, part, workers, config) for part in range(workers)]
+        # split an index only when there are fewer indices than workers:
+        # every part walks all the baskets of its index
+        parts = -(-workers // max(len(qs), 1))
+        chunks = [(index, part, parts, config) for index in qs for part in range(parts)]
         with Pool(processes=workers) as pool:
             found = list(itertools.chain.from_iterable(pool.map(_scan_job, chunks)))
     found.sort(key=Candidate.sort_key)

@@ -175,11 +175,18 @@ def _tokenize(text: str) -> list[str]:
     return [t for t in tokens if t]
 
 
+#: Deepest parenthesis nesting an expression may use.  The parser and the
+#: expression trees recurse once per level, so the cap keeps a hostile case
+#: file a LinkCaseError instead of a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[str], text: str):
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -208,9 +215,13 @@ class _Parser:
     def factor(self) -> Expr:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise LinkCaseError(f"parentheses nested deeper than {MAX_NESTING}")
             inner = self.expr()
             if self.take() != ")":
                 raise LinkCaseError(f"missing ')' in {self.text!r}")
+            self.depth -= 1
             return inner
         if tok.isdigit():
             return Num(int(tok))
@@ -371,7 +382,8 @@ def load_case(text: str) -> LinkCase:
     """Parse a case document (JSON object notation)."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise LinkCaseError(f"case file is not valid JSON: {exc}") from exc
     try:
         raw = _fields(raw, _CASE_KEYS, "case file")

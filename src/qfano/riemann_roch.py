@@ -34,7 +34,7 @@ rational transcription of the formula that shares no code with this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .arith import Rational, canonical_orientation, format_rational, mod_inverse
@@ -74,12 +74,36 @@ class SingularPoint:
 
 @dataclass(frozen=True, slots=True, order=True)
 class Basket:
-    """A multiset of terminal quotient points, kept in sorted order."""
+    """A multiset of terminal quotient points, kept in sorted order.
+
+    ``index_lcm`` (``N``, the lcm of the point indices, 1 for no points) and
+    ``sigma_scaled`` (``N sigma``, see :func:`scaled_kawamata_sum`) are
+    computed once, on construction.  Equality, hashing, ordering and repr
+    look at ``points`` only.
+    """
 
     points: tuple[SingularPoint, ...] = ()
+    index_lcm: int = field(init=False, repr=False, compare=False)
+    sigma_scaled: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+        points = tuple(sorted(self.points))
+        n_lcm = math.lcm(*(p.r for p in points))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "index_lcm", n_lcm)
+        object.__setattr__(self, "sigma_scaled", scaled_kawamata_sum(points, n_lcm))
+
+    @classmethod
+    def _from_sorted(
+        cls, points: tuple[SingularPoint, ...], index_lcm: int, sigma_scaled: int
+    ) -> "Basket":
+        """Trust the caller: ``points`` already sorted, ``index_lcm`` their
+        lcm and ``sigma_scaled`` their ``N sigma``.  Neither sorts nor sums."""
+        basket = object.__new__(cls)
+        object.__setattr__(basket, "points", points)
+        object.__setattr__(basket, "index_lcm", index_lcm)
+        object.__setattr__(basket, "sigma_scaled", sigma_scaled)
+        return basket
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Basket":
@@ -112,11 +136,6 @@ class Basket:
         return bool(self.points)
 
     @property
-    def index_lcm(self) -> int:
-        """Least common multiple of the point indices (1 for no points)."""
-        return math.lcm(*(p.r for p in self.points)) if self.points else 1
-
-    @property
     def indices(self) -> tuple[int, ...]:
         return tuple(p.r for p in self.points)
 
@@ -136,8 +155,7 @@ def scaled_kawamata_sum(points: Iterable[SingularPoint], n_lcm: int) -> int:
 
 def kawamata_sum(basket: Basket) -> Rational:
     """``sigma = sum (r - 1/r)``; terminal Fano baskets satisfy ``sigma < 24``."""
-    n_lcm = basket.index_lcm
-    return Rational(scaled_kawamata_sum(basket, n_lcm), n_lcm)
+    return Rational(basket.sigma_scaled, basket.index_lcm)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,7 +219,7 @@ def chi(k: int, fano: FanoInput) -> Rational:
     q, basket, a3 = fano.q, fano.basket, fano.a3
     n_lcm = basket.index_lcm
     # 12qN chi(k) less its degree term, in integers (module docstring)
-    rest = 12 * q * n_lcm + k * (24 * n_lcm - scaled_kawamata_sum(basket, n_lcm))
+    rest = 12 * q * n_lcm + k * (24 * n_lcm - basket.sigma_scaled)
     for p in basket:
         rest += q * (n_lcm // p.r) * point_term(p.r, p.a, local_index(k, q, p))
     return Rational(

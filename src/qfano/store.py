@@ -143,8 +143,11 @@ def dumps_database(db: Database) -> str:
 
 
 def loads_database(text: str) -> Database:
-    with _decoding("JSON document"):
+    try:
         doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
+        raise StoreError(f"malformed JSON document: {exc!r}") from exc
     if not isinstance(doc, dict) or "candidates" not in doc:
         raise StoreError("not a candidate database")
     unknown = set(doc) - _HEADER_KEYS

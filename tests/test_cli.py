@@ -9,9 +9,11 @@ from qfano.cli import (
     EXIT_USAGE,
     main,
 )
-from qfano.enumeration import DEFAULT_CONFIG, enumerate_candidates
+from qfano import enumeration
+from qfano.enumeration import DEFAULT_CONFIG, INDEX_SET, enumerate_candidates
 from qfano.store import Database, save_database
 
+from test_enumeration import _recording_pool
 from test_links import case_path
 
 
@@ -68,6 +70,17 @@ def test_enumerate_writes_database_with_summary(tmp_path, capsys):
     # no --format requested: a summary line only, not a rendered table
     assert "11 candidates" in out
     assert "[7:3]" not in out
+
+
+def test_enumerate_all_starts_one_pool(monkeypatch, tmp_path, capsys):
+    sizes, jobs = [], []
+    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes, jobs))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    db = tmp_path / "db.json"
+    assert main(["enumerate", "--all", "--jobs", "2", "--db", str(db)]) == EXIT_OK
+    assert "472 candidates" in capsys.readouterr().out
+    assert sizes == [2]
+    assert sorted(job[0] for job in jobs[0]) == list(INDEX_SET)
 
 
 def test_table_from_stored_database(db_path, capsys):
@@ -272,6 +285,27 @@ def test_database_config_missing_field(q8_doc, tmp_path, capsys):
         path = tmp_path / f"bad-{key}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
+
+
+def test_database_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
+
+
+def test_case_file_nested_too_deeply(tmp_path, capsys):
+    case_file = tmp_path / "deep.case"
+    case_file.write_text("[" * 100_000, encoding="utf-8")
+    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
+
+
+def test_relation_nested_too_deeply(tmp_path, capsys):
+    doc = _case_doc()
+    lhs, _, rhs = doc["relations"][0].partition("=")
+    doc["relations"][0] = f"{lhs}= {'(' * 3000}{rhs}{')' * 3000}"
+    case_file = tmp_path / "deep.case"
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
 
 
 def _case_doc():

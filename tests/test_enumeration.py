@@ -24,7 +24,7 @@ from qfano.enumeration import (
     point_domain,
     series_class,
 )
-from qfano.riemann_roch import Basket, FanoInput, chi_integer
+from qfano.riemann_roch import Basket, FanoInput, chi_integer, scaled_kawamata_sum
 
 from test_riemann_roch import _reference_chi, _reference_sigma
 
@@ -60,51 +60,78 @@ def test_enumerate_baskets_count_frozen():
     assert sum(1 for _ in enumerate_baskets(9)) == count3
 
 
+@pytest.mark.parametrize("q", INDEX_SET)
+def test_walk_matches_the_public_constructor(q):
+    # the walk builds baskets without sorting or summing; the public
+    # constructor (here fed the points reversed) does both
+    previous = None
+    for basket in enumerate_baskets(q):
+        rebuilt = Basket(basket.points[::-1])
+        assert basket == rebuilt
+        assert basket.index_lcm == rebuilt.index_lcm
+        assert basket.sigma_scaled == rebuilt.sigma_scaled
+        assert basket.sigma_scaled == scaled_kawamata_sum(basket.points, basket.index_lcm)
+        assert previous is None or previous < basket
+        previous = basket
+
+
 def test_q19_basket_present():
     target = Basket.from_pairs([(3, 1), (4, 1), (5, 2), (7, 3)])
     assert target in set(enumerate_baskets(19))
 
 
+def _degrees(q, basket, config):
+    """The degrees ``A^3 = n/N`` that the numerators of degree_candidates stand for."""
+    return [Rational(n, basket.index_lcm) for n in degree_candidates(q, basket, config)]
+
+
 def test_degree_candidates_capped_examples():
-    assert degree_candidates(
-        9, Basket.from_pairs([(2, 1), (4, 1), (5, 2)]), CAPPED
-    ) == [Rational(1, 20)]
-    assert degree_candidates(5, Basket.from_pairs([(2, 1)]), CAPPED) == [
-        Rational(1, 2)
-    ]
-    values = degree_candidates(3, Basket.from_pairs([(4, 1), (5, 1)]), CAPPED)
+    basket = Basket.from_pairs([(2, 1), (4, 1), (5, 2)])
+    assert degree_candidates(9, basket, CAPPED) == range(1, 2)
+    assert _degrees(9, basket, CAPPED) == [Rational(1, 20)]
+    two = Basket.from_pairs([(2, 1)])
+    assert degree_candidates(5, two, CAPPED) == range(1, 2)
+    assert _degrees(5, two, CAPPED) == [Rational(1, 2)]
+    basket = Basket.from_pairs([(4, 1), (5, 1)])
+    numerators = degree_candidates(3, basket, CAPPED)
     # the cap alone allows n <= 46 (of N = 20); BM binds first, at n <= 45
+    assert numerators == range(1, 46)
+    values = _degrees(3, basket, CAPPED)
     assert len(values) == 45
     assert values[0] == Rational(1, 20)
     assert values == sorted(values)
 
 
 def test_degree_candidates_cap_equality():
-    # the boundary -K^3 = 125/2 is dropped at the cap except for basket (2)
+    # the boundary -K^3 = 125/2 is dropped at the cap except for basket (2):
+    # A^3 = 1/2 is n = 1 of N = 2 there and n = 3 of N = 6 for (2,2,3,6)
     two = Basket.from_pairs([(2, 1)])
-    assert Rational(1, 2) in degree_candidates(5, two, CAPPED)
+    assert two.index_lcm == 2
+    assert 1 in degree_candidates(5, two, CAPPED)
     other = Basket.from_pairs([(2, 1), (2, 1), (3, 1), (6, 1)])
-    assert Rational(1, 2) not in degree_candidates(5, other, CAPPED)
+    assert other.index_lcm == 6
+    assert 3 not in degree_candidates(5, other, CAPPED)
+    assert Rational(1, 2) not in _degrees(5, other, CAPPED)
     # the calibrated default keeps both and runs to the BM bound instead
-    assert degree_candidates(5, two, DEFAULT_CONFIG) == [Rational(1, 2), Rational(1)]
-    assert Rational(1, 2) in degree_candidates(5, other, DEFAULT_CONFIG)
+    assert degree_candidates(5, two, DEFAULT_CONFIG) == range(1, 3)
+    assert _degrees(5, two, DEFAULT_CONFIG) == [Rational(1, 2), Rational(1)]
+    assert 3 in degree_candidates(5, other, DEFAULT_CONFIG)
 
 
 def test_degree_candidates_bm_bound():
     # BM for q = 5, basket (2): 17 * 5 * n <= 4 * (48 - 3), so n <= 2
     two = Basket.from_pairs([(2, 1)])
-    assert degree_candidates(5, two, replace(DEFAULT_CONFIG, bm_inequality=False)) == [
-        Rational(1, 2),
-        Rational(1),
-    ]
+    no_bm_two = replace(DEFAULT_CONFIG, bm_inequality=False)
+    assert degree_candidates(5, two, no_bm_two) == range(1, 3)
+    assert _degrees(5, two, no_bm_two) == [Rational(1, 2), Rational(1)]
     basket = Basket.from_pairs([(4, 1), (5, 1)])
     no_bm = replace(CAPPED, bm_inequality=False)
     assert len(degree_candidates(3, basket, no_bm)) == 46
     assert degree_candidates(3, basket, CAPPED) == degree_candidates(3, basket, no_bm)[:45]
     # sigma >= 24 leaves no room for any degree under BM
     heavy = Basket.from_pairs([(23, 1), (23, 1)])
-    assert degree_candidates(3, heavy, DEFAULT_CONFIG) == []
-    assert degree_candidates(3, heavy, CAPPED) == []
+    assert len(degree_candidates(3, heavy, DEFAULT_CONFIG)) == 0
+    assert len(degree_candidates(3, heavy, CAPPED)) == 0
 
 
 def test_filter_diff_bm_inequality():
@@ -213,7 +240,7 @@ def _walked_ids(q, config):
     return sorted(
         candidate_id(q, basket, a3)
         for basket in enumerate_baskets(q)
-        for a3 in degree_candidates(q, basket, config)
+        for a3 in _degrees(q, basket, config)
         if passes_integrality(
             FanoInput(q=q, basket=basket, a3=a3),
             enforce_vanishing=config.enforce_vanishing,
@@ -277,11 +304,10 @@ def test_enumerate_candidates_jobs_equivalence():
     assert enumerate_candidates(8, jobs=3) == enumerate_candidates(8)
 
 
-def test_worker_count_is_clamped(monkeypatch):
-    sizes = []
+def _recording_pool(sizes, jobs=None):
+    """A Pool stand-in that records its size (and jobs) and runs them here."""
 
     class RecordingPool:
-        # records the requested size and runs the chunks in this process
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -292,10 +318,17 @@ def test_worker_count_is_clamped(monkeypatch):
             return False
 
         def map(self, func, chunks):
+            if jobs is not None:
+                jobs.append([chunk[:3] for chunk in chunks])
             return [func(chunk) for chunk in chunks]
 
+    return RecordingPool
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    sizes = []
     serial = enumerate_candidates(6)
-    monkeypatch.setattr(enumeration, "Pool", RecordingPool)
+    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     assert enumerate_candidates(6, jobs=2) == serial
     assert enumerate_candidates(6, jobs=8) == serial
@@ -311,6 +344,27 @@ def test_worker_count_is_clamped(monkeypatch):
     assert enumeration._scan_job((6, 5, 8, DEFAULT_CONFIG)) == []
     assert enumerate_candidates(6, jobs=8) == serial[:2]
     assert sizes == [2, 3, 8]
+
+
+def test_one_pool_serves_every_index(monkeypatch):
+    qs = (10, 6, 8)
+    serial = enumerate_candidates(qs)
+    assert serial == sorted(
+        enumerate_candidates(6) + enumerate_candidates(8) + enumerate_candidates(10),
+        key=Candidate.sort_key,
+    )
+    sizes, jobs = [], []
+    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes, jobs))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    assert enumerate_candidates(qs, jobs=2) == serial
+    # three indices keep two workers busy: one whole walk per index
+    assert sizes == [2]
+    assert jobs == [[(10, 0, 1), (6, 0, 1), (8, 0, 1)]]
+    # fewer indices than workers: each index is split into parts
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 8)
+    assert enumerate_candidates((6, 8), jobs=5) == enumerate_candidates((6, 8))
+    assert sizes == [2, 5]
+    assert jobs[1] == [(q, part, 3) for q in (6, 8) for part in range(3)]
 
 
 def test_series_class_collapses_orientations():

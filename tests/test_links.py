@@ -12,6 +12,7 @@ from qfano.links import (
     LinkCase,
     LinkCaseError,
     LinkSolution,
+    MAX_NESTING,
     NoCandidateError,
     Relation,
     SourceRef,
@@ -84,6 +85,18 @@ def test_parse_expression_names():
 def test_parse_expression_rejects(text):
     with pytest.raises(LinkCaseError):
         parse_expression(text)
+
+
+def test_parse_expression_nesting_is_capped():
+    # at the cap, alternating sums and products nest the tree as deep as the
+    # parentheses, and both evaluation paths still walk it
+    deep = "1 + 2*(" * MAX_NESTING + "e" + ")" * MAX_NESTING
+    expr = parse_expression(deep)
+    assert expr.value({"e": Rational(0)}) == 2**MAX_NESTING - 1
+    assert expr.monomials(Rational(1), {"e": 0})[(0,)] == 2**MAX_NESTING
+    too_deep = "(" * (MAX_NESTING + 1) + "e" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(LinkCaseError, match="nested deeper"):
+        parse_expression(too_deep)
 
 
 def test_relation_parse():

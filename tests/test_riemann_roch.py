@@ -39,6 +39,12 @@ def test_basket_is_sorted_multiset():
     assert Basket.from_text("[]") == Basket()
     assert not Basket()
     assert Basket().index_lcm == 1
+    # N sigma = 2 (10/2)(2^2 - 1) + 2 (10/5)(5^2 - 1)
+    assert b.sigma_scaled == 126
+    assert Basket().sigma_scaled == 0
+    # the cached invariants stay out of repr, equality and hashing
+    assert repr(Basket.from_pairs([(2, 1)])) == "Basket(points=(SingularPoint(r=2, a=1),))"
+    assert hash(b) == hash(Basket(tuple(reversed(b.points))))
 
 
 def test_kawamata_sum():
