@@ -13,6 +13,7 @@ import io
 import os
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
@@ -177,6 +178,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_table(args) -> int:
     db = _load_or_build(args)
+    db.require_indices((SURVEYS[args.case].q,), f"table --case {args.case}")
     _emit(render_survey_table(args.case, db.candidates), args.out)
     return EXIT_OK
 
@@ -199,6 +201,7 @@ def cmd_wps_check(args) -> int:
     print(f"fano index q = {q}, A^3 = {format_rational(a3)}, "
           f"-K^3 = {format_rational(q**3 * a3)}")
     db = _load_or_build(args)
+    db.require_indices((q,), "wps check")
     pool = [c for c in db.candidates if c.q == q and c.a3 == a3]
     if not pool:
         print("candidate match: none (no enumerated candidate has this index and degree)")
@@ -230,6 +233,10 @@ def _resolve_case_path(name: str) -> str:
 def cmd_link_solve(args) -> int:
     case = load_case_file(_resolve_case_path(args.case))
     db = _load_or_build(args)
+    db.require_indices((*case.target_index_set, case.source.q), "link solve")
+    if db.filter_set is None:
+        print("qfano: the database names no filter set, so whether it holds "
+              "every candidate of the indices searched was not checked", file=sys.stderr)
     solutions = solve(case, db.candidates)
     print(describe_case(case))
     print(f"solutions: {len(solutions)}")
@@ -249,6 +256,7 @@ def cmd_link_solve(args) -> int:
 
 def cmd_facts(args) -> int:
     db = _load_or_build(args)
+    db.require_indices(INDEX_SET, "facts")
     all_hold = True
     for fact in facts(db.candidates):
         status = "PASS" if fact.holds else "FAIL"
@@ -266,8 +274,9 @@ def cmd_export(args) -> int:
 def cmd_diff(args) -> int:
     config = FILTER_SETS[args.filter_set]
     flags = (args.flag,) if args.flag else FILTER_FLAGS
+    base = enumerate_candidates(args.q, config, jobs=args.jobs)
     for flag in flags:
-        removed, added = filter_diff(args.q, flag, config, jobs=args.jobs)
+        removed, added = filter_diff(args.q, flag, config, jobs=args.jobs, base=base)
         current = getattr(config, flag)
         print(f"{flag}: {current} -> {not current}: "
               f"removes {len(removed)}, adds {len(added)}")
@@ -293,7 +302,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="qfano",
         description="Enumerate and probe numerical Fano threefold candidates of index >= 3.",

@@ -55,8 +55,7 @@ from .riemann_roch import (
     dims,
     genus,
     kawamata_sum,
-    local_index,
-    point_term,
+    local_terms,
     scaled_kawamata_sum,
 )
 
@@ -138,17 +137,18 @@ class Candidate:
     @classmethod
     def from_parts(cls, q: int, basket: Basket, a3: Rational) -> "Candidate":
         fano = FanoInput(q=q, basket=basket, a3=a3)
-        sigma = kawamata_sum(basket)
-        g = genus(fano)
+        n_lcm = basket.index_lcm
+        # genus repeats chi(q), which dims already holds: the benchmark's
+        # self-tests pin chi at q + 1 calls per candidate
         return cls(
             q=q,
             basket=basket,
             a3=a3,
-            sigma=sigma,
-            minus_k3=q**3 * a3,
-            minus_k_c2=24 - sigma,
+            sigma=kawamata_sum(basket),
+            minus_k3=Rational(q**3 * a3.numerator, a3.denominator),
+            minus_k_c2=Rational(24 * n_lcm - basket.sigma_scaled, n_lcm),
             dims=tuple(dims(fano, q)),
-            genus=g,
+            genus=genus(fano),
             id=candidate_id(q, basket, a3),
         )
 
@@ -282,7 +282,7 @@ def _vanishing_terms(q: int) -> dict[tuple[int, int], int]:
     ``(N/r)`` times these over a basket.
     """
     return {
-        (p.r, p.a): p.r * p.r - 1 + q * point_term(p.r, p.a, local_index(-1, q, p))
+        (p.r, p.a): p.r * p.r - 1 + q * local_terms(q, p.r, p.a)[-1 % p.r]
         for p in point_domain(q)
     }
 
@@ -296,7 +296,8 @@ class _BasketScanner:
         T(k) = 12qN + q n k(k+q)(2k+q) + k (24N - N sigma) + q W(k)
 
     where ``W(k) = 12 N sum_p c_p(k)`` is periodic mod ``N`` and is built
-    from per-point tables indexed by ``k mod r``.  ``chi(k)`` is integral
+    from the per-point tables :func:`~qfano.riemann_roch.local_terms`,
+    indexed by ``k mod r``.  ``chi(k)`` is integral
     iff ``T(k) % 12qN == 0``, and signs/zeros transfer directly.
     """
 
@@ -315,13 +316,9 @@ class _BasketScanner:
             merged[point] = merged.get(point, 0) + 1
         tables = []
         for point, mult in merged.items():
-            r, a = point.r, point.a
-            qinv = pow(q, -1, r)
+            r = point.r
             scale = mult * (n_lcm // r)
-            column = tuple(
-                scale * point_term(r, a, (-kmod * qinv) % r) for kmod in range(r)
-            )
-            tables.append((r, column))
+            tables.append((r, tuple(scale * t for t in local_terms(q, r, point.a))))
         self.tables = tuple(tables)
 
     def chi_scaled(self, k: int, n: int) -> int:
@@ -541,21 +538,29 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
 
 
 def filter_diff(
-    q: int, flag: str, config: FilterConfig = DEFAULT_CONFIG, jobs: int = 1
+    q: int,
+    flag: str,
+    config: FilterConfig = DEFAULT_CONFIG,
+    jobs: int = 1,
+    base: Sequence[Candidate] | None = None,
 ) -> tuple[list[Candidate], list[Candidate]]:
     """Effect of toggling one boolean filter flag on the index-q candidates.
 
     Returns ``(removed, added)`` relative to ``config``: candidates that
     disappear / appear when ``flag`` is flipped.  Backs the ``diff`` command
-    demanded by the count-calibration protocol.
+    demanded by the count-calibration protocol.  ``base``, if given, is
+    ``enumerate_candidates(q, config)``, so a caller diffing several flags
+    enumerates it once.
     """
     if flag not in FILTER_FLAGS:
         raise ValueError(f"unknown filter flag {flag!r}; choose from {FILTER_FLAGS}")
     flipped = replace(config, **{flag: not getattr(config, flag)})
-    base = {c.id: c for c in enumerate_candidates(q, config, jobs)}
-    other = {c.id: c for c in enumerate_candidates(q, flipped, jobs)}
-    removed = [c for cid, c in base.items() if cid not in other]
-    added = [c for cid, c in other.items() if cid not in base]
+    before = {
+        c.id: c for c in (enumerate_candidates(q, config, jobs) if base is None else base)
+    }
+    after = {c.id: c for c in enumerate_candidates(q, flipped, jobs)}
+    removed = [c for cid, c in before.items() if cid not in after]
+    added = [c for cid, c in after.items() if cid not in before]
     removed.sort(key=Candidate.sort_key)
     added.sort(key=Candidate.sort_key)
     return removed, added

@@ -17,10 +17,12 @@ index ``i = (-k q^{-1}) mod r`` is
              + sum_{j=1}^{i-1} (ja mod r)(r - (ja mod r)) / (2 r).
 
 This module states the formula once, in integers: with ``N`` the lcm of
-the basket indices, :func:`scaled_kawamata_sum` is ``N sigma`` and
-:func:`point_term` is ``12 r c_p(k)``, so ``12qN chi(k)`` less its degree
-term is the integer ``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r c_p(k)``.
-:func:`chi` adds the degree term in one exact rational, and the sieve in
+the basket indices, :func:`scaled_kawamata_sum` is ``N sigma``, and
+:func:`local_terms` is the one statement of the local term: the table of
+``12 r c_p(k)`` by ``k mod r``, built once per ``(q, r, a)`` and cached.
+So ``12qN chi(k)`` less its degree term is the integer
+``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r c_p(k)``.  :func:`chi` adds
+the degree term in one exact rational, and the sieve in
 :mod:`qfano.enumeration` is built from the same two functions.
 
 For an actual Fano threefold ``chi(k) = h^0(kA)`` for ``k >= 0`` (vanishing)
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .arith import Rational, canonical_orientation, format_rational, mod_inverse
@@ -192,13 +195,25 @@ def local_index(k: int, q: int, point: SingularPoint) -> int:
     return (-k * mod_inverse(q, point.r)) % point.r
 
 
-def point_term(r: int, a: int, i: int) -> int:
-    """``12 r c_p`` for the point ``1/r(a, -a, 1)`` at local index ``i``."""
+# room for the largest index's domain (84 points) beside the 125 tables a
+# load of the full database reads: an index's scan and a load each build a
+# table once.  A table of index r holds r integers.
+@lru_cache(maxsize=256)
+def local_terms(q: int, r: int, a: int) -> tuple[int, ...]:
+    """``12 r c_p(k)`` for the point ``1/r(a, -a, 1)`` of index-``q`` data, by ``k mod r``.
+
+    The local index is linear in ``k``, ``i(k) = k i(1) mod r``, and the
+    sum over ``j < i`` is one running total over ``i``, so a table costs
+    ``O(r)``.  Raises :class:`IndexNotCoprimeError` unless ``gcd(q, r) = 1``.
+    """
+    step = local_index(1, q, SingularPoint(r, a))
+    by_index = [0] * r
     inner = 0
-    for j in range(1, i):
-        ja = (j * a) % r
+    for i in range(1, r):
+        ja = ((i - 1) * a) % r
         inner += ja * (r - ja)
-    return -i * (r * r - 1) + 6 * inner
+        by_index[i] = 6 * inner - i * (r * r - 1)
+    return tuple(by_index[k * step % r] for k in range(r))
 
 
 def point_contribution(k: int, q: int, point: SingularPoint) -> Rational:
@@ -207,7 +222,7 @@ def point_contribution(k: int, q: int, point: SingularPoint) -> Rational:
     Zero exactly when the local index vanishes, i.e. when ``kA`` is Cartier
     at the point; symmetric in the orientation ``a <-> r - a``.
     """
-    return Rational(point_term(point.r, point.a, local_index(k, q, point)), 12 * point.r)
+    return Rational(local_terms(q, point.r, point.a)[k % point.r], 12 * point.r)
 
 
 def chi(k: int, fano: FanoInput) -> Rational:
@@ -221,7 +236,7 @@ def chi(k: int, fano: FanoInput) -> Rational:
     # 12qN chi(k) less its degree term, in integers (module docstring)
     rest = 12 * q * n_lcm + k * (24 * n_lcm - basket.sigma_scaled)
     for p in basket:
-        rest += q * (n_lcm // p.r) * point_term(p.r, p.a, local_index(k, q, p))
+        rest += q * (n_lcm // p.r) * local_terms(q, p.r, p.a)[k % p.r]
     return Rational(
         rest * a3.denominator + q * n_lcm * k * (k + q) * (2 * k + q) * a3.numerator,
         12 * q * n_lcm * a3.denominator,

@@ -3,12 +3,17 @@
 The file layout is fixed so that two runs producing the same candidates
 produce byte-identical files (worker count, dict ordering, and platform
 must not leak in).  Loading recomputes every row from ``(q, basket, A^3)``
-and refuses files whose rows do not re-serialise to themselves, whose
+and refuses files whose rows do not re-serialise to themselves (checked
+with one comparison of the re-serialised array with the stored one; only
+a mismatch walks the rows, to name the first bad one), whose
 rows repeat a candidate or leave :meth:`Candidate.sort_key` order, whose
 filter set has no name this version knows, or whose header has a key or a
 value type :func:`dumps_database` does not write, so a database can be
 trusted as input without re-running the enumeration.  A row whose basket
 has an index above ``MAX_POINT_INDEX`` is refused before it is recomputed.
+A consumer that quantifies over some indices calls
+:meth:`Database.require_indices`, which refuses a named-filter-set database
+with no rows at one of them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .arith import format_rational, parse_rational
 from .enumeration import (
@@ -97,8 +102,8 @@ def candidate_to_json(c: Candidate) -> dict[str, Any]:
     }
 
 
-def candidate_from_json(data: dict[str, Any]) -> Candidate:
-    """Rebuild a row from ``(q, basket, A^3)``; it must re-serialise to itself."""
+def _rebuild_row(data: dict[str, Any]) -> Candidate:
+    """Recompute a row from its ``(q, basket, A^3)`` alone."""
     with _decoding("candidate row"):
         pairs = [(int(r), int(a)) for r, a in data["basket"]]
     if any(r > MAX_POINT_INDEX for r, _ in pairs):
@@ -106,12 +111,23 @@ def candidate_from_json(data: dict[str, Any]) -> Candidate:
         # would cost time linear in its index
         raise StoreError(f"basket index above {MAX_POINT_INDEX} in a stored row")
     with _decoding("candidate row"):
-        basket = Basket.from_pairs(pairs)
-        rebuilt = Candidate.from_parts(
-            q=int(data["q"]), basket=basket, a3=parse_rational(data["a3"])
+        return Candidate.from_parts(
+            q=int(data["q"]), basket=Basket.from_pairs(pairs), a3=parse_rational(data["a3"])
         )
-    if not _same_json(candidate_to_json(rebuilt), data):
-        raise StoreError(f"stored row for {rebuilt.id!r} disagrees with recomputation")
+
+
+def _rebuild_rows(rows: list[Any]) -> tuple[Candidate, ...]:
+    """Recompute every row; together they must re-serialise to the rows.
+
+    One comparison of the two arrays' texts is the row-by-row comparison,
+    since an array's text splits into its elements' texts in only one way.
+    Only on a mismatch are the rows compared one by one, to name the first.
+    """
+    rebuilt = tuple(_rebuild_row(data) for data in rows)
+    if json.dumps([candidate_to_json(c) for c in rebuilt]) != json.dumps(rows):
+        bad = next(c for c, data in zip(rebuilt, rows)
+                   if not _same_json(candidate_to_json(c), data))
+        raise StoreError(f"stored row for {bad.id!r} disagrees with recomputation")
     return rebuilt
 
 
@@ -129,6 +145,25 @@ class Database:
         for c in self.candidates:
             out[c.q] = out.get(c.q, 0) + 1
         return out
+
+    def require_indices(self, indices: Iterable[int], consumer: str) -> None:
+        """Refuse to serve ``consumer``, which quantifies over ``indices``, if
+        this named-filter-set database has no rows at one of them.
+
+        Every named filter set has rows at every index of ``INDEX_SET``, so
+        such a database is incomplete, and "no candidate qualifies" read off
+        it could be false.  Indices outside ``INDEX_SET`` never have rows.  A
+        database without a filter set name is not checked.
+        """
+        if self.filter_set is None:
+            return
+        present = self.counts()
+        missing = sorted(q for q in set(indices) if q in INDEX_SET and q not in present)
+        if missing:
+            raise StoreError(
+                f"{consumer} needs candidates of index {', '.join(map(str, missing))}, "
+                f"and this {self.filter_set!r} database has none: it is incomplete"
+            )
 
 
 def dumps_database(db: Database) -> str:
@@ -166,7 +201,7 @@ def loads_database(text: str) -> Database:
         raise StoreError(f"unsupported format version {version}")
     if not known:
         raise StoreError(f"unknown filter set {filter_set!r}")
-    candidates = tuple(candidate_from_json(d) for d in rows)
+    candidates = _rebuild_rows(rows)
     if count != len(candidates):
         raise StoreError("stored count disagrees with the candidate list")
     keys = [c.sort_key() for c in candidates]

@@ -9,8 +9,8 @@ from qfano.cli import (
     EXIT_USAGE,
     main,
 )
-from qfano import enumeration
-from qfano.enumeration import DEFAULT_CONFIG, INDEX_SET, enumerate_candidates
+from qfano import cli, enumeration
+from qfano.enumeration import DEFAULT_CONFIG, FILTER_FLAGS, INDEX_SET, enumerate_candidates
 from qfano.store import Database, save_database
 
 from test_enumeration import _recording_pool
@@ -223,7 +223,11 @@ def q8_doc(tmp_path_factory):
 
 def _bad_input_exit(argv, capsys):
     code = main(argv)  # any exception escaping here fails the test
-    assert "bad input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad input" in err
+    # the q8-only database lacks indices facts needs: a malformed file must
+    # be refused for being malformed, before that
+    assert "incomplete" not in err
     return code
 
 
@@ -345,3 +349,101 @@ def test_case_file_missing_field(field, tmp_path, capsys):
     case_file = tmp_path / "bad.case"
     case_file.write_text(json.dumps(doc), encoding="utf-8")
     assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
+
+
+def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
+    sizes = []
+    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    runs = [
+        ["export", "--db", str(db_path), "--format", "json"],
+        ["export", "--db", str(db_path)],
+        ["enumerate", "--q", "8", "--jobs", "2", "--format", "csv"],
+        ["enumerate", "--q", "8"],
+        ["enumerate", "--q", "20"],
+        ["diff", "--q", "8", "--flag", "nonnegativity", "--filter-set", "capped"],
+        ["diff", "--q", "8", "--flag", "nonnegativity"],
+        ["wps", "check", "--weights", "1,1,2,3", "--degree", "6", "--db", str(db_path)],
+        ["wps", "check", "--weights", "1,1,2,3", "--db", str(db_path)],
+    ]
+    cli._build_parser.cache_clear()
+    cached = []
+    for argv in runs:
+        cached.append((main(argv), capsys.readouterr()))
+    assert cli._build_parser.cache_info().misses == 1
+    # only the --jobs 2 run started a pool: the option did not stick
+    assert sizes == [2]
+    for argv, result in zip(runs, cached):
+        cli._build_parser.cache_clear()
+        assert (main(argv), capsys.readouterr()) == result
+    assert sizes == [2, 2]
+    valid = [argv for argv in runs if argv[-1] != "20"]
+    reused = cli._build_parser()
+    in_turn = [vars(reused.parse_args(argv)) for argv in valid]
+    assert in_turn == [vars(cli._build_parser.__wrapped__().parse_args(argv)) for argv in valid]
+
+
+def test_diff_enumerates_its_base_once(monkeypatch, capsys):
+    per_flag = []
+    for flag in FILTER_FLAGS:
+        assert main(["diff", "--q", "5", "--flag", flag]) == EXIT_OK
+        per_flag.append(capsys.readouterr().out)
+    calls = []
+    real = enumeration.enumerate_candidates
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "enumerate_candidates", counting)
+    monkeypatch.setattr(cli, "enumerate_candidates", counting)
+    assert main(["diff", "--q", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(per_flag)
+    assert len(calls) == 1 + len(FILTER_FLAGS)
+    # --jobs 2: one pool per enumeration, the same output
+    sizes = []
+    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    assert main(["diff", "--q", "5", "--jobs", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(per_flag)
+    assert sizes == [2] * (1 + len(FILTER_FLAGS))
+
+
+@pytest.fixture(scope="module")
+def no_q5_paths(full_db, tmp_path_factory):
+    """The full database without its index-5 rows, named and unnamed."""
+    rows = tuple(c for c in full_db if c.q != 5)
+    base = tmp_path_factory.mktemp("no_q5")
+    paths = {}
+    for name in ("default", None):
+        paths[name] = base / f"{name}.json"
+        save_database(Database(DEFAULT_CONFIG, rows, filter_set=name), paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("command", [
+    ["link", "solve", "q9_4A.case"],
+    ["facts"],
+    ["table", "--case", "q5"],
+    ["wps", "check", "--weights", "1,1,1,2"],
+])
+def test_database_missing_an_index_is_refused(no_q5_paths, command, capsys):
+    assert main(command + ["--db", str(no_q5_paths["default"])]) == EXIT_MISSING_INPUT
+    err = capsys.readouterr().err
+    assert "needs candidates of index 5" in err and "incomplete" in err
+
+
+def test_database_missing_an_index_serves_the_others(no_q5_paths, db_path, capsys):
+    for path in (no_q5_paths["default"], db_path):
+        assert main(["table", "--case", "q6", "--db", str(path)]) == EXIT_OK
+    first, second = capsys.readouterr().out.split("index 6 survey")[1:]
+    assert first == second
+
+
+def test_unnamed_database_is_served_with_a_warning(no_q5_paths, db_path, capsys):
+    assert main(["link", "solve", "q9_4A.case", "--db", str(db_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    path = no_q5_paths[None]
+    assert main(["link", "solve", "q9_4A.case", "--db", str(path)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "was not checked" in err

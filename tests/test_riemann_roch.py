@@ -16,8 +16,10 @@ from qfano.riemann_roch import (
     genus,
     kawamata_sum,
     local_index,
+    local_terms,
     point_contribution,
 )
+from qfano.enumeration import INDEX_SET, point_domain
 
 
 def test_singular_point_canonicalization():
@@ -123,6 +125,42 @@ def test_point_contribution_matches_raw_and_is_orientation_symmetric(k, q, r):
         value = point_contribution(k, q, point)
         assert value == _raw_contribution(k, q, r, a)
         assert value == _raw_contribution(k, q, r, r - a)
+
+
+def _point_term(r: int, a: int, i: int) -> int:
+    # 12 r c_p at local index i, the docstring's sum term by term
+    inner = 0
+    for j in range(1, i):
+        ja = (j * a) % r
+        inner += ja * (r - ja)
+    return -i * (r * r - 1) + 6 * inner
+
+
+def test_local_terms_match_the_sum_at_every_domain_point():
+    for q in INDEX_SET:
+        for p in point_domain(q):
+            table = local_terms(q, p.r, p.a)
+            assert len(table) == p.r
+            for k in range(-p.r, 2 * p.r):
+                assert table[k % p.r] == _point_term(p.r, p.a, local_index(k, q, p))
+
+
+def test_local_terms_cache_holds_a_domain_and_a_load(full_db):
+    # neither an index's scan nor a load of every candidate evicts a table
+    # it still needs
+    domain = max(len(point_domain(q)) for q in INDEX_SET)
+    load = {(c.q, p.r, p.a) for c in full_db for p in c.basket}
+    assert (domain, len(load)) == (84, 125)
+    assert domain + len(load) <= local_terms.cache_info().maxsize
+    with pytest.raises(IndexNotCoprimeError):
+        local_terms(5, 10, 3)
+
+
+def test_chi_at_a_point_of_large_prime_index():
+    # far outside any enumerated basket: the table is built once, in O(r)
+    fano = FanoInput(q=3, basket=Basket.from_pairs([(1009, 1)]), a3=Rational(1, 1009))
+    for k in (-1009, -4, -1, 0, 1, 2, 3, 500, 1008, 2021):
+        assert chi(k, fano) == _reference_chi(k, fano)
 
 
 @given(st.integers(-50, 50))

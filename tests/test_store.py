@@ -168,8 +168,15 @@ def _mirror_orientation(row):
     row["basket"] = [[r, r - a] for r, a in row["basket"]]
 
 
+def _reverse_keys(row):
+    items = list(row.items())
+    row.clear()
+    row.update(reversed(items))
+
+
 # each edit leaves (q, basket, A^3) the same candidate, so a loader that
-# parses the row back into values would accept it
+# parses the row back into values, or compares only the values it
+# recomputes, would accept it
 ROW_EDITS = {
     "unreduced-a3": _unreduced_a3,
     "genus-as-string": lambda row: row.update(genus=str(row["genus"])),
@@ -177,6 +184,11 @@ ROW_EDITS = {
     "mirror-orientation": _mirror_orientation,
     "dims-as-floats": lambda row: row.update(dims=[float(d) for d in row["dims"]]),
     "padded-sigma": lambda row: row.update(sigma=" " + row["sigma"]),
+    "tampered-dims": lambda row: row["dims"].__setitem__(-1, row["dims"][-1] + 1),
+    "tampered-genus": lambda row: row.update(genus=row["genus"] - 1),
+    "tampered-sigma": lambda row: row.update(sigma="1/7"),
+    "keys-reordered": _reverse_keys,
+    "true-for-one": lambda row: row.update(dims=[d == 1 or d for d in row["dims"]]),
 }
 
 
@@ -184,9 +196,14 @@ ROW_EDITS = {
 def test_row_must_reserialise_to_itself(small_db, edit):
     doc = json.loads(dumps_database(small_db))
     row = doc["candidates"][1]
-    assert row["id"] == "q6-7.3-a2.7"
+    assert row["id"] == "q6-7.3-a2.7" and row["dims"][0] == 1
     ROW_EDITS[edit](row)
-    with pytest.raises(StoreError, match="disagrees with recomputation"):
+    named = "stored row for 'q6-7.3-a2.7' disagrees with recomputation"
+    with pytest.raises(StoreError, match=named):
+        loads_database(json.dumps(doc))
+    # with a later row bad too, the first bad row is the one named
+    ROW_EDITS["tampered-genus"](doc["candidates"][4])
+    with pytest.raises(StoreError, match=named):
         loads_database(json.dumps(doc))
 
 
