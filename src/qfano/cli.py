@@ -274,9 +274,9 @@ def cmd_export(args) -> int:
 def cmd_diff(args) -> int:
     config = FILTER_SETS[args.filter_set]
     flags = (args.flag,) if args.flag else FILTER_FLAGS
-    base = enumerate_candidates(args.q, config, jobs=args.jobs)
+    base = enumerate_candidates(args.q, config)
     for flag in flags:
-        removed, added = filter_diff(args.q, flag, config, jobs=args.jobs, base=base)
+        removed, added = filter_diff(args.q, flag, config, base=base)
         current = getattr(config, flag)
         print(f"{flag}: {current} -> {not current}: "
               f"removes {len(removed)}, adds {len(added)}")
@@ -365,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, choices=INDEX_SET, metavar="Q", required=True)
     p.add_argument("--flag", choices=FILTER_FLAGS, default=None)
     p.add_argument("--filter-set", choices=sorted(FILTER_SETS), default="default")
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_diff)
 
     return parser

@@ -39,7 +39,6 @@ tests.  Two facts keep the work small:
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -396,12 +395,10 @@ def _scan_baskets(
     return found
 
 
-def _scan_job(args: tuple[int, int, int, FilterConfig]) -> list[Candidate]:
-    """Scan every ``parts``-th basket of the walk, starting at ``part``."""
-    q, part, parts, config = args
-    return _scan_baskets(
-        q, itertools.islice(enumerate_baskets(q), part, None, parts), config
-    )
+def _scan_job(args: tuple[int, FilterConfig]) -> list[Candidate]:
+    """Every candidate of one index: a whole walk of its baskets."""
+    q, config = args
+    return _scan_baskets(q, enumerate_baskets(q), config)
 
 
 def enumerate_candidates(
@@ -409,27 +406,20 @@ def enumerate_candidates(
 ) -> list[Candidate]:
     """All candidates of index ``q`` (or of every index in ``q``), canonically sorted.
 
-    ``jobs > 1`` starts one pool of worker processes, at most one per CPU,
-    for all the indices.  Its jobs are ``(index, part)`` pairs: each walks
-    the baskets of its index itself and scans every ``parts``-th one,
-    starting at ``part``.  An index is split into parts only as far as the
-    indices alone cannot keep every worker busy (one part each for the 12
-    indices of ``--all``).  The result is merged and sorted, so it is
-    byte-for-byte independent of ``jobs``.
+    ``jobs > 1`` scans the indices in one pool of worker processes, one job
+    per index, with no more workers than CPUs or indices; a single index
+    therefore runs in this process.  (An index is not split: every part
+    would walk the whole basket tree of the index.)  The result is merged
+    and sorted, so it is byte-for-byte independent of ``jobs``.
     """
-    qs = (q,) if isinstance(q, int) else tuple(q)
-    workers = min(jobs, os.cpu_count() or 1)
+    chunks = [(index, config) for index in ((q,) if isinstance(q, int) else q)]
+    workers = min(jobs, os.cpu_count() or 1, len(chunks))
     if workers <= 1:
-        found = [
-            c for index in qs for c in _scan_baskets(index, enumerate_baskets(index), config)
-        ]
+        per_index = map(_scan_job, chunks)
     else:
-        # split an index only when there are fewer indices than workers:
-        # every part walks all the baskets of its index
-        parts = -(-workers // max(len(qs), 1))
-        chunks = [(index, part, parts, config) for index in qs for part in range(parts)]
         with Pool(processes=workers) as pool:
-            found = list(itertools.chain.from_iterable(pool.map(_scan_job, chunks)))
+            per_index = pool.map(_scan_job, chunks)
+    found = [c for found_at_q in per_index for c in found_at_q]
     found.sort(key=Candidate.sort_key)
     return found
 
@@ -541,7 +531,6 @@ def filter_diff(
     q: int,
     flag: str,
     config: FilterConfig = DEFAULT_CONFIG,
-    jobs: int = 1,
     base: Sequence[Candidate] | None = None,
 ) -> tuple[list[Candidate], list[Candidate]]:
     """Effect of toggling one boolean filter flag on the index-q candidates.
@@ -555,10 +544,8 @@ def filter_diff(
     if flag not in FILTER_FLAGS:
         raise ValueError(f"unknown filter flag {flag!r}; choose from {FILTER_FLAGS}")
     flipped = replace(config, **{flag: not getattr(config, flag)})
-    before = {
-        c.id: c for c in (enumerate_candidates(q, config, jobs) if base is None else base)
-    }
-    after = {c.id: c for c in enumerate_candidates(q, flipped, jobs)}
+    before = {c.id: c for c in (enumerate_candidates(q, config) if base is None else base)}
+    after = {c.id: c for c in enumerate_candidates(q, flipped)}
     removed = [c for cid, c in before.items() if cid not in after]
     added = [c for cid, c in after.items() if cid not in before]
     removed.sort(key=Candidate.sort_key)

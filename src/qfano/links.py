@@ -10,9 +10,11 @@ slack variables ``m_k``, and the discrepancy ``alpha``:
 together with database-backed dimension constraints ("the image of |kA|
 on the target moves at least as much as it did on the source") and an
 optional genus transfer (``g(target) >= g(source)`` whenever alpha < 1).
-:func:`solve` enumerates every assignment within the declared bounds; an
-empty result eliminates the case.  :func:`audit` re-verifies any claimed
-solution independently of the search.
+:func:`solve` enumerates every assignment within the declared bounds, one
+branch ``(qhat, alpha)`` at a time; an empty result eliminates the case.
+The database enters only through :func:`dims_lookup`, whose ``None`` ("no
+candidate qualifies") is itself an elimination.  :func:`audit` re-verifies
+any claimed solution independently of the search.
 
 Expressions use ``+``, ``*``, non-negative integer literals, declared
 variable names, the token ``alpha``, and parentheses.  For each alpha the
@@ -27,21 +29,21 @@ evaluated over exact rationals only by :func:`audit`.
 
 Case documents are strict JSON: integer fields must be JSON integers,
 ``genus_transfer`` a JSON boolean, and a key the format does not define is
-refused rather than ignored.
+refused rather than ignored.  So is an ``index_set`` entry outside
+``INDEX_SET``, where no candidate is enumerated to eliminate.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .arith import Rational, format_rational, parse_rational
 from .enumeration import INDEX_SET, Candidate
-
-DEFAULT_TARGET_INDICES = INDEX_SET
 
 
 class LinkCaseError(ValueError):
@@ -50,15 +52,6 @@ class LinkCaseError(ValueError):
 
 class UnboundedCaseError(LinkCaseError):
     """An unknown is missing a finite lower or upper bound."""
-
-
-class NoCandidateError(LookupError):
-    """No database candidate matches (index, genus floor) — an elimination."""
-
-    def __init__(self, qhat: int, genus_min: int):
-        super().__init__(f"no candidate with q={qhat} and genus >= {genus_min}")
-        self.qhat = qhat
-        self.genus_min = genus_min
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +287,8 @@ class SourceRef:
             c
             for c in db
             if c.q == self.q and c.basket.indices == self.indices and c.a3 == self.a3
+            and (self.pairs is None or tuple((p.r, p.a) for p in c.basket.points) == self.pairs)
         ]
-        if self.pairs is not None:
-            matches = [
-                c
-                for c in matches
-                if tuple((p.r, p.a) for p in c.basket.points) == self.pairs
-            ]
         if not matches:
             raise LinkCaseError(f"source candidate not in database: {self}")
         if len(matches) > 1:
@@ -330,8 +318,6 @@ class LinkCase:
             raise LinkCaseError("'alpha' and 'qhat' are reserved names")
         declared = set(names) | {"alpha"}
         for unk in self.unknowns:
-            if unk.lo is None or unk.hi is None:
-                raise UnboundedCaseError(f"unknown {unk.name!r} lacks a finite bound")
             if unk.lo < 0 or unk.hi < unk.lo:
                 raise LinkCaseError(f"bad bounds for {unk.name!r}: [{unk.lo}, {unk.hi}]")
         for rel in self.relations:
@@ -351,6 +337,10 @@ class LinkCase:
             # a discrepancy is positive, and the search's pruning needs
             # every compiled coefficient to be non-negative
             raise LinkCaseError("alpha options must be positive")
+        outside = sorted(set(self.target_index_set) - set(INDEX_SET))
+        if outside:
+            # the tool enumerates no candidate there: an elimination would be vacuous
+            raise LinkCaseError(f"index_set entries {outside} are not in {INDEX_SET}")
 
 
 _CASE_KEYS = frozenset({
@@ -442,7 +432,7 @@ def load_case(text: str) -> LinkCase:
             ),
             target_index_set=tuple(
                 sorted(_integer(q, "index_set entry")
-                       for q in raw.get("index_set", DEFAULT_TARGET_INDICES))
+                       for q in raw.get("index_set", INDEX_SET))
             ),
             genus_transfer=genus_transfer,
             threshold_floor=threshold_floor,
@@ -472,11 +462,6 @@ class LinkSolution:
     assignment: tuple[tuple[str, int], ...]
     alpha: Rational
 
-    def env(self) -> dict[str, Rational]:
-        env: dict[str, Rational] = {name: Rational(v) for name, v in self.assignment}
-        env["alpha"] = self.alpha
-        return env
-
     def sort_key(self):
         return (self.qhat, tuple(v for _, v in self.assignment), self.alpha)
 
@@ -487,34 +472,15 @@ class LinkSolution:
 
 def dims_lookup(
     db: Sequence[Candidate], qhat: int, s: int, genus_min: int = 0
-) -> int:
+) -> int | None:
     """Largest ``dim |s*A|`` over candidates with index ``qhat``, genus floor.
 
-    Raises :class:`NoCandidateError` when no candidate qualifies — which is
-    itself an elimination of the target index at that genus.
+    ``None`` when no candidate qualifies, which is itself an elimination of
+    the target index at that genus.
     """
-    pool = [c for c in db if c.q == qhat and c.genus >= genus_min]
-    if not pool:
-        raise NoCandidateError(qhat, genus_min)
-    return max(c.dim(s) for c in pool)
-
-
-class _DimCache:
-    """Memoized dims_lookup bound to one database."""
-
-    def __init__(self, db: Sequence[Candidate]):
-        self.db = db
-        self._cache: dict[tuple[int, int, int], int | None] = {}
-
-    def lookup(self, qhat: int, s: int, genus_min: int) -> int | None:
-        """dims_lookup, with None standing in for NoCandidateError."""
-        key = (qhat, s, genus_min)
-        if key not in self._cache:
-            try:
-                self._cache[key] = dims_lookup(self.db, qhat, s, genus_min)
-            except NoCandidateError:
-                self._cache[key] = None
-        return self._cache[key]
+    return max(
+        (c.dim(s) for c in db if c.q == qhat and c.genus >= genus_min), default=None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +514,69 @@ def _evaluate(terms: _Terms, values: Sequence[int]) -> int:
     return total
 
 
-def _effective_genus_min(case: LinkCase, source: Candidate, alpha: Rational, base: int) -> int:
+def _genus_floor(case: LinkCase, source: Candidate, alpha: Rational, base: int) -> int:
+    """The genus floor at the target: the source genus carries over when alpha < 1."""
     if case.genus_transfer and alpha < 1:
         return max(base, source.genus)
     return base
+
+
+def _branch(
+    case: LinkCase, source: Candidate, lookup: Callable[[int, int, int], int | None],
+    compiled: Sequence[tuple[_Terms, int]], qhat: int, alpha: Rational,
+) -> Iterator[tuple[int, ...]]:
+    """The unknowns' values of every solution of the branch ``(qhat, alpha)``.
+
+    In order: the genus-transfer gate, the dimension floors, the search over
+    the ``compiled`` relations, and the exact re-check of the dimension
+    constraints on each assignment the search proposes.
+    """
+    if case.genus_transfer and alpha < 1 and lookup(qhat, 0, source.genus) is None:
+        return  # no target at qhat supports the transferred genus
+    position = {u.name: i for i, u in enumerate(case.unknowns)}
+    floors = [
+        (position[con.var], source.dim(con.source_k),
+         _genus_floor(case, source, alpha, con.genus_min))
+        for con in case.dim_constraints
+    ]
+
+    def meets(s: int, need: int, gmin: int) -> bool:
+        got = lookup(qhat, s, gmin)
+        return got is not None and got >= need
+
+    # per-variable bounds, tightened by the dimension floors
+    lo = [u.lo for u in case.unknowns]
+    hi = [u.hi for u in case.unknowns]
+    for idx, need, gmin in floors:
+        smin = next((s for s in range(lo[idx], hi[idx] + 1) if meets(s, need, gmin)), None)
+        if smin is None:
+            return  # no value of the variable reaches the dimension needed
+        lo[idx] = smin
+
+    relations = [(terms, qhat * scale) for terms, scale in compiled]
+    lo_vals = list(lo)
+    hi_vals = list(hi)
+
+    def assign(idx: int) -> Iterator[tuple[int, ...]]:
+        # every coefficient is >= 0, so over the box of remaining
+        # values a relation ranges between its two corner values
+        for terms, target in relations:
+            if not _evaluate(terms, lo_vals) <= target <= _evaluate(terms, hi_vals):
+                return
+        if idx == len(lo):
+            # lo_vals == hi_vals here, so every relation holds exactly
+            yield tuple(lo_vals)
+            return
+        for value in range(lo[idx], hi[idx] + 1):
+            lo_vals[idx] = hi_vals[idx] = value
+            yield from assign(idx + 1)
+        lo_vals[idx] = lo[idx]
+        hi_vals[idx] = hi[idx]
+
+    for found in assign(0):
+        # final exact re-check of the dimension constraints
+        if all(meets(found[idx], need, gmin) for idx, need, gmin in floors):
+            yield found
 
 
 def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
@@ -561,84 +586,17 @@ def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
     declaration order, alpha).  An empty list eliminates the case.
     """
     source = case.source.resolve(db)
-    cache = _DimCache(db)
+    lookup = functools.cache(functools.partial(dims_lookup, db))
     names = [u.name for u in case.unknowns]
     position = {name: i for i, name in enumerate(names)}
-    compiled = {
-        alpha: [_compile(rel.rhs, alpha, position) for rel in case.relations]
-        for alpha in case.alpha_options
-    }
     solutions: list[LinkSolution] = []
-
-    for qhat in case.target_index_set:
-        for alpha in case.alpha_options:
-            if case.genus_transfer and alpha < 1:
-                # the target must support the transferred genus at all
-                if cache.lookup(qhat, 0, source.genus) is None:
-                    continue
-
-            # per-variable bounds, tightened by the dimension constraints
-            lo = [u.lo for u in case.unknowns]
-            hi = [u.hi for u in case.unknowns]
-            feasible = True
-            for con in case.dim_constraints:
-                idx = position[con.var]
-                need = source.dim(con.source_k)
-                gmin = _effective_genus_min(case, source, alpha, con.genus_min)
-                smin = lo[idx]
-                while smin <= hi[idx]:
-                    got = cache.lookup(qhat, smin, gmin)
-                    if got is not None and got >= need:
-                        break
-                    smin += 1
-                else:
-                    feasible = False
-                    break
-                if smin > hi[idx]:
-                    feasible = False
-                    break
-                lo[idx] = smin
-            if not feasible:
-                continue
-
-            relations = [(terms, qhat * scale) for terms, scale in compiled[alpha]]
-            lo_vals = list(lo)
-            hi_vals = list(hi)
-
-            def assign(idx: int) -> Iterator[tuple[int, ...]]:
-                # every coefficient is >= 0, so over the box of remaining
-                # values a relation ranges between its two corner values
-                for terms, target in relations:
-                    if not _evaluate(terms, lo_vals) <= target <= _evaluate(terms, hi_vals):
-                        return
-                if idx == len(names):
-                    # lo_vals == hi_vals here, so every relation holds exactly
-                    yield tuple(lo_vals)
-                    return
-                for value in range(lo[idx], hi[idx] + 1):
-                    lo_vals[idx] = hi_vals[idx] = value
-                    yield from assign(idx + 1)
-                lo_vals[idx] = lo[idx]
-                hi_vals[idx] = hi[idx]
-
-            for found in assign(0):
-                # final exact re-check of the dimension constraints
-                ok = True
-                for con in case.dim_constraints:
-                    gmin = _effective_genus_min(case, source, alpha, con.genus_min)
-                    got = cache.lookup(qhat, found[position[con.var]], gmin)
-                    if got is None or got < source.dim(con.source_k):
-                        ok = False
-                        break
-                if ok:
-                    solutions.append(
-                        LinkSolution(
-                            qhat=qhat,
-                            assignment=tuple(zip(names, found)),
-                            alpha=alpha,
-                        )
-                    )
-
+    for alpha in case.alpha_options:
+        compiled = [_compile(rel.rhs, alpha, position) for rel in case.relations]
+        for qhat in case.target_index_set:
+            solutions.extend(
+                LinkSolution(qhat=qhat, assignment=tuple(zip(names, found)), alpha=alpha)
+                for found in _branch(case, source, lookup, compiled, qhat, alpha)
+            )
     solutions.sort(key=LinkSolution.sort_key)
     return solutions
 
@@ -658,22 +616,17 @@ def audit(case: LinkCase, solution: LinkSolution, db: Sequence[Candidate]) -> bo
         lo, hi = bounds[name]
         if not lo <= value <= hi:
             return False
-    env = solution.env()
+    env = {name: Rational(v) for name, v in values.items()} | {"alpha": solution.alpha}
     target = Rational(solution.qhat)
     if any(rel.rhs.value(env) != target for rel in case.relations):
         return False
     if case.genus_transfer and solution.alpha < 1:
-        try:
-            dims_lookup(db, solution.qhat, 0, source.genus)
-        except NoCandidateError:
+        if dims_lookup(db, solution.qhat, 0, source.genus) is None:
             return False
     for con in case.dim_constraints:
-        gmin = _effective_genus_min(case, source, solution.alpha, con.genus_min)
-        try:
-            got = dims_lookup(db, solution.qhat, values[con.var], gmin)
-        except NoCandidateError:
-            return False
-        if got < source.dim(con.source_k):
+        gmin = _genus_floor(case, source, solution.alpha, con.genus_min)
+        got = dims_lookup(db, solution.qhat, values[con.var], gmin)
+        if got is None or got < source.dim(con.source_k):
             return False
     return True
 

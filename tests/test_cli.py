@@ -14,7 +14,9 @@ from qfano.enumeration import DEFAULT_CONFIG, FILTER_FLAGS, INDEX_SET, enumerate
 from qfano.store import Database, save_database
 
 from test_enumeration import _recording_pool
-from test_links import case_path
+from qfano.arith import Rational
+from qfano.links import LinkSolution
+from test_links import case_path, make_case_text
 
 
 def test_exit_codes_are_distinct():
@@ -80,7 +82,7 @@ def test_enumerate_all_starts_one_pool(monkeypatch, tmp_path, capsys):
     assert main(["enumerate", "--all", "--jobs", "2", "--db", str(db)]) == EXIT_OK
     assert "472 candidates" in capsys.readouterr().out
     assert sizes == [2]
-    assert sorted(job[0] for job in jobs[0]) == list(INDEX_SET)
+    assert sorted(jobs[0]) == list(INDEX_SET)
 
 
 def test_table_from_stored_database(db_path, capsys):
@@ -175,6 +177,18 @@ def test_link_solve_eliminated_case(db_path, capsys):
     assert "none -- case eliminated" in out
 
 
+def test_link_solve_exits_4_when_the_audit_fails(db_path, tmp_path, monkeypatch, capsys):
+    case_file = tmp_path / "floored.case"
+    case_file.write_text(make_case_text(dim_constraints=[["s1", 1, 0]]), encoding="utf-8")
+    # the relation holds, but dim|0*Theta| = 0 at qhat = 3 is below dim|A| = 1
+    below_floor = LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1))
+    monkeypatch.setattr(cli, "solve", lambda case, db: [below_floor])
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out.endswith("solutions: 1\n  qhat=3 alpha=1 s1=0 e=3\n")
+    assert captured.err == "audit failed for the solution above\n"
+
+
 def test_link_solve_missing_case_file(capsys):
     assert main(["link", "solve", "/nonexistent/foo.case"]) == EXIT_MISSING_INPUT
     capsys.readouterr()
@@ -204,12 +218,17 @@ def test_diff_reports_filter_effects(capsys):
     ["table", "--case", "q5"],
     ["facts"],
     ["link", "solve", "q9_4A.case"],
-    ["diff", "--q", "5"],
 ])
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_bad_jobs_is_usage_error(command, jobs, capsys):
     assert main(command + ["--jobs", jobs]) == EXIT_USAGE
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_diff_has_no_jobs_option(capsys):
+    # diff runs on one index, and one index never starts a pool
+    assert main(["diff", "--q", "5", "--jobs", "2"]) == EXIT_USAGE
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +361,19 @@ def test_case_file_bad_value(path, value, tmp_path, capsys):
     assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
 
 
+@pytest.mark.parametrize("index_set", [[2, 12], [20], [3, 12]])
+def test_case_index_outside_index_set_is_refused(index_set, tmp_path, capsys):
+    # no candidate is enumerated there, so "case eliminated" would be vacuous
+    doc = _case_doc()
+    doc["index_set"] = index_set
+    case_file = tmp_path / "outside.case"
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["link", "solve", str(case_file)]) == EXIT_MISSING_INPUT
+    captured = capsys.readouterr()
+    assert "bad input: index_set entries" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("field", ["q", "source", "alpha", "unknowns", "relations"])
 def test_case_file_missing_field(field, tmp_path, capsys):
     doc = _case_doc()
@@ -358,8 +390,8 @@ def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
     runs = [
         ["export", "--db", str(db_path), "--format", "json"],
         ["export", "--db", str(db_path)],
-        ["enumerate", "--q", "8", "--jobs", "2", "--format", "csv"],
-        ["enumerate", "--q", "8"],
+        ["enumerate", "--all", "--jobs", "2", "--format", "csv"],
+        ["enumerate", "--all"],
         ["enumerate", "--q", "20"],
         ["diff", "--q", "8", "--flag", "nonnegativity", "--filter-set", "capped"],
         ["diff", "--q", "8", "--flag", "nonnegativity"],
@@ -400,13 +432,13 @@ def test_diff_enumerates_its_base_once(monkeypatch, capsys):
     assert main(["diff", "--q", "5"]) == EXIT_OK
     assert capsys.readouterr().out == "".join(per_flag)
     assert len(calls) == 1 + len(FILTER_FLAGS)
-    # --jobs 2: one pool per enumeration, the same output
+    # one index: every enumeration runs in this process, with no pool
     sizes = []
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    assert main(["diff", "--q", "5", "--jobs", "2"]) == EXIT_OK
+    assert main(["diff", "--q", "5"]) == EXIT_OK
     assert capsys.readouterr().out == "".join(per_flag)
-    assert sizes == [2] * (1 + len(FILTER_FLAGS))
+    assert sizes == []
 
 
 @pytest.fixture(scope="module")

@@ -300,12 +300,12 @@ def sorted_ids_by_key(found):
 
 
 def test_enumerate_candidates_jobs_equivalence():
-    assert enumerate_candidates(6, jobs=2) == enumerate_candidates(6)
-    assert enumerate_candidates(8, jobs=3) == enumerate_candidates(8)
+    assert enumerate_candidates((6, 8), jobs=2) == enumerate_candidates((6, 8))
+    assert enumerate_candidates((8, 9, 10), jobs=3) == enumerate_candidates((8, 9, 10))
 
 
 def _recording_pool(sizes, jobs=None):
-    """A Pool stand-in that records its size (and jobs) and runs them here."""
+    """A Pool stand-in that records its size (and jobs' indices) and runs them here."""
 
     class RecordingPool:
         def __init__(self, processes):
@@ -319,7 +319,7 @@ def _recording_pool(sizes, jobs=None):
 
         def map(self, func, chunks):
             if jobs is not None:
-                jobs.append([chunk[:3] for chunk in chunks])
+                jobs.append([index for index, _ in chunks])
             return [func(chunk) for chunk in chunks]
 
     return RecordingPool
@@ -327,23 +327,23 @@ def _recording_pool(sizes, jobs=None):
 
 def test_worker_count_is_clamped(monkeypatch):
     sizes = []
-    serial = enumerate_candidates(6)
+    qs = (8, 9, 10, 11)
+    serial = enumerate_candidates(qs)
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-    assert enumerate_candidates(6, jobs=2) == serial
-    assert enumerate_candidates(6, jobs=8) == serial
+    assert enumerate_candidates(qs, jobs=2) == serial
+    assert enumerate_candidates(qs, jobs=8) == serial
     assert sizes == [2, 3]
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-    assert enumerate_candidates(6, jobs=8) == serial
+    assert enumerate_candidates(qs, jobs=8) == serial
     assert sizes == [2, 3]  # one CPU: no pool at all
-    # each worker walks the baskets itself, so a stride past the end of a
-    # short walk is idle and contributes nothing
+    # never more workers than indices, and a single index runs here
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 16)
-    two = [c.basket for c in serial[:2]]
-    monkeypatch.setattr(enumeration, "enumerate_baskets", lambda q: iter(two))
-    assert enumeration._scan_job((6, 5, 8, DEFAULT_CONFIG)) == []
-    assert enumerate_candidates(6, jobs=8) == serial[:2]
-    assert sizes == [2, 3, 8]
+    assert enumerate_candidates(qs[:2], jobs=8) == enumerate_candidates(qs[:2])
+    assert sizes == [2, 3, 2]
+    assert enumerate_candidates(6, jobs=8) == enumerate_candidates(6)
+    assert enumerate_candidates((6,), jobs=8) == enumerate_candidates(6)
+    assert sizes == [2, 3, 2]
 
 
 def test_one_pool_serves_every_index(monkeypatch):
@@ -359,12 +359,12 @@ def test_one_pool_serves_every_index(monkeypatch):
     assert enumerate_candidates(qs, jobs=2) == serial
     # three indices keep two workers busy: one whole walk per index
     assert sizes == [2]
-    assert jobs == [[(10, 0, 1), (6, 0, 1), (8, 0, 1)]]
-    # fewer indices than workers: each index is split into parts
+    assert jobs == [[10, 6, 8]]
+    # fewer indices than workers: one job per index all the same
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 8)
     assert enumerate_candidates((6, 8), jobs=5) == enumerate_candidates((6, 8))
-    assert sizes == [2, 5]
-    assert jobs[1] == [(q, part, 3) for q in (6, 8) for part in range(3)]
+    assert sizes == [2, 2]
+    assert jobs[1] == [6, 8]
 
 
 def test_series_class_collapses_orientations():

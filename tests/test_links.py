@@ -7,18 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfano.arith import Rational
+from qfano.enumeration import INDEX_SET
 from qfano.links import (
-    DEFAULT_TARGET_INDICES,
     LinkCase,
     LinkCaseError,
     LinkSolution,
     MAX_NESTING,
-    NoCandidateError,
     Relation,
     SourceRef,
     UnboundedCaseError,
-    _DimCache,
-    _effective_genus_min,
     audit,
     describe_case,
     dims_lookup,
@@ -169,6 +166,9 @@ E_UNKNOWN = {"name": "e", "min": 1, "max": 3}
         # the search prunes on non-negative coefficients
         {"alpha": ["-1/2"]},
         {"alpha": ["0"]},
+        # no candidate is enumerated outside INDEX_SET: a vacuous elimination
+        {"index_set": [2, 12]},
+        {"index_set": [20]},
     ],
 )
 def test_load_case_validation_errors(overrides):
@@ -197,12 +197,11 @@ def test_dims_lookup_frozen(full_db):
     assert dims_lookup(full_db, 8, 1, 10) == 0
     assert dims_lookup(full_db, 13, 1, 18) == 0
     assert dims_lookup(full_db, 5, 1, 0) == 2
-    with pytest.raises(NoCandidateError):
-        dims_lookup(full_db, 12, 1, 0)  # index 12 admits no candidate at all
-    with pytest.raises(NoCandidateError) as exc:
-        dims_lookup(full_db, 9, 1, 19)  # genus floor above every q=9 candidate
-    assert exc.value.qhat == 9
-    assert exc.value.genus_min == 19
+    assert dims_lookup(full_db, 12, 1, 0) is None  # index 12 admits no candidate at all
+    # a genus floor above every q=9 candidate (the ceiling is 18)
+    assert dims_lookup(full_db, 9, 1, 18) == 0
+    assert dims_lookup(full_db, 9, 1, 19) is None
+    assert dims_lookup(full_db, 9, 0, 40) is None
 
 
 def test_max_genus_per_index_frozen(full_db):
@@ -223,7 +222,7 @@ def test_max_genus_per_index_frozen(full_db):
 
 def test_case_q9_feasible_indices(full_db):
     case = load_case_file(case_path("q9_4A.case"))
-    assert case.target_index_set == DEFAULT_TARGET_INDICES
+    assert case.target_index_set == INDEX_SET
     solutions = solve(case, full_db)
     assert solutions
     assert feasible_indices(solutions) == [5, 6, 7, 8]
@@ -260,6 +259,19 @@ def test_audit_rejects_perturbations(full_db):
 
     incomplete = LinkSolution(good.qhat, good.assignment[:-1], good.alpha)
     assert not audit(case, incomplete, full_db)
+
+    # below a dimension floor: dim|0*Theta| = 0 at qhat = 3, against dim|A| = 1
+    floored = load_case(make_case_text(dim_constraints=[["s1", 1, 0]]))
+    assert audit(floored, LinkSolution(3, (("s1", 1), ("e", 2)), Rational(1)), full_db)
+    assert not audit(floored, LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1)), full_db)
+
+    # a genus-transfer target with no candidate of the source genus: 31 is
+    # above the genus ceiling 18 at index 13, and only alpha < 1 transfers it
+    transfer = load_case(make_case_text(alpha=["1/2", "1"], genus_transfer=True,
+                                        index_set=[13], unknowns=WIDE))
+    values = (("s1", 12), ("e", 1))
+    assert audit(transfer, LinkSolution(13, values, Rational(1)), full_db)
+    assert not audit(transfer, LinkSolution(13, values, Rational(1, 2)), full_db)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +314,18 @@ def test_genus_transfer_prunes_targets(full_db):
     assert len(solve(load_case(relaxed), full_db)) == 3
 
 
+def test_recheck_drops_a_dip_above_the_floor(full_db):
+    # at index 10, dim|s*Theta| is 0, -1, 0 for s = 0, 1, 2: the floor for
+    # dim >= dim|0*A| = 0 stays at s1 = 0, so only the exact re-check
+    # refuses s1 = 1
+    assert [dims_lookup(full_db, 10, s) for s in range(3)] == [0, -1, 0]
+    free = make_case_text(relations=["qhat = 9*s1 + e"], index_set=[10])
+    assert [s.assignment for s in solve(load_case(free), full_db)] == [(("s1", 1), ("e", 1))]
+    floored = make_case_text(relations=["qhat = 9*s1 + e"], index_set=[10],
+                             dim_constraints=[["s1", 0, 0]])
+    assert solve(load_case(floored), full_db) == []
+
+
 # ---------------------------------------------------------------------------
 # the compiled search against the tree-evaluating search it replaced
 
@@ -315,15 +339,26 @@ def _reference_interval(expr, lo_env, hi_env):
 def _reference_solve(case, db):
     """The search over Fraction expression trees, kept as the oracle."""
     source = case.source.resolve(db)
-    cache = _DimCache(db)
+    memo: dict[tuple[int, int, int], int | None] = {}
     names = [u.name for u in case.unknowns]
     solutions: list[LinkSolution] = []
+
+    def lookup(qhat, s, gmin):
+        if (qhat, s, gmin) not in memo:
+            memo[qhat, s, gmin] = dims_lookup(db, qhat, s, gmin)
+        return memo[qhat, s, gmin]
+
+    def genus_min(alpha, base):
+        # with the transfer on, a discrepancy below 1 carries the genus over
+        if case.genus_transfer and alpha < 1:
+            return max(base, source.genus)
+        return base
 
     for qhat in case.target_index_set:
         for alpha in case.alpha_options:
             if case.genus_transfer and alpha < 1:
                 # the target must support the transferred genus at all
-                if cache.lookup(qhat, 0, source.genus) is None:
+                if lookup(qhat, 0, source.genus) is None:
                     continue
 
             # per-variable bounds, tightened by the dimension constraints
@@ -332,10 +367,10 @@ def _reference_solve(case, db):
             feasible = True
             for con in case.dim_constraints:
                 need = source.dim(con.source_k)
-                gmin = _effective_genus_min(case, source, alpha, con.genus_min)
+                gmin = genus_min(alpha, con.genus_min)
                 smin = lo[con.var]
                 while smin <= hi[con.var]:
-                    got = cache.lookup(qhat, smin, gmin)
+                    got = lookup(qhat, smin, gmin)
                     if got is not None and got >= need:
                         break
                     smin += 1
@@ -378,8 +413,8 @@ def _reference_solve(case, db):
                 # final exact re-check of the dimension constraints
                 ok = True
                 for con in case.dim_constraints:
-                    gmin = _effective_genus_min(case, source, alpha, con.genus_min)
-                    got = cache.lookup(qhat, int(found[con.var]), gmin)
+                    gmin = genus_min(alpha, con.genus_min)
+                    got = lookup(qhat, int(found[con.var]), gmin)
                     if got is None or got < source.dim(con.source_k):
                         ok = False
                         break
@@ -407,6 +442,8 @@ TOY_OVERRIDES = [
     {"alpha": ["1"], "genus_transfer": True, "index_set": [13], "unknowns": WIDE},
     # alpha = 1/2 compiles to 2*s1 + e = 2*qhat, so the scale d is 2
     {"alpha": ["1/2", "2"], "relations": ["qhat = s1 + alpha*e"]},
+    # a dip of dim|s*Theta| above the floor, which only the re-check catches
+    {"relations": ["qhat = 9*s1 + e"], "index_set": [10], "dim_constraints": [["s1", 0, 0]]},
 ]
 
 
@@ -467,8 +504,8 @@ def _random_cases(draw):
             value = math.ceil(value)
         planted.append((text, int(value)))
     top = max(n for _, n in planted)
-    qhat = next((q for q in DEFAULT_TARGET_INDICES if q >= top), None)
-    index_set = draw(st.lists(st.sampled_from(DEFAULT_TARGET_INDICES),
+    qhat = next((q for q in INDEX_SET if q >= top), None)
+    index_set = draw(st.lists(st.sampled_from(INDEX_SET),
                               min_size=1, max_size=4, unique=True))
     if qhat is not None:
         planted = [(f"{text} + {qhat - n}", qhat) for text, n in planted]
