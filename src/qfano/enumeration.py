@@ -41,7 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
@@ -111,12 +111,7 @@ FILTER_SETS: dict[str, FilterConfig] = {
 }
 
 #: Boolean FilterConfig fields whose individual effect `qfano diff` reports.
-FILTER_FLAGS = (
-    "degree_cap_enforced",
-    "enforce_vanishing",
-    "bm_inequality",
-    "nonnegativity",
-)
+FILTER_FLAGS = tuple(f.name for f in fields(FilterConfig))
 
 
 @dataclass(frozen=True, slots=True)

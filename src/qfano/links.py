@@ -337,6 +337,11 @@ class LinkCase:
             # a discrepancy is positive, and the search's pruning needs
             # every compiled coefficient to be non-negative
             raise LinkCaseError("alpha options must be positive")
+        # a repeated branch would be searched twice and each solution printed twice
+        if len(set(self.alpha_options)) != len(self.alpha_options):
+            raise LinkCaseError("alpha options repeat a value")
+        if len(set(self.target_index_set)) != len(self.target_index_set):
+            raise LinkCaseError("index_set repeats an entry")
         outside = sorted(set(self.target_index_set) - set(INDEX_SET))
         if outside:
             # the tool enumerates no candidate there: an elimination would be vacuous

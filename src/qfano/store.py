@@ -2,16 +2,17 @@
 
 The file layout is fixed so that two runs producing the same candidates
 produce byte-identical files (worker count, dict ordering, and platform
-must not leak in).  Loading recomputes every row from ``(q, basket, A^3)``
-and refuses files whose rows do not re-serialise to themselves (checked
-with one comparison of the re-serialised array with the stored one; only
-a mismatch walks the rows, to name the first bad one), whose
-rows repeat a candidate or leave :meth:`Candidate.sort_key` order, whose
-filter set has no name this version knows, or whose header has a key or a
-value type :func:`dumps_database` does not write, so a database can be
-trusted as input without re-running the enumeration.  A row whose basket
-has an index above ``MAX_POINT_INDEX`` is refused before it is recomputed.
-A consumer that quantifies over some indices calls
+must not leak in).  :func:`_document` is the one statement of that layout.
+A load recomputes every row from its ``(q, basket, A^3)``, takes the filter
+config from the named filter set (or, for ``"filter_set": null``, from the
+snapshot's flags), and accepts the file only if the document this version
+would write for the result is the stored one, compared as JSON text: so a
+header key, value, type or key order, or a row value or spelling, that the
+writer would not produce is refused, and the first disagreeing row is named.
+Rows must also be in :meth:`Candidate.sort_key` order without repeats.  A
+row whose basket has an index above ``MAX_POINT_INDEX`` is refused before it
+is recomputed.  So a database can be trusted as input without re-running
+the enumeration.  A consumer that quantifies over some indices calls
 :meth:`Database.require_indices`, which refuses a named-filter-set database
 with no rows at one of them.
 """
@@ -40,9 +41,6 @@ from .riemann_roch import Basket
 
 FORMAT_VERSION = 1
 
-#: The header fields :func:`dumps_database` writes; no other key is read.
-_HEADER_KEYS = frozenset({"format_version", "filter_set", "config", "count", "candidates"})
-
 
 class StoreError(ValueError):
     """The file is not a database this version can vouch for."""
@@ -66,26 +64,9 @@ def config_to_json(config: FilterConfig) -> dict[str, Any]:
             "basket": [[p.r, p.a] for p in exc_basket.points],
             "a3": format_rational(exc_a3),
         },
-        "degree_cap_enforced": config.degree_cap_enforced,
-        "enforce_vanishing": config.enforce_vanishing,
-        "bm_inequality": config.bm_inequality,
-        "nonnegativity": config.nonnegativity,
+        **{flag: getattr(config, flag) for flag in FILTER_FLAGS},
         "index_set": list(INDEX_SET),
     }
-
-
-def _same_json(written: Any, read: Any) -> bool:
-    """Whether ``read`` is what writing ``written`` gives (``1.0`` is not ``1``)."""
-    return json.dumps(written) == json.dumps(read)
-
-
-def config_from_json(data: dict[str, Any]) -> FilterConfig:
-    """Read a config snapshot; anything but what config_to_json writes is refused."""
-    with _decoding("filter config"):
-        config = FilterConfig(**{flag: data[flag] is True for flag in FILTER_FLAGS})
-    if not _same_json(config_to_json(config), data):
-        raise StoreError(f"unsupported filter config snapshot: {data!r}")
-    return config
 
 
 def candidate_to_json(c: Candidate) -> dict[str, Any]:
@@ -116,21 +97,6 @@ def _rebuild_row(data: dict[str, Any]) -> Candidate:
         )
 
 
-def _rebuild_rows(rows: list[Any]) -> tuple[Candidate, ...]:
-    """Recompute every row; together they must re-serialise to the rows.
-
-    One comparison of the two arrays' texts is the row-by-row comparison,
-    since an array's text splits into its elements' texts in only one way.
-    Only on a mismatch are the rows compared one by one, to name the first.
-    """
-    rebuilt = tuple(_rebuild_row(data) for data in rows)
-    if json.dumps([candidate_to_json(c) for c in rebuilt]) != json.dumps(rows):
-        bad = next(c for c, data in zip(rebuilt, rows)
-                   if not _same_json(candidate_to_json(c), data))
-        raise StoreError(f"stored row for {bad.id!r} disagrees with recomputation")
-    return rebuilt
-
-
 @dataclass(frozen=True, slots=True)
 class Database:
     """An enumeration result: the filters used and what survived them."""
@@ -138,7 +104,6 @@ class Database:
     config: FilterConfig
     candidates: tuple[Candidate, ...]
     filter_set: str | None = None
-    version: int = FORMAT_VERSION
 
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -166,15 +131,19 @@ class Database:
             )
 
 
-def dumps_database(db: Database) -> str:
-    doc = {
-        "format_version": db.version,
+def _document(db: Database) -> dict[str, Any]:
+    """The document a database is stored as; a load accepts nothing else."""
+    return {
+        "format_version": FORMAT_VERSION,
         "filter_set": db.filter_set,
         "config": config_to_json(db.config),
         "count": len(db.candidates),
         "candidates": [candidate_to_json(c) for c in db.candidates],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def dumps_database(db: Database) -> str:
+    return json.dumps(_document(db), indent=2) + "\n"
 
 
 def loads_database(text: str) -> Database:
@@ -183,44 +152,31 @@ def loads_database(text: str) -> Database:
     except (ValueError, RecursionError) as exc:
         # RecursionError: arrays or objects nested too deeply to decode
         raise StoreError(f"malformed JSON document: {exc!r}") from exc
-    if not isinstance(doc, dict) or "candidates" not in doc:
-        raise StoreError("not a candidate database")
-    unknown = set(doc) - _HEADER_KEYS
-    if unknown:
-        raise StoreError(f"unknown header keys {sorted(unknown)}")
     with _decoding("database"):
-        version = doc["format_version"]
-        rows = list(doc["candidates"])
-        count = doc["count"]
         filter_set = doc["filter_set"]
-        config_data = doc["config"]
-        known = filter_set is None or filter_set in FILTER_SETS
-    if type(version) is not int or type(count) is not int:
-        raise StoreError("format_version and count must be JSON integers")
-    if version != FORMAT_VERSION:
-        raise StoreError(f"unsupported format version {version}")
-    if not known:
+        rows = list(doc["candidates"])
+        if filter_set is None:
+            config = FilterConfig(**{flag: doc["config"][flag] is True for flag in FILTER_FLAGS})
+        else:
+            config = FILTER_SETS.get(filter_set)
+    if config is None:
         raise StoreError(f"unknown filter set {filter_set!r}")
-    candidates = _rebuild_rows(rows)
-    if count != len(candidates):
-        raise StoreError("stored count disagrees with the candidate list")
-    keys = [c.sort_key() for c in candidates]
-    for before, after, candidate in zip(keys, keys[1:], candidates[1:]):
+    db = Database(config, tuple(_rebuild_row(data) for data in rows), filter_set)
+    written = _document(db)
+    # one comparison of the texts is the comparison of every value, type and
+    # key order; only on a mismatch are the rows compared, to name the first
+    if json.dumps(written) != json.dumps(doc):
+        for c, row, data in zip(db.candidates, written["candidates"], rows):
+            if json.dumps(row) != json.dumps(data):
+                raise StoreError(f"stored row for {c.id!r} disagrees with recomputation")
+        raise StoreError("the header is not the one this version writes")
+    keys = [c.sort_key() for c in db.candidates]
+    for before, after, candidate in zip(keys, keys[1:], db.candidates[1:]):
         if before == after:
             raise StoreError(f"duplicate candidate {candidate.id!r}")
         if before > after:
             raise StoreError(f"candidate {candidate.id!r} is out of canonical order")
-    config = config_from_json(config_data)
-    if filter_set is not None and config != FILTER_SETS[filter_set]:
-        raise StoreError(
-            f"config snapshot does not match the named filter set {filter_set!r}"
-        )
-    return Database(
-        config=config,
-        candidates=candidates,
-        filter_set=filter_set,
-        version=version,
-    )
+    return db
 
 
 def save_database(db: Database, path: str | os.PathLike) -> None:

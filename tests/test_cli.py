@@ -295,6 +295,14 @@ def test_database_bad_value(q8_doc, where, key, value, tmp_path, capsys):
     assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
 
 
+def test_database_header_keys_reordered(q8_doc, tmp_path, capsys):
+    # every value is the one the tool writes, but not in the order it writes them
+    doc = dict(reversed(list(q8_doc.items())))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
+
+
 def test_database_not_utf8(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"candidates": [\xff]}')
@@ -371,6 +379,22 @@ def test_case_index_outside_index_set_is_refused(index_set, tmp_path, capsys):
     assert main(["link", "solve", str(case_file)]) == EXIT_MISSING_INPUT
     captured = capsys.readouterr()
     assert "bad input: index_set entries" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("overrides", [
+    {"index_set": [5, 5]},
+    {"alpha": ["1/2", "2/4"], "index_set": [5]},
+])
+def test_case_repeated_branch_is_refused(overrides, tmp_path, capsys):
+    # each solution of a repeated branch would be printed twice
+    doc = _case_doc()
+    doc.update(overrides)
+    case_file = tmp_path / "repeated.case"
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["link", "solve", str(case_file)]) == EXIT_MISSING_INPUT
+    captured = capsys.readouterr()
+    assert "bad input: " in captured.err and "repeat" in captured.err
     assert captured.out == ""
 
 

@@ -169,6 +169,9 @@ E_UNKNOWN = {"name": "e", "min": 1, "max": 3}
         # no candidate is enumerated outside INDEX_SET: a vacuous elimination
         {"index_set": [2, 12]},
         {"index_set": [20]},
+        # a repeated branch would be searched, and its solutions printed, twice
+        {"index_set": [5, 5]},
+        {"alpha": ["1/2", "2/4"], "index_set": [5]},
     ],
 )
 def test_load_case_validation_errors(overrides):

@@ -1,10 +1,15 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qfano
 from qfano.enumeration import DEFAULT_CONFIG, FILTER_SETS, Candidate, enumerate_candidates
 from qfano.store import (
     FORMAT_VERSION,
@@ -30,7 +35,7 @@ def test_round_trip_is_byte_exact(small_db):
     assert again.config == small_db.config
     assert again.candidates == small_db.candidates
     assert again.filter_set == "default"
-    assert again.version == FORMAT_VERSION
+    assert json.loads(text)["format_version"] == FORMAT_VERSION
     assert dumps_database(again) == text
 
 
@@ -125,6 +130,12 @@ def test_duplicate_rows_are_rejected(small_db):
         loads_database(json.dumps(doc))
 
 
+def _reverse_keys(row):
+    items = list(row.items())
+    row.clear()
+    row.update(reversed(items))
+
+
 # each edit keeps the header's values, so a loader that coerces types or
 # ignores keys it does not know would return the original database
 HEADER_EDITS = {
@@ -134,6 +145,7 @@ HEADER_EDITS = {
     "count-as-float": lambda doc: doc.update(count=float(doc["count"])),
     "count-as-string": lambda doc: doc.update(count=str(doc["count"])),
     "extra-key": lambda doc: doc.update(note="checked"),
+    "keys-reordered": _reverse_keys,
 }
 
 
@@ -143,6 +155,39 @@ def test_header_types_and_keys_are_strict(small_db, edit):
     HEADER_EDITS[edit](doc)
     with pytest.raises(StoreError):
         loads_database(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+def test_header_edit_is_reported_as_the_header(small_db, edit):
+    # every row still re-serialises to itself, so no row may be named
+    doc = json.loads(dumps_database(small_db))
+    HEADER_EDITS[edit](doc)
+    with pytest.raises(StoreError, match="header is not the one this version writes"):
+        loads_database(json.dumps(doc))
+
+
+def test_tampered_row_is_refused_under_optimize():
+    # python -O strips assert statements; the re-verification must not be one
+    script = (
+        "import json\n"
+        "from qfano.enumeration import DEFAULT_CONFIG, enumerate_candidates\n"
+        "from qfano.store import Database, StoreError, dumps_database, loads_database\n"
+        "db = Database(DEFAULT_CONFIG, tuple(enumerate_candidates(8)), 'default')\n"
+        "doc = json.loads(dumps_database(db))\n"
+        "doc['candidates'][1]['genus'] -= 1\n"
+        "try:\n"
+        "    loads_database(json.dumps(doc))\n"
+        "except StoreError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(qfano.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("index", [25, 1000003])
@@ -166,12 +211,6 @@ def _unreduced_a3(row):
 
 def _mirror_orientation(row):
     row["basket"] = [[r, r - a] for r, a in row["basket"]]
-
-
-def _reverse_keys(row):
-    items = list(row.items())
-    row.clear()
-    row.update(reversed(items))
 
 
 # each edit leaves (q, basket, A^3) the same candidate, so a loader that
