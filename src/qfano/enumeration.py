@@ -15,7 +15,7 @@ in integers only.  The sieve runs on a rescaled integer kernel
 machine integers, from the terms of :mod:`qfano.riemann_roch`, and bails
 out at the first failing ``k``; the test suite cross-checks it against
 ``_reference_chi``, a rational transcription of the formula kept in the
-tests.  Two facts keep the work small:
+tests.  Three facts keep the work small:
 
 * **Closed-form degree.**  For ``q >= 3`` the coefficient of ``A^3`` in
   ``chi(-1)`` is ``-(q-1)(q-2)/12 != 0``, so the vanishing ``chi(-1) = 0``
@@ -24,6 +24,15 @@ tests.  Two facts keep the work small:
   vanishing filter on, a basket has a candidate only if this ``n`` is a
   positive integer inside the range :func:`degree_candidates` allows, and
   only that one degree is scanned (the full battery still runs on it).
+* **One residue class.**  ``T(1) = c + q(q+1)(q+2) n`` is linear in ``n``,
+  and the scan rejects a degree whose ``T(1)`` is not a multiple of
+  ``12qN``.  With ``g = gcd(q(q+1)(q+2), 12qN)`` that congruence has no
+  solution unless ``g`` divides ``c``, and otherwise its solutions are one
+  class mod ``12qN/g``.  So with the vanishing filter off (the degree walk)
+  a basket is scanned only at the numerators of that class.  This ``c``
+  and the closed-form numerator are both sums of the per-point shares of
+  :func:`_point_terms` (at ``k = 1`` and ``k = -1``); :func:`_residue_class`
+  solves the congruence.
 * **The 3N lemma.**  ``W`` is periodic mod ``N``, so on each residue class
   ``k = k0 + tN`` the value ``T(k)`` is an integer cubic in ``t``.  Its third
   difference is ``6 * 2qnN^3``, already a multiple of ``12qN``, so by
@@ -269,14 +278,16 @@ def passes_integrality(
     )
 
 
-def _vanishing_terms(q: int) -> dict[tuple[int, int], int]:
-    """Each point's share ``r^2 - 1 + q w_p`` of the closed-form degree, by ``(r, a)``.
+def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:
+    """Each point's share ``q w_p(k) - k(r^2 - 1)`` of ``T(k)``, by ``(r, a)``.
 
-    ``w_p = 12 r c_p(-1)``, so ``N sigma + q W(-1)`` is the sum of
-    ``(N/r)`` times these over a basket.
+    ``w_p = 12 r c_p`` (:func:`~qfano.riemann_roch.local_terms`); a basket's
+    ``T(k)`` is ``(12q + 24k) N + q n k(k+q)(2k+q)`` plus ``N/r`` times the
+    share of each of its points.  The enumeration uses ``k = -1`` (the
+    closed-form degree) and ``k = 1`` (the residue class of the walk).
     """
     return {
-        (p.r, p.a): p.r * p.r - 1 + q * local_terms(q, p.r, p.a)[-1 % p.r]
+        (p.r, p.a): q * local_terms(q, p.r, p.a)[k % p.r] - k * (p.r * p.r - 1)
         for p in point_domain(q)
     }
 
@@ -359,26 +370,48 @@ class _BasketScanner:
         return True
 
 
+def _residue_class(numerators: range, const: int, coeff: int, modulus: int) -> range:
+    """The ``n`` in ``numerators`` with ``const + coeff n = 0 (mod modulus)``.
+
+    They form one class mod ``modulus / g``, ``g = gcd(coeff, modulus)``, or
+    none when ``g`` does not divide ``const``.
+    """
+    g = math.gcd(coeff, modulus)
+    if const % g:
+        return range(0)
+    step = modulus // g
+    n0 = -(const // g) * pow(coeff // g, -1, step)
+    start = numerators.start
+    return range(start + (n0 - start) % step, numerators.stop, step)
+
+
 def _scan_baskets(
     q: int, baskets: Iterable[Basket], config: FilterConfig
 ) -> list[Candidate]:
-    # chi(-1) = 0 fixes the degree when its A^3 coefficient is nonzero
-    divisor = q * (q - 1) * (q - 2)
-    terms = _vanishing_terms(q) if config.enforce_vanishing and divisor else None
+    # with vanishing on, chi(-1) = 0 fixes the degree when its coefficient
+    # q(q-1)(q-2) is nonzero; otherwise chi(1) integral confines the walk to
+    # one residue class (module docstring)
+    k = -1 if config.enforce_vanishing and q * (q - 1) * (q - 2) else 1
+    coeff = q * k * (k + q) * (2 * k + q)
+    base = 12 * q + 24 * k
+    shares = _point_terms(q, k)
     found = []
     for basket in baskets:
         numerators = degree_candidates(q, basket, config)
         if not numerators:
             continue
         n_lcm = basket.index_lcm
-        if terms is not None:
-            top = (12 * q - 24) * n_lcm + sum(
-                (n_lcm // p.r) * terms[p.r, p.a] for p in basket
-            )
-            n, rest = divmod(top, divisor)
+        # T(k) = const + coeff * n
+        const = base * n_lcm + sum((n_lcm // p.r) * shares[p.r, p.a] for p in basket)
+        if k == -1:
+            n, rest = divmod(const, -coeff)
             if rest or n not in numerators:
                 continue
             numerators = (n,)
+        else:
+            numerators = _residue_class(numerators, const, coeff, 12 * q * n_lcm)
+            if not numerators:
+                continue
         scanner = _BasketScanner(q, basket)
         for n in numerators:
             if scanner.scan(
@@ -402,13 +435,18 @@ def enumerate_candidates(
     """All candidates of index ``q`` (or of every index in ``q``), canonically sorted.
 
     ``jobs > 1`` scans the indices in one pool of worker processes, one job
-    per index, with no more workers than CPUs or indices; a single index
+    per index, with no more workers than indices or than CPUs this process
+    may run on (its affinity mask, where the OS has one); a single index
     therefore runs in this process.  (An index is not split: every part
     would walk the whole basket tree of the index.)  The result is merged
     and sorted, so it is byte-for-byte independent of ``jobs``.
     """
     chunks = [(index, config) for index in ((q,) if isinstance(q, int) else q)]
-    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, cpus, len(chunks))
     if workers <= 1:
         per_index = map(_scan_job, chunks)
     else:

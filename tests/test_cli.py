@@ -13,7 +13,7 @@ from qfano import cli, enumeration
 from qfano.enumeration import DEFAULT_CONFIG, FILTER_FLAGS, INDEX_SET, enumerate_candidates
 from qfano.store import Database, save_database
 
-from test_enumeration import _recording_pool
+from test_enumeration import _recording_pool, _set_cpus
 from qfano.arith import Rational
 from qfano.links import LinkSolution
 from test_links import case_path, make_case_text
@@ -77,7 +77,7 @@ def test_enumerate_writes_database_with_summary(tmp_path, capsys):
 def test_enumerate_all_starts_one_pool(monkeypatch, tmp_path, capsys):
     sizes, jobs = [], []
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes, jobs))
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    _set_cpus(monkeypatch, 2)
     db = tmp_path / "db.json"
     assert main(["enumerate", "--all", "--jobs", "2", "--db", str(db)]) == EXIT_OK
     assert "472 candidates" in capsys.readouterr().out
@@ -410,7 +410,7 @@ def test_case_file_missing_field(field, tmp_path, capsys):
 def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
     sizes = []
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    _set_cpus(monkeypatch, 2)
     runs = [
         ["export", "--db", str(db_path), "--format", "json"],
         ["export", "--db", str(db_path)],
@@ -459,7 +459,7 @@ def test_diff_enumerates_its_base_once(monkeypatch, capsys):
     # one index: every enumeration runs in this process, with no pool
     sizes = []
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    _set_cpus(monkeypatch, 2)
     assert main(["diff", "--q", "5"]) == EXIT_OK
     assert capsys.readouterr().out == "".join(per_flag)
     assert sizes == []

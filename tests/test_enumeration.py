@@ -252,10 +252,58 @@ def _walked_ids(q, config):
 @pytest.mark.parametrize("name", sorted(FILTER_SETS))
 @pytest.mark.parametrize("q", [6, 8, 11, 13])
 def test_closed_form_degree_matches_the_walk(q, name):
-    config = FILTER_SETS[name]
-    found = enumerate_candidates(q, config)
-    assert found
-    assert sorted(c.id for c in found) == _walked_ids(q, config)
+    # the enumeration scans the closed-form degree, or with vanishing off one
+    # residue class per basket; the walk scans every degree it may scan
+    for vanishing in (True, False):
+        config = replace(FILTER_SETS[name], enforce_vanishing=vanishing)
+        found = enumerate_candidates(q, config)
+        assert found
+        assert sorted(c.id for c in found) == _walked_ids(q, config)
+
+
+@pytest.mark.parametrize("q", INDEX_SET)
+def test_residue_class_matches_brute_force(q, full_db):
+    # chi(1) integral, solved for n, against a check of every numerator
+    # degree_candidates allows, under both filter sets; the candidates'
+    # baskets make sure some basket has a solution
+    shares = {k: enumeration._point_terms(q, k) for k in (-1, 1)}
+    seen = set()
+    walk = list(enumerate_baskets(q))
+    sample = random.Random(q).sample(walk[150:], min(150, len(walk) - 150))
+    for basket in walk[:150] + sample + [c.basket for c in full_db if c.q == q]:
+        scanner = enumeration._BasketScanner(q, basket)
+        n_lcm = basket.index_lcm
+        for k in (-1, 1):  # T(k) at n = 0, from the per-point shares
+            assert (12 * q + 24 * k) * n_lcm + sum(
+                (n_lcm // p.r) * shares[k][p.r, p.a] for p in basket
+            ) == scanner.chi_scaled(k, 0)
+        # T(1) = T(1)|_{n=0} + q(q+1)(q+2) n
+        const, coeff = scanner.chi_scaled(1, 0), q * (q + 1) * (q + 2)
+        for config in FILTER_SETS.values():
+            numerators = degree_candidates(q, basket, config)
+            integral = [
+                n for n in numerators if scanner.chi_scaled(1, n) % scanner.modulus == 0
+            ]
+            solved = enumeration._residue_class(numerators, const, coeff, scanner.modulus)
+            assert list(solved) == integral
+            if numerators:
+                seen.add(bool(integral))
+    # an allowed range met both a class and no solution at all
+    assert seen == {False, True}
+
+
+#: Candidates per index in INDEX_SET with ``enforce_vanishing=False``.
+NO_VANISHING_COUNTS = {
+    "default": [259, 152, 74, 15, 29, 12, 2, 3, 6, 3, 1, 1],
+    "capped": [259, 149, 71, 14, 27, 12, 2, 2, 5, 2, 1, 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SETS))
+def test_no_vanishing_counts_frozen(name):
+    config = replace(FILTER_SETS[name], enforce_vanishing=False)
+    counts = [len(enumerate_candidates(q, config)) for q in INDEX_SET]
+    assert counts == NO_VANISHING_COUNTS[name]
 
 
 @given(st.integers(0, 400))
@@ -325,25 +373,55 @@ def _recording_pool(sizes, jobs=None):
     return RecordingPool
 
 
+def _set_cpus(monkeypatch, count):
+    """Make this process's CPU affinity mask hold ``count`` CPUs."""
+    monkeypatch.setattr(
+        enumeration.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
 def test_worker_count_is_clamped(monkeypatch):
     sizes = []
     qs = (8, 9, 10, 11)
     serial = enumerate_candidates(qs)
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    _set_cpus(monkeypatch, 3)
     assert enumerate_candidates(qs, jobs=2) == serial
     assert enumerate_candidates(qs, jobs=8) == serial
     assert sizes == [2, 3]
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    _set_cpus(monkeypatch, 1)
     assert enumerate_candidates(qs, jobs=8) == serial
     assert sizes == [2, 3]  # one CPU: no pool at all
     # never more workers than indices, and a single index runs here
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 16)
+    _set_cpus(monkeypatch, 16)
     assert enumerate_candidates(qs[:2], jobs=8) == enumerate_candidates(qs[:2])
     assert sizes == [2, 3, 2]
     assert enumerate_candidates(6, jobs=8) == enumerate_candidates(6)
     assert enumerate_candidates((6,), jobs=8) == enumerate_candidates(6)
     assert sizes == [2, 3, 2]
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    sizes = []
+    qs = (8, 9, 10, 11)
+    serial = enumerate_candidates(qs)
+    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
+    # the affinity mask, not the machine's CPU count, bounds the workers
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 16)
+    _set_cpus(monkeypatch, 1)
+    assert enumerate_candidates(qs, jobs=8) == serial
+    assert sizes == []
+    _set_cpus(monkeypatch, 2)
+    assert enumerate_candidates(qs, jobs=8) == serial
+    assert sizes == [2]
+    # without an affinity call the CPU count bounds them (unknown: one)
+    monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    assert enumerate_candidates(qs, jobs=8) == serial
+    assert sizes == [2, 3]
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert enumerate_candidates(qs, jobs=8) == serial
+    assert sizes == [2, 3]
 
 
 def test_one_pool_serves_every_index(monkeypatch):
@@ -355,13 +433,13 @@ def test_one_pool_serves_every_index(monkeypatch):
     )
     sizes, jobs = [], []
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes, jobs))
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    _set_cpus(monkeypatch, 2)
     assert enumerate_candidates(qs, jobs=2) == serial
     # three indices keep two workers busy: one whole walk per index
     assert sizes == [2]
     assert jobs == [[10, 6, 8]]
     # fewer indices than workers: one job per index all the same
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 8)
+    _set_cpus(monkeypatch, 8)
     assert enumerate_candidates((6, 8), jobs=5) == enumerate_candidates((6, 8))
     assert sizes == [2, 2]
     assert jobs[1] == [6, 8]
