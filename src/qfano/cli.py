@@ -27,7 +27,15 @@ from .enumeration import (
     facts,
     filter_diff,
 )
-from .links import LinkCaseError, audit, describe_case, feasible_indices, load_case_file, solve
+from .links import (
+    LinkCaseError,
+    audit,
+    describe_case,
+    dims_table,
+    feasible_indices,
+    load_case_file,
+    solve,
+)
 from .store import Database, StoreError, dumps_database, load_database, save_database
 from .surveys import SURVEYS, survey_rows
 from .wps import WpsModel, degree_a3, fano_index, match_candidate
@@ -237,13 +245,14 @@ def cmd_link_solve(args) -> int:
     if db.filter_set is None:
         print("qfano: the database names no filter set, so whether it holds "
               "every candidate of the indices searched was not checked", file=sys.stderr)
-    solutions = solve(case, db.candidates)
+    lookup = dims_table(db.candidates)
+    solutions = solve(case, db.candidates, lookup)
     print(describe_case(case))
     print(f"solutions: {len(solutions)}")
     for sol in solutions:
         assigned = " ".join(f"{name}={value}" for name, value in sol.assignment)
         print(f"  qhat={sol.qhat} alpha={format_rational(sol.alpha)} {assigned}")
-        if not audit(case, sol, db.candidates):
+        if not audit(case, sol, db.candidates, lookup):
             print("audit failed for the solution above", file=sys.stderr)
             return EXIT_INTERNAL
     feasible = feasible_indices(solutions)

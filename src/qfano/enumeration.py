@@ -174,7 +174,8 @@ class Candidate:
 
 def candidate_id(q: int, basket: Basket, a3: Rational) -> str:
     """Stable text id derived from the candidate content only."""
-    pts = "_".join(f"{p.r}.{p.a}" for p in basket) if basket else "smooth"
+    points = basket.points
+    pts = "_".join(f"{p.r}.{p.a}" for p in points) if points else "smooth"
     return f"q{q}-{pts}-a{a3.numerator}.{a3.denominator}"
 
 
@@ -238,11 +239,17 @@ def degree_candidates(
     if config.degree_cap_enforced:
         cap_num = DEGREE_CAP.numerator * n_lcm
         cap_den = DEGREE_CAP.denominator * q**3
-        n_cap = cap_num // cap_den
-        if cap_num % cap_den == 0 and (
-            (q, basket, Rational(n_cap, n_lcm)) != DEGREE_CAP_EXCEPTION
-        ):
-            n_cap -= 1
+        n_cap, over = divmod(cap_num, cap_den)
+        if not over:
+            # n_cap / N meets the cap: kept only for the exception, compared
+            # field by field in integers
+            exc_q, exc_basket, exc_a3 = DEGREE_CAP_EXCEPTION
+            if not (
+                q == exc_q
+                and basket.points == exc_basket.points
+                and n_cap * exc_a3.denominator == exc_a3.numerator * n_lcm
+            ):
+                n_cap -= 1
         bounds.append(n_cap)
     return range(1, min(bounds) + 1)
 

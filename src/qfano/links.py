@@ -14,7 +14,8 @@ optional genus transfer (``g(target) >= g(source)`` whenever alpha < 1).
 branch ``(qhat, alpha)`` at a time; an empty result eliminates the case.
 The database enters only through :func:`dims_lookup`, whose ``None`` ("no
 candidate qualifies") is itself an elimination.  :func:`audit` re-verifies
-any claimed solution independently of the search.
+any claimed solution independently of the search; a command builds one
+:func:`dims_table` and hands it to both, so no key is looked up twice.
 
 Expressions use ``+``, ``*``, non-negative integer literals, declared
 variable names, the token ``alpha``, and parentheses.  For each alpha the
@@ -488,6 +489,15 @@ def dims_lookup(
     )
 
 
+def dims_table(db: Sequence[Candidate]) -> Callable[[int, int, int], int | None]:
+    """:func:`dims_lookup` over ``db``, each ``(qhat, s, genus_min)`` scanned once.
+
+    One table serves a whole command, so :func:`audit` reads the values
+    :func:`solve` already looked up.
+    """
+    return functools.cache(functools.partial(dims_lookup, db))
+
+
 # ---------------------------------------------------------------------------
 # the solver
 
@@ -584,14 +594,19 @@ def _branch(
             yield found
 
 
-def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
+def solve(
+    case: LinkCase, db: Sequence[Candidate],
+    lookup: Callable[[int, int, int], int | None] | None = None,
+) -> list[LinkSolution]:
     """Every in-bounds assignment satisfying all relations and constraints.
 
     Deterministic: results come back sorted by (qhat, unknown values in
     declaration order, alpha).  An empty list eliminates the case.
+    ``lookup`` is a :func:`dims_table` of ``db``; one is built if none is given.
     """
     source = case.source.resolve(db)
-    lookup = functools.cache(functools.partial(dims_lookup, db))
+    if lookup is None:
+        lookup = dims_table(db)
     names = [u.name for u in case.unknowns]
     position = {name: i for i, name in enumerate(names)}
     solutions: list[LinkSolution] = []
@@ -606,9 +621,19 @@ def solve(case: LinkCase, db: Sequence[Candidate]) -> list[LinkSolution]:
     return solutions
 
 
-def audit(case: LinkCase, solution: LinkSolution, db: Sequence[Candidate]) -> bool:
-    """Independently re-verify one claimed solution against case and database."""
+def audit(
+    case: LinkCase, solution: LinkSolution, db: Sequence[Candidate],
+    lookup: Callable[[int, int, int], int | None] | None = None,
+) -> bool:
+    """Independently re-verify one claimed solution against case and database.
+
+    Bounds, relations and genus floors are checked here, over exact
+    rationals; only the database values come from ``lookup``, a
+    :func:`dims_table` of ``db`` (built if none is given).
+    """
     source = case.source.resolve(db)
+    if lookup is None:
+        lookup = dims_table(db)
     if solution.qhat not in case.target_index_set:
         return False
     if solution.alpha not in case.alpha_options:
@@ -626,11 +651,11 @@ def audit(case: LinkCase, solution: LinkSolution, db: Sequence[Candidate]) -> bo
     if any(rel.rhs.value(env) != target for rel in case.relations):
         return False
     if case.genus_transfer and solution.alpha < 1:
-        if dims_lookup(db, solution.qhat, 0, source.genus) is None:
+        if lookup(solution.qhat, 0, source.genus) is None:
             return False
     for con in case.dim_constraints:
         gmin = _genus_floor(case, source, solution.alpha, con.genus_min)
-        got = dims_lookup(db, solution.qhat, values[con.var], gmin)
+        got = lookup(solution.qhat, values[con.var], gmin)
         if got is None or got < source.dim(con.source_k):
             return False
     return True

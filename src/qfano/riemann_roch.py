@@ -22,8 +22,12 @@ the basket indices, :func:`scaled_kawamata_sum` is ``N sigma``, and
 ``12 r c_p(k)`` by ``k mod r``, built once per ``(q, r, a)`` and cached.
 So ``12qN chi(k)`` less its degree term is the integer
 ``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r c_p(k)``.  :func:`chi` adds
-the degree term in one exact rational, and the sieve in
-:mod:`qfano.enumeration` is built from the same two functions.
+the degree term over the common denominator ``12qN den(A^3)`` and divides
+once: an integral value (every value :func:`dims` and :func:`genus` read) is
+returned as ``Fraction(quotient)``, which needs no gcd, and any other value
+as the ``Fraction`` of numerator and denominator, reduced.  Both are plain
+``Fraction`` objects.  The sieve in :mod:`qfano.enumeration` is built from
+the same two functions.
 
 For an actual Fano threefold ``chi(k) = h^0(kA)`` for ``k >= 0`` (vanishing)
 and ``chi(k) = 0`` on the window ``-q < k < 0``, which is what makes the
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .arith import Rational, canonical_orientation, format_rational, mod_inverse
@@ -75,6 +80,18 @@ class SingularPoint:
         return f"{self.r}:{self.a}"
 
 
+# the dataclass order of points, as a key: sorting by it calls no Python code
+_point_order = attrgetter("r", "a")
+
+
+# a load of the full database reads 38 distinct pairs; the bound keeps
+# basket literals with huge indices from growing the cache
+@lru_cache(maxsize=256)
+def _point(r: int, a: int) -> SingularPoint:
+    """The point ``1/r(a, -a, 1)``, one shared instance per ``(r, a)``."""
+    return SingularPoint(r, a)
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Basket:
     """A multiset of terminal quotient points, kept in sorted order.
@@ -90,7 +107,7 @@ class Basket:
     sigma_scaled: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        points = tuple(sorted(self.points))
+        points = tuple(sorted(self.points, key=_point_order))
         n_lcm = math.lcm(*(p.r for p in points))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "index_lcm", n_lcm)
@@ -110,7 +127,7 @@ class Basket:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Basket":
-        return cls(tuple(SingularPoint(r, a) for r, a in pairs))
+        return cls(tuple(_point(r, a) for r, a in pairs))
 
     @classmethod
     def from_text(cls, text: str) -> "Basket":
@@ -145,11 +162,6 @@ class Basket:
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.points) + "]"
 
-    @property
-    def indices_text(self) -> str:
-        """Orientation-free projection, e.g. ``"(2,4,5)"``."""
-        return "(" + ",".join(str(r) for r in self.indices) + ")"
-
 
 def scaled_kawamata_sum(points: Iterable[SingularPoint], n_lcm: int) -> int:
     """``N sigma`` as an integer, where ``N`` is a multiple of every index."""
@@ -172,9 +184,10 @@ class FanoInput:
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError(f"Fano index must be >= 1, got {self.q}")
-        if self.a3 <= 0:
+        # a Fraction's denominator is positive: the sign is the numerator's
+        if self.a3.numerator <= 0:
             raise ValueError(f"degree A^3 must be positive, got {self.a3}")
-        for p in self.basket:
+        for p in self.basket.points:
             if math.gcd(p.r, self.q) != 1:
                 raise IndexNotCoprimeError(
                     f"point index {p.r} is not coprime to Fano index {self.q}"
@@ -216,15 +229,6 @@ def local_terms(q: int, r: int, a: int) -> tuple[int, ...]:
     return tuple(by_index[k * step % r] for k in range(r))
 
 
-def point_contribution(k: int, q: int, point: SingularPoint) -> Rational:
-    """Local Riemann-Roch correction ``c_p(k)`` of one basket point at ``kA``.
-
-    Zero exactly when the local index vanishes, i.e. when ``kA`` is Cartier
-    at the point; symmetric in the orientation ``a <-> r - a``.
-    """
-    return Rational(local_terms(q, point.r, point.a)[k % point.r], 12 * point.r)
-
-
 def chi(k: int, fano: FanoInput) -> Rational:
     """Exact ``chi(O(kA))`` for the numerical data ``fano``.
 
@@ -233,14 +237,18 @@ def chi(k: int, fano: FanoInput) -> Rational:
     """
     q, basket, a3 = fano.q, fano.basket, fano.a3
     n_lcm = basket.index_lcm
+    a3_num, a3_den = a3.numerator, a3.denominator
     # 12qN chi(k) less its degree term, in integers (module docstring)
     rest = 12 * q * n_lcm + k * (24 * n_lcm - basket.sigma_scaled)
-    for p in basket:
-        rest += q * (n_lcm // p.r) * local_terms(q, p.r, p.a)[k % p.r]
-    return Rational(
-        rest * a3.denominator + q * n_lcm * k * (k + q) * (2 * k + q) * a3.numerator,
-        12 * q * n_lcm * a3.denominator,
-    )
+    for p in basket.points:
+        r = p.r
+        rest += q * (n_lcm // r) * local_terms(q, r, p.a)[k % r]
+    top = rest * a3_den + q * n_lcm * k * (k + q) * (2 * k + q) * a3_num
+    bottom = 12 * q * n_lcm * a3_den
+    whole, remainder = divmod(top, bottom)
+    if remainder == 0:
+        return Rational(whole)
+    return Rational(top, bottom)
 
 
 def chi_integer(k: int, fano: FanoInput) -> int:

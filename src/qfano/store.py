@@ -11,7 +11,11 @@ header key, value, type or key order, or a row value or spelling, that the
 writer would not produce is refused, and the first disagreeing row is named.
 Rows must also be in :meth:`Candidate.sort_key` order without repeats.  A
 row whose basket has an index above ``MAX_POINT_INDEX`` is refused before it
-is recomputed.  So a database can be trusted as input without re-running
+is recomputed.  Each row is rebuilt under a single decode guard: a missing
+field, a value of the wrong shape, or data the formula refuses (a degree
+that is not positive, a non-integral ``chi``) is reported as a malformed
+row, while the index refusal passes through that guard with its own
+message.  So a database can be trusted as input without re-running
 the enumeration.  A consumer that quantifies over some indices calls
 :meth:`Database.require_indices`, which refuses a named-filter-set database
 with no rows at one of them.
@@ -85,16 +89,19 @@ def candidate_to_json(c: Candidate) -> dict[str, Any]:
 
 def _rebuild_row(data: dict[str, Any]) -> Candidate:
     """Recompute a row from its ``(q, basket, A^3)`` alone."""
-    with _decoding("candidate row"):
+    try:
         pairs = [(int(r), int(a)) for r, a in data["basket"]]
-    if any(r > MAX_POINT_INDEX for r, _ in pairs):
-        # no enumerated basket has such a point, and recomputing the row
-        # would cost time linear in its index
-        raise StoreError(f"basket index above {MAX_POINT_INDEX} in a stored row")
-    with _decoding("candidate row"):
+        if any(r > MAX_POINT_INDEX for r, _ in pairs):
+            # no enumerated basket has such a point, and recomputing the row
+            # would cost time linear in its index
+            raise StoreError(f"basket index above {MAX_POINT_INDEX} in a stored row")
         return Candidate.from_parts(
             q=int(data["q"]), basket=Basket.from_pairs(pairs), a3=parse_rational(data["a3"])
         )
+    except StoreError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed candidate row: {exc!r}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,9 +179,10 @@ def loads_database(text: str) -> Database:
         raise StoreError("the header is not the one this version writes")
     keys = [c.sort_key() for c in db.candidates]
     for before, after, candidate in zip(keys, keys[1:], db.candidates[1:]):
-        if before == after:
-            raise StoreError(f"duplicate candidate {candidate.id!r}")
-        if before > after:
+        # one comparison per pair; only a failing pair is told apart
+        if before >= after:
+            if before == after:
+                raise StoreError(f"duplicate candidate {candidate.id!r}")
             raise StoreError(f"candidate {candidate.id!r} is out of canonical order")
     return db
 

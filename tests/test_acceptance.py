@@ -29,13 +29,13 @@ from qfano.riemann_roch import (
     chi,
     chi_integer,
     local_index,
-    point_contribution,
 )
 from qfano.surveys import SURVEYS, survey_rows
 from qfano.wps import WpsModel, fano_index, hilbert_coeffs, match_candidate
 
 import conftest
 from test_links import case_path
+from test_riemann_roch import point_contribution
 from test_wps import EXPECTED_H0, _model
 
 F = Rational

@@ -9,7 +9,7 @@ from qfano.cli import (
     EXIT_USAGE,
     main,
 )
-from qfano import cli, enumeration
+from qfano import cli, enumeration, links
 from qfano.enumeration import DEFAULT_CONFIG, FILTER_FLAGS, INDEX_SET, enumerate_candidates
 from qfano.store import Database, save_database
 
@@ -182,11 +182,28 @@ def test_link_solve_exits_4_when_the_audit_fails(db_path, tmp_path, monkeypatch,
     case_file.write_text(make_case_text(dim_constraints=[["s1", 1, 0]]), encoding="utf-8")
     # the relation holds, but dim|0*Theta| = 0 at qhat = 3 is below dim|A| = 1
     below_floor = LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1))
-    monkeypatch.setattr(cli, "solve", lambda case, db: [below_floor])
+    monkeypatch.setattr(cli, "solve", lambda case, db, lookup: [below_floor])
     assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out.endswith("solutions: 1\n  qhat=3 alpha=1 s1=0 e=3\n")
     assert captured.err == "audit failed for the solution above\n"
+
+
+@pytest.mark.parametrize("name", ["q9_4A", "q6_basket7", "q8_basket_3_9"])
+def test_link_solve_looks_up_each_key_once(db_path, monkeypatch, capsys, name):
+    # solve and audit share one table: the audit of each solution reads the
+    # values the search already looked up
+    keys = []
+    lookup = links.dims_lookup
+
+    def counting(db, *key):
+        keys.append(key)
+        return lookup(db, *key)
+
+    monkeypatch.setattr(links, "dims_lookup", counting)
+    assert main(["link", "solve", f"{name}.case", "--db", str(db_path)]) == EXIT_OK
+    assert keys and len(keys) == len(set(keys))
+    capsys.readouterr()
 
 
 def test_link_solve_missing_case_file(capsys):

@@ -118,6 +118,53 @@ def test_degree_candidates_cap_equality():
     assert 3 in degree_candidates(5, other, DEFAULT_CONFIG)
 
 
+def _reference_degree_range(q, basket, config):
+    # degree_candidates as it was written with a Fraction-tuple comparison
+    # against the cap exception
+    n_lcm = basket.index_lcm
+    room = 24 * n_lcm - basket.sigma_scaled
+    bounds = []
+    if config.bm_inequality or not config.degree_cap_enforced:
+        bounds.append(4 * room // ((4 * q - 3) * q))
+    if config.degree_cap_enforced:
+        cap_num = enumeration.DEGREE_CAP.numerator * n_lcm
+        cap_den = enumeration.DEGREE_CAP.denominator * q**3
+        n_cap = cap_num // cap_den
+        if cap_num % cap_den == 0 and (
+            (q, basket, Rational(n_cap, n_lcm)) != enumeration.DEGREE_CAP_EXCEPTION
+        ):
+            n_cap -= 1
+        bounds.append(n_cap)
+    return range(1, min(bounds) + 1)
+
+
+# the exception, then stand-ins that differ from it in the degree alone and
+# in the basket alone, so each of the three comparisons has to hold
+CAP_EXCEPTIONS = {
+    "real": enumeration.DEGREE_CAP_EXCEPTION,
+    "off-cap-degree": (5, Basket.from_pairs([(2, 1)]), Rational(1, 4)),
+    "other-basket": (5, Basket.from_pairs([(4, 1)]), Rational(1, 2)),
+}
+
+
+@pytest.mark.parametrize("bm", [True, False])
+@pytest.mark.parametrize("exception", sorted(CAP_EXCEPTIONS))
+def test_capped_degree_range_matches_the_fraction_rule(bm, exception, monkeypatch):
+    # q = 5 is the exception's index: every even-N basket meets the cap at
+    # n = N/2, and only the exception's basket keeps that degree
+    monkeypatch.setattr(enumeration, "DEGREE_CAP_EXCEPTION", CAP_EXCEPTIONS[exception])
+    config = replace(CAPPED, bm_inequality=bm)
+    at_cap = 0
+    for basket in enumerate_baskets(5):
+        got = degree_candidates(5, basket, config)
+        assert got == _reference_degree_range(5, basket, config)
+        at_cap += basket.index_lcm % 2 == 0
+    assert at_cap > 1000
+    two = Basket.from_pairs([(2, 1)])
+    assert (1 in degree_candidates(5, two, config)) == (exception == "real")
+    assert 1 not in degree_candidates(5, Basket.from_pairs([(2, 1), (2, 1)]), config)
+
+
 def test_degree_candidates_bm_bound():
     # BM for q = 5, basket (2): 17 * 5 * n <= 4 * (48 - 3), so n <= 2
     two = Basket.from_pairs([(2, 1)])

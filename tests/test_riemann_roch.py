@@ -1,8 +1,11 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfano import riemann_roch
 from qfano.arith import NotCoprimeError, Rational
 from qfano.riemann_roch import (
     Basket,
@@ -17,7 +20,6 @@ from qfano.riemann_roch import (
     kawamata_sum,
     local_index,
     local_terms,
-    point_contribution,
 )
 from qfano.enumeration import INDEX_SET, point_domain
 
@@ -36,7 +38,6 @@ def test_basket_is_sorted_multiset():
     assert b.indices == (2, 2, 5, 5)
     assert str(b) == "[2:1, 2:1, 5:1, 5:2]"
     assert b.index_lcm == 10
-    assert b.indices_text == "(2,2,5,5)"
     assert Basket.from_text(str(b)) == b
     assert Basket.from_text("[]") == Basket()
     assert not Basket()
@@ -47,6 +48,50 @@ def test_basket_is_sorted_multiset():
     # the cached invariants stay out of repr, equality and hashing
     assert repr(Basket.from_pairs([(2, 1)])) == "Basket(points=(SingularPoint(r=2, a=1),))"
     assert hash(b) == hash(Basket(tuple(reversed(b.points))))
+
+
+PAIR_LISTS = [
+    [(5, 2), (2, 1), (5, 1), (2, 1)],
+    [(5, 3), (2, 1), (5, 4), (2, 1)],
+    [(7, 3), (7, 4), (3, 1)],
+    [(4, 3), (4, 1), (11, 7)],
+    [(2, 1)],
+    [],
+]
+
+
+def test_shared_points_behave_as_fresh_points():
+    # from_pairs hands out one cached point per (r, a); a basket of them must
+    # be indistinguishable from one built of fresh points, mirrors included
+    shared = [Basket.from_pairs(pairs) for pairs in PAIR_LISTS]
+    fresh = [Basket(tuple(SingularPoint(r, a) for r, a in pairs)) for pairs in PAIR_LISTS]
+    mirrored = [Basket.from_pairs([(r, r - a) for r, a in pairs]) for pairs in PAIR_LISTS]
+    for b, f, m in zip(shared, fresh, mirrored):
+        for other in (f, m):
+            assert b == other and hash(b) == hash(other)
+            assert repr(b) == repr(other) and str(b) == str(other)
+            assert (b.index_lcm, b.sigma_scaled) == (other.index_lcm, other.sigma_scaled)
+    assert shared[0] == shared[1]  # (5, 3) and (5, 4) are mirrors of (5, 2) and (5, 1)
+    assert sorted(shared) == sorted(fresh) == sorted(mirrored)
+    for i, j in itertools.product(range(len(shared)), repeat=2):
+        assert (shared[i] < shared[j]) == (fresh[i] < fresh[j])
+    assert Basket.from_pairs([(5, 2)]).points[0] is Basket.from_pairs([(5, 2)]).points[0]
+
+
+@given(st.lists(st.tuples(st.integers(2, 24), st.integers(1, 23)), max_size=6))
+def test_basket_points_sort_in_dataclass_order(pairs):
+    pairs = [(r, a) for r, a in pairs if math.gcd(r, a) == 1]
+    points = tuple(sorted(SingularPoint(r, a) for r, a in pairs))
+    assert Basket.from_pairs(pairs).points == points
+
+
+def test_point_cache_is_bounded():
+    cache = riemann_roch._point
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    for r in range(10_007, 10_007 + 2 * maxsize):
+        assert Basket.from_text(f"[{r}:1]").index_lcm == r
+    assert cache.cache_info().currsize <= maxsize
 
 
 def test_kawamata_sum():
@@ -107,6 +152,11 @@ def _reference_chi(k: int, fano: FanoInput) -> Fraction:
     return value
 
 
+def point_contribution(k: int, q: int, point: SingularPoint) -> Fraction:
+    # c_p(k) of one basket point, read off the production table
+    return Fraction(local_terms(q, point.r, point.a)[k % point.r], 12 * point.r)
+
+
 @given(
     st.integers(-30, 30),
     st.sampled_from([3, 4, 5, 7, 8, 9, 11]),
@@ -114,8 +164,6 @@ def _reference_chi(k: int, fano: FanoInput) -> Fraction:
 )
 @settings(max_examples=300)
 def test_point_contribution_matches_raw_and_is_orientation_symmetric(k, q, r):
-    import math
-
     if math.gcd(q, r) != 1:
         return
     for a in range(1, r):
@@ -211,8 +259,6 @@ def test_chi_non_integral():
 
 @st.composite
 def _fano_inputs(draw):
-    import math
-
     q = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 19]))
     n_points = draw(st.integers(0, 4))
     pairs = []
@@ -241,6 +287,23 @@ def test_chi_identities(fano):
 def test_chi_matches_reference(fano):
     for k in range(-fano.q - 6, 2 * fano.q + 7):
         assert chi(k, fano) == _reference_chi(k, fano)
+
+
+def test_chi_is_a_fraction_on_integral_and_fractional_values(full_db):
+    # chi builds an integral value from its whole part alone; both kinds of
+    # value must be the Fraction the rational formula gives
+    kinds = set()
+    for c in full_db[::7]:
+        # the candidate, integral at every k, and a nearby degree that is not
+        off = FanoInput(q=c.q, basket=c.basket, a3=c.a3 + Fraction(1, 11 * c.basket.index_lcm))
+        for fano, k in itertools.product((c.fano, off), range(-c.q - 3, 2 * c.q + 4)):
+            value = chi(k, fano)
+            assert type(value) is Fraction
+            assert value == _reference_chi(k, fano)
+            assert value.denominator > 0
+            assert math.gcd(value.numerator, value.denominator) == 1
+            kinds.add(value.denominator == 1)
+    assert kinds == {True, False}
 
 
 def test_chi_matches_reference_on_every_candidate(full_db):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import re
@@ -37,6 +38,14 @@ def test_round_trip_is_byte_exact(small_db):
     assert again.filter_set == "default"
     assert json.loads(text)["format_version"] == FORMAT_VERSION
     assert dumps_database(again) == text
+
+
+def test_full_database_round_trips_byte_for_byte(db_path):
+    text = db_path.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ffd23041d8f681f97ffebca3c7edc5f47a85b6089f0ae0de8088c3e8ee432fb"
+    )
+    assert dumps_database(loads_database(text)) == text
 
 
 def test_counts(small_db):
@@ -202,6 +211,26 @@ def test_huge_basket_index_is_refused_before_recomputing(small_db, monkeypatch, 
     monkeypatch.setattr(Candidate, "from_parts", unreachable)
     with pytest.raises(StoreError, match="basket index above 24"):
         loads_database(json.dumps(doc))
+
+
+# the rebuild has one guard for a row it cannot decode, and the index check
+# raises past it: each refusal keeps its own message
+ROW_REFUSALS = [
+    ("q", "eight", "malformed candidate row: ValueError(\"invalid literal for int() with base 10: 'eight'\")"),
+    ("basket", 5, "malformed candidate row: TypeError(\"'int' object is not iterable\")"),
+    ("basket", [[2, 2]], "malformed candidate row: NotCoprimeError('multiplier 0 is not coprime to index 2')"),
+    ("a3", "-1/2", "malformed candidate row: ValueError('degree A^3 must be positive, got -1/2')"),
+    ("basket", [[25, 1]], "basket index above 24 in a stored row"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", ROW_REFUSALS)
+def test_row_refusal_messages(small_db, key, value, message):
+    doc = json.loads(dumps_database(small_db))
+    doc["candidates"][0][key] = value
+    with pytest.raises(StoreError) as refused:
+        loads_database(json.dumps(doc))
+    assert str(refused.value) == message
 
 
 def _unreduced_a3(row):
