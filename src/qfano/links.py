@@ -596,17 +596,15 @@ def _branch(
 
 def solve(
     case: LinkCase, db: Sequence[Candidate],
-    lookup: Callable[[int, int, int], int | None] | None = None,
+    lookup: Callable[[int, int, int], int | None],
 ) -> list[LinkSolution]:
     """Every in-bounds assignment satisfying all relations and constraints.
 
     Deterministic: results come back sorted by (qhat, unknown values in
     declaration order, alpha).  An empty list eliminates the case.
-    ``lookup`` is a :func:`dims_table` of ``db``; one is built if none is given.
+    ``lookup`` is a :func:`dims_table` of ``db``.
     """
     source = case.source.resolve(db)
-    if lookup is None:
-        lookup = dims_table(db)
     names = [u.name for u in case.unknowns]
     position = {name: i for i, name in enumerate(names)}
     solutions: list[LinkSolution] = []
@@ -623,17 +621,15 @@ def solve(
 
 def audit(
     case: LinkCase, solution: LinkSolution, db: Sequence[Candidate],
-    lookup: Callable[[int, int, int], int | None] | None = None,
+    lookup: Callable[[int, int, int], int | None],
 ) -> bool:
     """Independently re-verify one claimed solution against case and database.
 
     Bounds, relations and genus floors are checked here, over exact
     rationals; only the database values come from ``lookup``, a
-    :func:`dims_table` of ``db`` (built if none is given).
+    :func:`dims_table` of ``db``.
     """
     source = case.source.resolve(db)
-    if lookup is None:
-        lookup = dims_table(db)
     if solution.qhat not in case.target_index_set:
         return False
     if solution.alpha not in case.alpha_options:

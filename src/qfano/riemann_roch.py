@@ -84,14 +84,6 @@ class SingularPoint:
 _point_order = attrgetter("r", "a")
 
 
-# a load of the full database reads 38 distinct pairs; the bound keeps
-# basket literals with huge indices from growing the cache
-@lru_cache(maxsize=256)
-def _point(r: int, a: int) -> SingularPoint:
-    """The point ``1/r(a, -a, 1)``, one shared instance per ``(r, a)``."""
-    return SingularPoint(r, a)
-
-
 @dataclass(frozen=True, slots=True, order=True)
 class Basket:
     """A multiset of terminal quotient points, kept in sorted order.
@@ -127,7 +119,7 @@ class Basket:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Basket":
-        return cls(tuple(_point(r, a) for r, a in pairs))
+        return cls(tuple(SingularPoint(r, a) for r, a in pairs))
 
     @classmethod
     def from_text(cls, text: str) -> "Basket":

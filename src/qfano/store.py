@@ -23,12 +23,13 @@ with no rows at one of them.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .arith import format_rational, parse_rational
 from .enumeration import (
@@ -41,7 +42,7 @@ from .enumeration import (
     Candidate,
     FilterConfig,
 )
-from .riemann_roch import Basket
+from .riemann_roch import Basket, SingularPoint
 
 FORMAT_VERSION = 1
 
@@ -87,17 +88,18 @@ def candidate_to_json(c: Candidate) -> dict[str, Any]:
     }
 
 
-def _rebuild_row(data: dict[str, Any]) -> Candidate:
-    """Recompute a row from its ``(q, basket, A^3)`` alone."""
+def _rebuild_row(
+    data: dict[str, Any], point: Callable[[int, int], SingularPoint]
+) -> Candidate:
+    """Recompute a row from its ``(q, basket, A^3)`` alone, its points made by ``point``."""
     try:
         pairs = [(int(r), int(a)) for r, a in data["basket"]]
         if any(r > MAX_POINT_INDEX for r, _ in pairs):
             # no enumerated basket has such a point, and recomputing the row
             # would cost time linear in its index
             raise StoreError(f"basket index above {MAX_POINT_INDEX} in a stored row")
-        return Candidate.from_parts(
-            q=int(data["q"]), basket=Basket.from_pairs(pairs), a3=parse_rational(data["a3"])
-        )
+        basket = Basket(tuple(point(r, a) for r, a in pairs))
+        return Candidate.from_parts(q=int(data["q"]), basket=basket, a3=parse_rational(data["a3"]))
     except StoreError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -168,7 +170,10 @@ def loads_database(text: str) -> Database:
             config = FILTER_SETS.get(filter_set)
     if config is None:
         raise StoreError(f"unknown filter set {filter_set!r}")
-    db = Database(config, tuple(_rebuild_row(data) for data in rows), filter_set)
+    # one point per distinct (r, a), built and oriented once for this load:
+    # the full database has 38 across its 472 rows
+    point = functools.cache(SingularPoint)
+    db = Database(config, tuple(_rebuild_row(data, point) for data in rows), filter_set)
     written = _document(db)
     # one comparison of the texts is the comparison of every value, type and
     # key order; only on a mismatch are the rows compared, to name the first

@@ -21,7 +21,7 @@ from qfano.enumeration import (
     integrality_window,
     passes_integrality,
 )
-from qfano.links import audit, feasible_indices, load_case_file, solve
+from qfano.links import audit, dims_table, feasible_indices, load_case_file, solve
 from qfano.riemann_roch import (
     Basket,
     FanoInput,
@@ -230,19 +230,20 @@ def test_criterion_6_surface_dimension_counts():
 
 
 def test_criterion_7_link_eliminations(full_db):
+    lookup = dims_table(full_db)
     started = time.perf_counter()
     case = load_case_file(case_path("q9_4A.case"))
-    solutions = solve(case, full_db)
+    solutions = solve(case, full_db, lookup)
     assert solutions, "the q=9 case must stay alive"
     feasible = feasible_indices(solutions)
     assert feasible == [5, 6, 7, 8]
     assert max(feasible) <= 8
-    assert all(audit(case, s, full_db) for s in solutions)
+    assert all(audit(case, s, full_db, lookup) for s in solutions)
     assert time.perf_counter() - started < 5.0
 
     started = time.perf_counter()
     eliminated = load_case_file(case_path("q6_basket7.case"))
-    assert solve(eliminated, full_db) == []
+    assert solve(eliminated, full_db, dims_table(full_db)) == []
     assert time.perf_counter() - started < 5.0
 
 

@@ -19,6 +19,7 @@ from qfano.links import (
     audit,
     describe_case,
     dims_lookup,
+    dims_table,
     feasible_indices,
     load_case,
     load_case_file,
@@ -224,57 +225,61 @@ def test_max_genus_per_index_frozen(full_db):
 
 
 def test_case_q9_feasible_indices(full_db):
+    lookup = dims_table(full_db)
     case = load_case_file(case_path("q9_4A.case"))
     assert case.target_index_set == INDEX_SET
-    solutions = solve(case, full_db)
+    solutions = solve(case, full_db, lookup)
     assert solutions
     assert feasible_indices(solutions) == [5, 6, 7, 8]
-    assert all(audit(case, s, full_db) for s in solutions)
+    assert all(audit(case, s, full_db, lookup) for s in solutions)
     assert solutions == sorted(solutions, key=LinkSolution.sort_key)
 
 
 def test_case_q6_eliminated(full_db):
+    lookup = dims_table(full_db)
     case = load_case_file(case_path("q6_basket7.case"))
-    assert solve(case, full_db) == []
+    assert solve(case, full_db, lookup) == []
 
 
 def test_case_q8_eliminated(full_db):
+    lookup = dims_table(full_db)
     case = load_case_file(case_path("q8_basket_3_9.case"))
-    assert solve(case, full_db) == []
+    assert solve(case, full_db, lookup) == []
 
 
 def test_audit_rejects_perturbations(full_db):
+    lookup = dims_table(full_db)
     case = load_case_file(case_path("q9_4A.case"))
-    good = solve(case, full_db)[0]
-    assert audit(case, good, full_db)
+    good = solve(case, full_db, lookup)[0]
+    assert audit(case, good, full_db, lookup)
 
     alien_alpha = LinkSolution(good.qhat, good.assignment, Rational(3, 7))
-    assert not audit(case, alien_alpha, full_db)
+    assert not audit(case, alien_alpha, full_db, lookup)
 
     alien_qhat = LinkSolution(23, good.assignment, good.alpha)
-    assert not audit(case, alien_qhat, full_db)
+    assert not audit(case, alien_qhat, full_db, lookup)
 
     # bumping s1 shifts the first relation by 9, so it cannot balance
     tampered = tuple(
         (n, v + 1 if n == "s1" else v) for n, v in good.assignment
     )
-    assert not audit(case, LinkSolution(good.qhat, tampered, good.alpha), full_db)
+    assert not audit(case, LinkSolution(good.qhat, tampered, good.alpha), full_db, lookup)
 
     incomplete = LinkSolution(good.qhat, good.assignment[:-1], good.alpha)
-    assert not audit(case, incomplete, full_db)
+    assert not audit(case, incomplete, full_db, lookup)
 
     # below a dimension floor: dim|0*Theta| = 0 at qhat = 3, against dim|A| = 1
     floored = load_case(make_case_text(dim_constraints=[["s1", 1, 0]]))
-    assert audit(floored, LinkSolution(3, (("s1", 1), ("e", 2)), Rational(1)), full_db)
-    assert not audit(floored, LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1)), full_db)
+    assert audit(floored, LinkSolution(3, (("s1", 1), ("e", 2)), Rational(1)), full_db, lookup)
+    assert not audit(floored, LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1)), full_db, lookup)
 
     # a genus-transfer target with no candidate of the source genus: 31 is
     # above the genus ceiling 18 at index 13, and only alpha < 1 transfers it
     transfer = load_case(make_case_text(alpha=["1/2", "1"], genus_transfer=True,
                                         index_set=[13], unknowns=WIDE))
     values = (("s1", 12), ("e", 1))
-    assert audit(transfer, LinkSolution(13, values, Rational(1)), full_db)
-    assert not audit(transfer, LinkSolution(13, values, Rational(1, 2)), full_db)
+    assert audit(transfer, LinkSolution(13, values, Rational(1)), full_db, lookup)
+    assert not audit(transfer, LinkSolution(13, values, Rational(1, 2)), full_db, lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +287,15 @@ def test_audit_rejects_perturbations(full_db):
 
 
 def test_solve_toy_case_counts(full_db):
-    plain = solve(load_case(make_case_text()), full_db)
+    lookup = dims_table(full_db)
+    plain = solve(load_case(make_case_text()), full_db, lookup)
     # qhat in {3,4,5}, e in 1..3, s1 = qhat - e >= 0: three each
     assert len(plain) == 9
     assert feasible_indices(plain) == [3, 4, 5]
-    assert all(audit(load_case(make_case_text()), s, full_db) for s in plain)
+    assert all(audit(load_case(make_case_text()), s, full_db, lookup) for s in plain)
 
     constrained = solve(
-        load_case(make_case_text(dim_constraints=[["s1", 1, 0]])), full_db
+        load_case(make_case_text(dim_constraints=[["s1", 1, 0]])), full_db, lookup
     )
     # requiring dim|s1*Theta| >= dim|A| = 1 kills exactly the s1 = 0 solution
     keys = {(s.qhat, s.assignment, s.alpha) for s in constrained}
@@ -300,21 +306,23 @@ def test_solve_toy_case_counts(full_db):
 
 
 def test_solve_respects_index_set(full_db):
-    only_five = solve(load_case(make_case_text(index_set=[5])), full_db)
+    lookup = dims_table(full_db)
+    only_five = solve(load_case(make_case_text(index_set=[5])), full_db, lookup)
     assert feasible_indices(only_five) == [5]
     assert len(only_five) == 3
 
 
 def test_genus_transfer_prunes_targets(full_db):
+    lookup = dims_table(full_db)
     # source genus 31 exceeds the genus ceiling 18 at index 13, so with
     # transfer on and alpha < 1 the target index dies outright
     text = make_case_text(alpha=["1/2"], genus_transfer=True,
                           index_set=[13], unknowns=WIDE)
-    assert solve(load_case(text), full_db) == []
+    assert solve(load_case(text), full_db, lookup) == []
     # alpha >= 1 carries no genus down and the arithmetic solutions survive
     relaxed = make_case_text(alpha=["1"], genus_transfer=True,
                              index_set=[13], unknowns=WIDE)
-    assert len(solve(load_case(relaxed), full_db)) == 3
+    assert len(solve(load_case(relaxed), full_db, lookup)) == 3
 
 
 def test_recheck_drops_a_dip_above_the_floor(full_db):
@@ -322,11 +330,14 @@ def test_recheck_drops_a_dip_above_the_floor(full_db):
     # dim >= dim|0*A| = 0 stays at s1 = 0, so only the exact re-check
     # refuses s1 = 1
     assert [dims_lookup(full_db, 10, s) for s in range(3)] == [0, -1, 0]
+    lookup = dims_table(full_db)
     free = make_case_text(relations=["qhat = 9*s1 + e"], index_set=[10])
-    assert [s.assignment for s in solve(load_case(free), full_db)] == [(("s1", 1), ("e", 1))]
+    assert [s.assignment for s in solve(load_case(free), full_db, lookup)] == [
+        (("s1", 1), ("e", 1))
+    ]
     floored = make_case_text(relations=["qhat = 9*s1 + e"], index_set=[10],
                              dim_constraints=[["s1", 0, 0]])
-    assert solve(load_case(floored), full_db) == []
+    assert solve(load_case(floored), full_db, lookup) == []
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +463,16 @@ TOY_OVERRIDES = [
 
 @pytest.mark.parametrize("name", SHIPPED_CASES)
 def test_solve_matches_reference_on_shipped_cases(name, full_db):
+    lookup = dims_table(full_db)
     case = load_case_file(case_path(name))
-    assert solve(case, full_db) == _reference_solve(case, full_db)
+    assert solve(case, full_db, lookup) == _reference_solve(case, full_db)
 
 
 @pytest.mark.parametrize("overrides", TOY_OVERRIDES)
 def test_solve_matches_reference_on_toy_cases(overrides, full_db):
+    lookup = dims_table(full_db)
     case = load_case(make_case_text(**overrides))
-    assert solve(case, full_db) == _reference_solve(case, full_db)
+    assert solve(case, full_db, lookup) == _reference_solve(case, full_db)
 
 
 def _case_doc(name):
@@ -533,7 +546,8 @@ def _random_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_random_cases())
 def test_solve_matches_reference_on_random_cases(case, full_db):
-    assert solve(case, full_db) == _reference_solve(case, full_db)
+    lookup = dims_table(full_db)
+    assert solve(case, full_db, lookup) == _reference_solve(case, full_db)
 
 
 # ---------------------------------------------------------------------------
