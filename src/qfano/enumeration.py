@@ -43,6 +43,22 @@ tests.  Three facts keep the work small:
   ``12 r c_p`` exceeds ``-r^3`` so ``q W(k) >= -q N sum r^2 >= -32 q N^2``
   (``sigma <= 24`` forces ``sum r <= 32``), and the other terms are
   positive, so ``T(k) > 0``.  The scan stops at ``min(window, 3N)``.
+
+Two more keep the per-basket work flat:
+
+* **A sum carried down the walk.**  :func:`enumerate_baskets` yields in
+  depth-first preorder, so a basket of ``d`` points is the last basket of
+  ``d - 1`` points plus one point.  :func:`_scan_baskets` keeps one running
+  sum per depth, ``S = sum_p (L/r) share_p`` in units of ``1/L``
+  (``L`` = :data:`_SIGMA_UNIT`), and reads the constant of ``T(k)`` as
+  ``(12q + 24k) N + S / (L/N)``: one table lookup per basket, not one per
+  point.
+* **Forward differences.**  Past the vanishing window,
+  :meth:`_BasketScanner.scan` reads ``q W(k)`` from one table of a period
+  ``N``, built once per basket and tiled up to the window, and steps the
+  rest of ``T(k)``, a cubic in ``k`` with third difference ``12qn``, by
+  forward differences: a few additions per ``k`` instead of one term per
+  point.
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ import bisect
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
@@ -254,37 +271,6 @@ def degree_candidates(
     return range(1, min(bounds) + 1)
 
 
-def integrality_window(fano: FanoInput) -> int:
-    """Period of the fractional part of ``chi``: checking one period suffices."""
-    return _BasketScanner(fano.q, fano.basket).window(fano.a3.denominator)
-
-
-def passes_integrality(
-    fano: FanoInput,
-    *,
-    enforce_vanishing: bool = True,
-    nonnegativity: bool = True,
-) -> bool:
-    """Integrality sieve over one full period, on the integer kernel.
-
-    Decides ``chi(k) = 0`` on the window ``-q < k < 0``, and integrality
-    (plus optional non-negativity) for ``0 <= k < L`` where ``L`` is
-    :func:`integrality_window`; by the 3N lemma (module docstring) the scan
-    itself may stop well before ``L``.  This runs the same
-    :class:`_BasketScanner` as the enumeration; its oracle in the tests is
-    ``_reference_passes``, which runs the whole period on ``_reference_chi``,
-    a rational transcription of the formula.
-    """
-    scanner = _BasketScanner(fano.q, fano.basket)
-    if scanner.n_lcm % fano.a3.denominator != 0:
-        return False
-    return scanner.scan(
-        fano.a3.numerator * (scanner.n_lcm // fano.a3.denominator),
-        enforce_vanishing=enforce_vanishing,
-        nonnegativity=nonnegativity,
-    )
-
-
 def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:
     """Each point's share ``q w_p(k) - k(r^2 - 1)`` of ``T(k)``, by ``(r, a)``.
 
@@ -311,9 +297,14 @@ class _BasketScanner:
     from the per-point tables :func:`~qfano.riemann_roch.local_terms`,
     indexed by ``k mod r``.  ``chi(k)`` is integral
     iff ``T(k) % 12qN == 0``, and signs/zeros transfer directly.
+    :meth:`chi_scaled` evaluates one ``T(k)``; :meth:`scan` walks ``k``
+    upwards with ``q W(k)`` read from one period table and the rest, a cubic
+    in ``k``, stepped by forward differences.
     """
 
-    __slots__ = ("q", "n_lcm", "modulus", "sigma_scaled", "linear_coeff", "tables")
+    __slots__ = (
+        "q", "n_lcm", "modulus", "sigma_scaled", "linear_coeff", "tables", "_w_table"
+    )
 
     def __init__(self, q: int, basket: Basket):
         self.q = q
@@ -329,9 +320,12 @@ class _BasketScanner:
         tables = []
         for point, mult in merged.items():
             r = point.r
-            scale = mult * (n_lcm // r)
+            scale = q * mult * (n_lcm // r)
             tables.append((r, tuple(scale * t for t in local_terms(q, r, point.a))))
+        # each column holds the point's share of q W(k), by k mod r
         self.tables = tuple(tables)
+        # q W(k) for 0 <= k < len(self._w_table), built by the first scan
+        self._w_table: list[int] = []
 
     def chi_scaled(self, k: int, n: int) -> int:
         """``12 q N chi(k)`` for ``A^3 = n/N`` as a plain integer."""
@@ -342,7 +336,7 @@ class _BasketScanner:
             + k * self.linear_coeff
         )
         for r, column in self.tables:
-            value += q * column[k % r]
+            value += column[k % r]
         return value
 
     def window(self, a3_den: int) -> int:
@@ -357,23 +351,48 @@ class _BasketScanner:
         enforce_vanishing: bool = True,
         nonnegativity: bool = True,
     ) -> bool:
-        """Run the full integrality battery for the degree ``A^3 = n/N``."""
-        modulus = self.modulus
+        """Run the full integrality battery for the degree ``A^3 = n/N``.
+
+        The vanishing window ``-q < k < 0`` goes through :meth:`chi_scaled`.
+        Past it, ``T(k)`` for ``k = 1, 2, ...`` is ``P(k) + q W(k)``: ``q W``
+        is read from one table of a period ``N``, tiled up to the longest
+        window scanned so far and shared by every ``n`` scanned on this
+        basket, and the cubic ``P(k) = 12qN + q n k(k+q)(2k+q) + k(24N - N
+        sigma)`` steps by forward differences (third difference ``12qn``).
+        The scan stops at the first ``k`` that fails, and at
+        ``min(window, 3N)`` (the 3N lemma, module docstring).
+        """
+        q = self.q
         if enforce_vanishing:
-            for k in range(1 - self.q, 0):
+            for k in range(1 - q, 0):
                 if self.chi_scaled(k, n) != 0:
                     return False
-        window = self.window(self.n_lcm // math.gcd(n, self.n_lcm))
-        # the 3N lemma (module docstring); its non-negativity half needs
-        # sigma <= 24, so past that the whole period is scanned
+        n_lcm = self.n_lcm
+        modulus = self.modulus
+        window = self.window(n_lcm // math.gcd(n, n_lcm))
+        # the 3N lemma; its non-negativity half needs sigma <= 24, so past
+        # that the whole period is scanned
         if not nonnegativity or self.linear_coeff >= 0:
-            window = min(window, 3 * self.n_lcm)
-        for k in range(1, window):
-            value = self.chi_scaled(k, n)
-            if value % modulus != 0:
+            window = min(window, 3 * n_lcm)
+        w_table = self._w_table
+        if len(w_table) < window:
+            if not w_table:
+                columns = [column * (n_lcm // r) for r, column in self.tables]
+                w_table = list(map(sum, zip(*columns))) if columns else [0]
+            w_table = self._w_table = w_table[:n_lcm] * -(-window // n_lcm)
+        # P(1) and its first, second and third differences at k = 1
+        qn = q * n
+        value = modulus + qn * (q + 1) * (q + 2) + self.linear_coeff
+        step = qn * (q + 2) * (q + 7) + self.linear_coeff
+        step2 = 6 * qn * (q + 4)
+        step3 = 12 * qn
+        for w in islice(w_table, 1, window):
+            total = value + w
+            if total % modulus or (total < 0 and nonnegativity):
                 return False
-            if nonnegativity and value < 0:
-                return False
+            value += step
+            step += step2
+            step2 += step3
         return True
 
 
@@ -392,24 +411,35 @@ def _residue_class(numerators: range, const: int, coeff: int, modulus: int) -> r
     return range(start + (n0 - start) % step, numerators.stop, step)
 
 
-def _scan_baskets(
-    q: int, baskets: Iterable[Basket], config: FilterConfig
-) -> list[Candidate]:
+def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
+    """Every candidate of index ``q``: one walk of its baskets."""
     # with vanishing on, chi(-1) = 0 fixes the degree when its coefficient
     # q(q-1)(q-2) is nonzero; otherwise chi(1) integral confines the walk to
     # one residue class (module docstring)
     k = -1 if config.enforce_vanishing and q * (q - 1) * (q - 2) else 1
     coeff = q * k * (k + q) * (2 * k + q)
     base = 12 * q + 24 * k
-    shares = _point_terms(q, k)
+    # each point's share of T(k) in units of 1/_SIGMA_UNIT, by (r, a)
+    shares = {
+        (r, a): (_SIGMA_UNIT // r) * share for (r, a), share in _point_terms(q, k).items()
+    }
+    # the walk is a preorder, so a basket of d points is the last basket of
+    # d - 1 points plus one: sums[d] is the running sum of its shares.
+    # sigma(r) >= 3/2 holds a basket to 15 points.
+    sums = [0] * 16
     found = []
-    for basket in baskets:
+    for basket in enumerate_baskets(q):
+        points = basket.points
+        depth = len(points)
+        if depth:
+            last = points[-1]
+            sums[depth] = sums[depth - 1] + shares[last.r, last.a]
         numerators = degree_candidates(q, basket, config)
         if not numerators:
             continue
         n_lcm = basket.index_lcm
         # T(k) = const + coeff * n
-        const = base * n_lcm + sum((n_lcm // p.r) * shares[p.r, p.a] for p in basket)
+        const = base * n_lcm + sums[depth] // (_SIGMA_UNIT // n_lcm)
         if k == -1:
             n, rest = divmod(const, -coeff)
             if rest or n not in numerators:
@@ -431,9 +461,7 @@ def _scan_baskets(
 
 
 def _scan_job(args: tuple[int, FilterConfig]) -> list[Candidate]:
-    """Every candidate of one index: a whole walk of its baskets."""
-    q, config = args
-    return _scan_baskets(q, enumerate_baskets(q), config)
+    return _scan_baskets(*args)
 
 
 def enumerate_candidates(

@@ -114,7 +114,13 @@ def hilbert_coeffs(model: WpsModel, kmax: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class MatchReport:
-    """Outcome of checking a model against an enumerated candidate."""
+    """Outcome of checking a model against an enumerated candidate.
+
+    The coefficients are compared only when the index and the degree both
+    agree.  Otherwise ``coeffs_match`` is false and ``first_mismatch`` is
+    ``None``, as it is on a match; on a compared mismatch it is the first
+    ``k`` at which ``h^0`` and ``chi`` differ.
+    """
 
     model: WpsModel
     candidate_id: str
@@ -136,22 +142,23 @@ def match_candidate(
 
     The series side comes from :func:`hilbert_coeffs` alone; the candidate
     side is the Riemann-Roch evaluation, so agreement here is the two-route
-    consistency check.  ``kmax`` defaults to ``2q + 5``.
+    consistency check.  ``kmax`` defaults to ``2q + 5``.  The series is
+    computed only once the index and the degree agree.
     """
     q = fano_index(model)
     if kmax is None:
         kmax = 2 * q + 5
     index_match = q == candidate.q
     degree_match = degree_a3(model) == candidate.a3
-    coeffs = hilbert_coeffs(model, kmax)
-    fano = candidate.fano
     first_mismatch = None
-    if index_match:
-        for k in range(kmax + 1):
-            if chi(k, fano) != coeffs[k]:
-                first_mismatch = k
-                break
-    coeffs_match = index_match and first_mismatch is None
+    coeffs_match = False
+    if index_match and degree_match:
+        coeffs = hilbert_coeffs(model, kmax)
+        fano = candidate.fano
+        first_mismatch = next(
+            (k for k in range(kmax + 1) if chi(k, fano) != coeffs[k]), None
+        )
+        coeffs_match = first_mismatch is None
     return MatchReport(
         model=model,
         candidate_id=candidate.id,

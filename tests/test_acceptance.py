@@ -15,12 +15,7 @@ from collections import Counter
 
 from qfano.arith import Rational
 from qfano.cli import main
-from qfano.enumeration import (
-    FILTER_SETS,
-    enumerate_candidates,
-    integrality_window,
-    passes_integrality,
-)
+from qfano.enumeration import FILTER_SETS, enumerate_candidates
 from qfano.links import audit, dims_table, feasible_indices, load_case_file, solve
 from qfano.riemann_roch import (
     Basket,
@@ -34,6 +29,7 @@ from qfano.surveys import SURVEYS, survey_rows
 from qfano.wps import WpsModel, fano_index, hilbert_coeffs, match_candidate
 
 import conftest
+from test_enumeration import _integrality_window, _passes_integrality
 from test_links import case_path
 from test_riemann_roch import point_contribution
 from test_wps import EXPECTED_H0, _model
@@ -194,8 +190,8 @@ def test_criterion_5_chi_property_suites(full_db):
         for k in range(0, 2 * c.q + 1):
             value = chi(k, fano)
             assert value.denominator == 1 and value >= 0
-        assert passes_integrality(fano)
-        assert integrality_window(fano) >= 1
+        assert _passes_integrality(fano)
+        assert _integrality_window(fano) >= 1
         assert c.dims == tuple(chi_integer(k, fano) - 1 for k in range(1, c.q + 1))
         assert c.genus == chi_integer(c.q, fano) - 2
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -19,8 +20,6 @@ from qfano.enumeration import (
     enumerate_candidates,
     facts,
     filter_diff,
-    integrality_window,
-    passes_integrality,
     point_domain,
     series_class,
 )
@@ -189,12 +188,54 @@ def test_filter_diff_bm_inequality():
     assert len(added) == 66
 
 
+def _integrality_window(fano):
+    """Period of the fractional part of ``chi``: checking one period suffices."""
+    return enumeration._BasketScanner(fano.q, fano.basket).window(fano.a3.denominator)
+
+
+def _passes_integrality(fano, *, enforce_vanishing=True, nonnegativity=True):
+    """The enumeration's sieve on one triple: its ``_BasketScanner`` at ``A^3``.
+
+    Decides ``chi(k) = 0`` on ``-q < k < 0``, and integrality (plus optional
+    non-negativity) for ``0 <= k < L``, ``L`` = :func:`_integrality_window`;
+    by the 3N lemma the scan itself may stop well before ``L``.  Its oracle
+    is ``_reference_passes``, which runs the whole period on
+    ``_reference_chi``.
+    """
+    scanner = enumeration._BasketScanner(fano.q, fano.basket)
+    if scanner.n_lcm % fano.a3.denominator != 0:
+        return False
+    return scanner.scan(
+        fano.a3.numerator * (scanner.n_lcm // fano.a3.denominator),
+        enforce_vanishing=enforce_vanishing,
+        nonnegativity=nonnegativity,
+    )
+
+
+def _reference_scan(scanner, n, *, enforce_vanishing=True, nonnegativity=True):
+    """``_BasketScanner.scan`` as one ``chi_scaled`` call per ``k``."""
+    if enforce_vanishing:
+        for k in range(1 - scanner.q, 0):
+            if scanner.chi_scaled(k, n) != 0:
+                return False
+    window = scanner.window(scanner.n_lcm // math.gcd(n, scanner.n_lcm))
+    if not nonnegativity or scanner.linear_coeff >= 0:
+        window = min(window, 3 * scanner.n_lcm)
+    for k in range(1, window):
+        value = scanner.chi_scaled(k, n)
+        if value % scanner.modulus != 0:
+            return False
+        if nonnegativity and value < 0:
+            return False
+    return True
+
+
 def test_passes_integrality_frozen_cases():
     two = Basket.from_pairs([(2, 1)])
-    assert passes_integrality(FanoInput(q=5, basket=two, a3=Rational(1, 2)))
-    assert not passes_integrality(FanoInput(q=5, basket=two, a3=Rational(1)))
-    assert passes_integrality(FanoInput(q=4, basket=Basket(), a3=Rational(1)))
-    assert not passes_integrality(FanoInput(q=4, basket=Basket(), a3=Rational(1, 2)))
+    assert _passes_integrality(FanoInput(q=5, basket=two, a3=Rational(1, 2)))
+    assert not _passes_integrality(FanoInput(q=5, basket=two, a3=Rational(1)))
+    assert _passes_integrality(FanoInput(q=4, basket=Basket(), a3=Rational(1)))
+    assert not _passes_integrality(FanoInput(q=4, basket=Basket(), a3=Rational(1, 2)))
 
 
 def _reference_window(fano):
@@ -236,7 +277,7 @@ def test_scanner_agrees_with_rational_reference(q):
         for n in range(1, 3 * n_lcm + 1):
             fano = FanoInput(q=q, basket=basket, a3=Rational(n, n_lcm))
             for vanish in (True, False):
-                assert passes_integrality(
+                assert _passes_integrality(
                     fano, enforce_vanishing=vanish, nonnegativity=True
                 ) == _reference_passes(
                     fano, enforce_vanishing=vanish, nonnegativity=True
@@ -264,15 +305,15 @@ def test_short_scan_agrees_with_rational_reference():
         q=3, basket=Basket.from_pairs([(2, 1)] * 6 + [(5, 1), (10, 1)]), a3=Rational(1, 10)
     )
     triples.append(negative)
-    assert passes_integrality(negative, nonnegativity=False)
-    assert not passes_integrality(negative)
-    spans = {integrality_window(f) > 3 * f.basket.index_lcm for f in triples}
+    assert _passes_integrality(negative, nonnegativity=False)
+    assert not _passes_integrality(negative)
+    spans = {_integrality_window(f) > 3 * f.basket.index_lcm for f in triples}
     assert spans == {True, False}
     passed = 0
     for fano in triples:
-        assert integrality_window(fano) == _reference_window(fano)
+        assert _integrality_window(fano) == _reference_window(fano)
         for vanish, nonneg in itertools.product((True, False), repeat=2):
-            verdict = passes_integrality(
+            verdict = _passes_integrality(
                 fano, enforce_vanishing=vanish, nonnegativity=nonneg
             )
             assert verdict == _reference_passes(
@@ -282,13 +323,92 @@ def test_short_scan_agrees_with_rational_reference():
     assert passed
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_scan_matches_the_per_k_loop(q):
+    # every basket with a degree range, at its chi(1) residue class and a
+    # few numerators outside it, each through one scanner in turn so that
+    # the scanner's table is shared between them
+    verdicts = set()
+    for basket in enumerate_baskets(q):
+        numerators = degree_candidates(q, basket)
+        if not numerators:
+            continue
+        scanner = enumeration._BasketScanner(q, basket)
+        solved = enumeration._residue_class(
+            numerators, scanner.chi_scaled(1, 0), q * (q + 1) * (q + 2), scanner.modulus
+        )
+        for n in sorted({*solved, *numerators[:2], numerators[-1]}):
+            for vanish, nonneg in itertools.product((True, False), repeat=2):
+                verdict = scanner.scan(n, enforce_vanishing=vanish, nonnegativity=nonneg)
+                assert verdict == _reference_scan(
+                    scanner, n, enforce_vanishing=vanish, nonnegativity=nonneg
+                )
+                verdicts.add((vanish, nonneg, verdict))
+    assert len(verdicts) == 8
+
+
+def _heavy_baskets(q):
+    """Baskets with ``sigma > 24`` from points of index at most 8."""
+    domain = [p for p in point_domain(q) if p.r <= 8]
+    return (
+        st.lists(st.sampled_from(domain), min_size=3, max_size=9)
+        .map(Basket)
+        .filter(lambda b: b.sigma_scaled > 24 * b.index_lcm)
+    )
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_scan_past_sigma_24_matches_the_per_k_loop(data):
+    # sigma > 24 takes the whole period when non-negativity is checked, and
+    # 3N without it; the walk never yields such a basket.  The numerators
+    # integral up to 3N make the checked scan run the whole period.
+    q = data.draw(st.sampled_from([5, 7]))
+    basket = data.draw(_heavy_baskets(q))
+    scanner = enumeration._BasketScanner(q, basket)
+    assert scanner.linear_coeff < 0
+    n_lcm = scanner.n_lcm
+    integral = [
+        n
+        for n in range(1, 3 * n_lcm + 1)
+        if _reference_scan(scanner, n, enforce_vanishing=False, nonnegativity=False)
+    ]
+    numerators = data.draw(st.lists(st.integers(1, 3 * n_lcm), max_size=2))
+    if integral:
+        numerators += data.draw(st.lists(st.sampled_from(integral), min_size=1, max_size=2))
+    for n in numerators:
+        for vanish, nonneg in itertools.product((True, False), repeat=2):
+            assert scanner.scan(
+                n, enforce_vanishing=vanish, nonnegativity=nonneg
+            ) == _reference_scan(scanner, n, enforce_vanishing=vanish, nonnegativity=nonneg)
+
+
+def test_scan_past_3n_on_a_heavy_basket():
+    # sigma = 73/2 > 24: a checked scan of the integral n = 36 runs the
+    # whole period (120 > 3N = 72), and a second numerator reuses the table
+    basket = Basket.from_pairs([(3, 1), (3, 1), (4, 1), (6, 1), (6, 1), (8, 3), (8, 3)])
+    scanner = enumeration._BasketScanner(5, basket)
+    assert scanner.linear_coeff < 0 and scanner.window(2) == 120
+    for n in (36, 12, 36):
+        for vanish, nonneg in itertools.product((True, False), repeat=2):
+            assert scanner.scan(
+                n, enforce_vanishing=vanish, nonnegativity=nonneg
+            ) == _reference_scan(scanner, n, enforce_vanishing=vanish, nonnegativity=nonneg)
+    assert scanner.scan(36, enforce_vanishing=False)
+    assert _passes_integrality(
+        FanoInput(q=5, basket=basket, a3=Rational(36, 24)), enforce_vanishing=False
+    ) == _reference_passes(
+        FanoInput(q=5, basket=basket, a3=Rational(36, 24)), enforce_vanishing=False
+    )
+
+
 def _walked_ids(q, config):
     # every degree degree_candidates allows, each through the public sieve
     return sorted(
         candidate_id(q, basket, a3)
         for basket in enumerate_baskets(q)
         for a3 in _degrees(q, basket, config)
-        if passes_integrality(
+        if _passes_integrality(
             FanoInput(q=q, basket=basket, a3=a3),
             enforce_vanishing=config.enforce_vanishing,
             nonnegativity=config.nonnegativity,
@@ -353,13 +473,62 @@ def test_no_vanishing_counts_frozen(name):
     assert counts == NO_VANISHING_COUNTS[name]
 
 
+#: Per filter set and index in INDEX_SET: the candidate count and the sha256
+#: of the ids, in canonical order, joined by newlines.
+ID_DIGESTS = {
+    "capped": [
+        (231, "b3cbf41cbb91ba217b4ee0ff97cb975bd8bed433518f630a961f30f0dacc4339"),  # q=3
+        (121, "34b4f5b897973f11dc57c99c571ba2e68865b0390da04e5ddd660c3d87d9ee65"),  # q=4
+        (60, "c7dfb8808b6e55417ec4ae4a518c52b08e7f893f7dcdf583e2867183d11e6447"),  # q=5
+        (10, "2828fd3b6cb133691ec073aaf01e731c19a2948006a70a84c74bf9cdbb6107dd"),  # q=6
+        (21, "5e93dbd6abe590d4ef3c116dbfed5832c2d29338697710537f928bb2de5f79de"),  # q=7
+        (10, "9c0578e6f8dc9d037825286ea7138414e7e5034c99f2b40ccfe3ea32f8e55905"),  # q=8
+        (2, "adcbac4915531cd1c5840d4a980da298674d6c471eb4d62d039305d9aa1492cc"),  # q=9
+        (1, "70a006a2e48b791f8d4914d134daced063fabb7ced0946b4a03a473725bc4b03"),  # q=10
+        (3, "722e7b7aaf1398659879a1eefb053e65780858af8bc9e7f8ec338debb71ceff0"),  # q=11
+        (2, "80ba5531049e85051c750f306380418088f8e68749468647852473c573a7e2ff"),  # q=13
+        (1, "e6067a0eb05f7b5de99017a1113eee41dc6637ceb647b6c1fe93560811213dd8"),  # q=17
+        (1, "d06d02832ce67aca050f449999fe692f74be03460ce7f0c78319b0967fa7814a"),  # q=19
+    ],
+    "default": [
+        (231, "b3cbf41cbb91ba217b4ee0ff97cb975bd8bed433518f630a961f30f0dacc4339"),  # q=3
+        (124, "f77f8966b927d57b5141f227c13e30c8b04725621c1c099106aa0f7884bd9b5e"),  # q=4
+        (63, "d8c6e70a894df9470a0848f96325228ebf83cf2d06cdebfec4b324140ec64f18"),  # q=5
+        (11, "4ecfb16a7253d498e094678588b47f3812dc845dea26c9c8b0b6c8fa16bd3d3a"),  # q=6
+        (23, "b102f97d7f8ed82837eb5bf46bcf947ca4bb4642ff936b2d66fa142bafcdbf71"),  # q=7
+        (10, "9c0578e6f8dc9d037825286ea7138414e7e5034c99f2b40ccfe3ea32f8e55905"),  # q=8
+        (2, "adcbac4915531cd1c5840d4a980da298674d6c471eb4d62d039305d9aa1492cc"),  # q=9
+        (1, "70a006a2e48b791f8d4914d134daced063fabb7ced0946b4a03a473725bc4b03"),  # q=10
+        (3, "722e7b7aaf1398659879a1eefb053e65780858af8bc9e7f8ec338debb71ceff0"),  # q=11
+        (2, "80ba5531049e85051c750f306380418088f8e68749468647852473c573a7e2ff"),  # q=13
+        (1, "e6067a0eb05f7b5de99017a1113eee41dc6637ceb647b6c1fe93560811213dd8"),  # q=17
+        (1, "d06d02832ce67aca050f449999fe692f74be03460ce7f0c78319b0967fa7814a"),  # q=19
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SETS))
+def test_ids_frozen_per_filter_set(name, full_db):
+    # the default set's rows are the session database's
+    config = FILTER_SETS[name]
+    got = []
+    for q in INDEX_SET:
+        if config == DEFAULT_CONFIG:
+            found = [c for c in full_db if c.q == q]
+        else:
+            found = enumerate_candidates(q, config)
+        ids = "\n".join(c.id for c in found)
+        got.append((len(found), hashlib.sha256(ids.encode()).hexdigest()))
+    assert got == ID_DIGESTS[name]
+
+
 @given(st.integers(0, 400))
 @settings(max_examples=60)
 def test_window_is_a_period(k):
     fano = FanoInput(
         q=5, basket=Basket.from_pairs([(2, 1), (7, 2)]), a3=Rational(3, 14)
     )
-    window = integrality_window(fano)
+    window = _integrality_window(fano)
     a = _reference_chi(k, fano)
     b = _reference_chi(k + window, fano)
     assert (a - b).denominator == 1  # fractional parts repeat with period L
@@ -525,10 +694,10 @@ def test_filter_diff_vanishing_adds():
     removed, added = filter_diff(6, "enforce_vanishing")
     assert removed == []  # relaxing a filter can only add candidates
     assert all(
-        not passes_integrality(c.fano, enforce_vanishing=True) for c in added
+        not _passes_integrality(c.fano, enforce_vanishing=True) for c in added
     )
     assert all(
-        passes_integrality(c.fano, enforce_vanishing=False) for c in added
+        _passes_integrality(c.fano, enforce_vanishing=False) for c in added
     )
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import qfano
+from qfano import wps
 from qfano.arith import Rational
 from qfano.enumeration import enumerate_candidates
 from qfano.wps import WpsModel, degree_a3, fano_index, hilbert_coeffs, match_candidate
@@ -120,6 +121,26 @@ def test_match_rejects_wrong_candidate():
     ]
     assert mismatch and all(not r.is_match for r in mismatch)
     assert all(r.first_mismatch is not None for r in mismatch)
+
+
+def test_match_compares_coefficients_only_at_the_same_index_and_degree(monkeypatch):
+    model = _model(((1, 1, 1, 2), None))  # q = 5, A^3 = 1/2
+    candidates = enumerate_candidates(5)
+
+    def no_series(*args):
+        raise AssertionError("hilbert_coeffs called on a mismatched candidate")
+
+    monkeypatch.setattr(wps, "hilbert_coeffs", no_series)
+    other_degree = [c for c in candidates if c.a3 != Rational(1, 2)]
+    assert other_degree
+    for c in other_degree:
+        report = match_candidate(model, c)
+        assert report.index_match and not report.degree_match
+        assert not report.coeffs_match and not report.is_match
+        assert report.first_mismatch is None
+    report = match_candidate(model, enumerate_candidates(7)[0])
+    assert not report.index_match and not report.coeffs_match
+    assert report.first_mismatch is None
 
 
 def test_route_disagreement_is_caught_under_optimize():
