@@ -1,11 +1,11 @@
-"""Exact arithmetic helpers: rationals, modular inverses, orientations.
+"""Exact arithmetic helpers: rationals and orientations.
 
 Everything downstream (Riemann-Roch sums, degree filters, the link solver)
 works over exact rationals; floats never enter the pipeline.  ``Rational``
 is stdlib :class:`fractions.Fraction`, which already keeps values in lowest
 terms with a positive denominator.  This module adds the plain-text wire
-format used in tables and JSON ("n/d", or "n" for integers) and the small
-amount of modular arithmetic the quotient-singularity code needs.
+format used in tables and JSON ("n/d", or "n" for integers) and the
+canonical orientation of a cyclic quotient point.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from fractions import Fraction
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-class NotInvertibleError(ValueError):
-    """Raised when an element has no inverse modulo r."""
 
 
 class NotCoprimeError(ValueError):
@@ -46,19 +42,6 @@ def parse_rational(text: str) -> Rational:
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
-
-
-def mod_inverse(x: int, r: int) -> int:
-    """Return the inverse of ``x`` modulo ``r``, in ``[0, r)``.
-
-    Raises :class:`NotInvertibleError` when ``gcd(x, r) != 1``.
-    """
-    if r < 1:
-        raise ValueError(f"modulus must be >= 1, got {r}")
-    try:
-        return pow(x, -1, r)
-    except ValueError:
-        raise NotInvertibleError(f"{x} is not invertible modulo {r}") from None
 
 
 def canonical_orientation(a: int, r: int) -> int:

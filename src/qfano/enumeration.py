@@ -10,12 +10,13 @@ test an actual Fano threefold of index ``q`` would have to pass:
   non-negative for ``k >= 0``.
 
 :func:`degree_candidates` is the one place that decides the degree range,
-in integers only.  The sieve runs on a rescaled integer kernel
-(:class:`_BasketScanner`) that evaluates ``T(k) = 12 q N chi(k)`` with
-machine integers, from the terms of :mod:`qfano.riemann_roch`, and bails
-out at the first failing ``k``; the test suite cross-checks it against
-``_reference_chi``, a rational transcription of the formula kept in the
-tests.  Three facts keep the work small:
+in integers only.  The sieve is one generator, :func:`_passing_numerators`,
+over a rescaled integer kernel: it tests ``T(k) = 12 q N chi(k)`` with
+machine integers, from the terms of :mod:`qfano.riemann_roch`, and drops a
+degree at its first failing ``k``; the test suite cross-checks it against
+``_reference_chi``, a rational transcription of the formula, and against a
+per-``k`` evaluation of ``T(k)``, both kept in the tests.  Three facts keep
+the work small:
 
 * **Closed-form degree.**  For ``q >= 3`` the coefficient of ``A^3`` in
   ``chi(-1)`` is ``-(q-1)(q-2)/12 != 0``, so the vanishing ``chi(-1) = 0``
@@ -54,8 +55,8 @@ Two more keep the per-basket work flat:
   ``(12q + 24k) N + S / (L/N)``: one table lookup per basket, not one per
   point.
 * **Forward differences.**  Past the vanishing window,
-  :meth:`_BasketScanner.scan` reads ``q W(k)`` from one table of a period
-  ``N``, built once per basket and tiled up to the window, and steps the
+  :func:`_passing_numerators` reads ``q W(k)`` from one table of a period
+  ``N``, built once per basket and cycled up to the window, and steps the
   rest of ``T(k)``, a cubic in ``k`` with third difference ``12qn``, by
   forward differences: a few additions per ``k`` instead of one term per
   point.
@@ -67,7 +68,7 @@ import bisect
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from itertools import cycle, islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
@@ -285,115 +286,74 @@ def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:
     }
 
 
-class _BasketScanner:
-    """Integer-arithmetic evaluator of ``T(k) = 12 q N chi(k)`` for one basket.
+def _passing_numerators(
+    q: int, basket: Basket, numerators: Iterable[int], config: FilterConfig
+) -> Iterator[int]:
+    """Yield each ``n`` in ``numerators`` whose degree ``A^3 = n/N`` passes the battery.
 
-    With ``A^3 = n/N``, ``N`` the lcm of the basket indices, every term of
-    ``12 q N chi(k)`` is an integer:
+    With ``N`` the lcm of the basket indices, every term of ``12 q N chi(k)``
+    is an integer:
 
         T(k) = 12qN + q n k(k+q)(2k+q) + k (24N - N sigma) + q W(k)
 
     where ``W(k) = 12 N sum_p c_p(k)`` is periodic mod ``N`` and is built
     from the per-point tables :func:`~qfano.riemann_roch.local_terms`,
-    indexed by ``k mod r``.  ``chi(k)`` is integral
-    iff ``T(k) % 12qN == 0``, and signs/zeros transfer directly.
-    :meth:`chi_scaled` evaluates one ``T(k)``; :meth:`scan` walks ``k``
-    upwards with ``q W(k)`` read from one period table and the rest, a cubic
-    in ``k``, stepped by forward differences.
+    indexed by ``k mod r``.  ``chi(k)`` is integral iff ``T(k) % 12qN == 0``,
+    and signs and zeros transfer directly.  The vanishing window
+    ``-q < k < 0`` reads each point's column at ``k mod r``.  Past it, ``q W``
+    is read from one table of a period ``N``, built once per basket by the
+    first degree that gets that far, and the rest of ``T(k)``, a cubic in
+    ``k``, steps by forward differences (third difference ``12qn``).  A
+    degree stops at the first ``k`` that fails, and at ``min(window, 3N)``
+    (the 3N lemma, module docstring).
     """
-
-    __slots__ = (
-        "q", "n_lcm", "modulus", "sigma_scaled", "linear_coeff", "tables", "_w_table"
-    )
-
-    def __init__(self, q: int, basket: Basket):
-        self.q = q
-        n_lcm = basket.index_lcm
-        self.n_lcm = n_lcm
-        self.modulus = 12 * q * n_lcm
-        self.sigma_scaled = basket.sigma_scaled
-        self.linear_coeff = 24 * n_lcm - self.sigma_scaled
-        # merge identical points: many baskets repeat (2,1) etc.
-        merged: dict[SingularPoint, int] = {}
-        for point in basket:
-            merged[point] = merged.get(point, 0) + 1
-        tables = []
-        for point, mult in merged.items():
-            r = point.r
-            scale = q * mult * (n_lcm // r)
-            tables.append((r, tuple(scale * t for t in local_terms(q, r, point.a))))
-        # each column holds the point's share of q W(k), by k mod r
-        self.tables = tuple(tables)
-        # q W(k) for 0 <= k < len(self._w_table), built by the first scan
-        self._w_table: list[int] = []
-
-    def chi_scaled(self, k: int, n: int) -> int:
-        """``12 q N chi(k)`` for ``A^3 = n/N`` as a plain integer."""
-        q = self.q
-        value = (
-            self.modulus
-            + q * n * k * (k + q) * (2 * k + q)
-            + k * self.linear_coeff
-        )
-        for r, column in self.tables:
-            value += column[k % r]
-        return value
-
-    def window(self, a3_den: int) -> int:
-        """Period of chi's fractional part: ``lcm(12 den A^3, 12 q den sigma, N)``."""
-        sigma_den = self.n_lcm // math.gcd(self.sigma_scaled, self.n_lcm)
-        return math.lcm(12 * a3_den, 12 * self.q * sigma_den, self.n_lcm)
-
-    def scan(
-        self,
-        n: int,
-        *,
-        enforce_vanishing: bool = True,
-        nonnegativity: bool = True,
-    ) -> bool:
-        """Run the full integrality battery for the degree ``A^3 = n/N``.
-
-        The vanishing window ``-q < k < 0`` goes through :meth:`chi_scaled`.
-        Past it, ``T(k)`` for ``k = 1, 2, ...`` is ``P(k) + q W(k)``: ``q W``
-        is read from one table of a period ``N``, tiled up to the longest
-        window scanned so far and shared by every ``n`` scanned on this
-        basket, and the cubic ``P(k) = 12qN + q n k(k+q)(2k+q) + k(24N - N
-        sigma)`` steps by forward differences (third difference ``12qn``).
-        The scan stops at the first ``k`` that fails, and at
-        ``min(window, 3N)`` (the 3N lemma, module docstring).
-        """
-        q = self.q
-        if enforce_vanishing:
-            for k in range(1 - q, 0):
-                if self.chi_scaled(k, n) != 0:
-                    return False
-        n_lcm = self.n_lcm
-        modulus = self.modulus
-        window = self.window(n_lcm // math.gcd(n, n_lcm))
+    n_lcm = basket.index_lcm
+    modulus = 12 * q * n_lcm
+    linear = 24 * n_lcm - basket.sigma_scaled
+    sigma_den = n_lcm // math.gcd(basket.sigma_scaled, n_lcm)
+    # merge identical points: many baskets repeat (2,1) etc.
+    merged: dict[SingularPoint, int] = {}
+    for point in basket:
+        merged[point] = merged.get(point, 0) + 1
+    # each column holds one point's share of q W(k), by k mod r
+    columns = [
+        (p.r, tuple(q * mult * (n_lcm // p.r) * t for t in local_terms(q, p.r, p.a)))
+        for p, mult in merged.items()
+    ]
+    vanishing = range(1 - q, 0) if config.enforce_vanishing else ()
+    nonnegativity = config.nonnegativity
+    period = None
+    for n in numerators:
+        qn = q * n
+        if any(
+            modulus + qn * k * (k + q) * (2 * k + q) + k * linear
+            + sum(column[k % r] for r, column in columns)
+            for k in vanishing
+        ):
+            continue
+        # the period of chi's fractional part: lcm(12 den A^3, 12 q den sigma, N)
+        window = math.lcm(12 * (n_lcm // math.gcd(n, n_lcm)), 12 * q * sigma_den, n_lcm)
         # the 3N lemma; its non-negativity half needs sigma <= 24, so past
         # that the whole period is scanned
-        if not nonnegativity or self.linear_coeff >= 0:
+        if not nonnegativity or linear >= 0:
             window = min(window, 3 * n_lcm)
-        w_table = self._w_table
-        if len(w_table) < window:
-            if not w_table:
-                columns = [column * (n_lcm // r) for r, column in self.tables]
-                w_table = list(map(sum, zip(*columns))) if columns else [0]
-            w_table = self._w_table = w_table[:n_lcm] * -(-window // n_lcm)
+        if period is None:
+            tiled = [column * (n_lcm // r) for r, column in columns]
+            period = list(map(sum, zip(*tiled))) if tiled else [0]
         # P(1) and its first, second and third differences at k = 1
-        qn = q * n
-        value = modulus + qn * (q + 1) * (q + 2) + self.linear_coeff
-        step = qn * (q + 2) * (q + 7) + self.linear_coeff
+        value = modulus + qn * (q + 1) * (q + 2) + linear
+        step = qn * (q + 2) * (q + 7) + linear
         step2 = 6 * qn * (q + 4)
         step3 = 12 * qn
-        for w in islice(w_table, 1, window):
+        for w in islice(cycle(period), 1, window):
             total = value + w
             if total % modulus or (total < 0 and nonnegativity):
-                return False
+                break
             value += step
             step += step2
             step2 += step3
-        return True
+        else:
+            yield n
 
 
 def _residue_class(numerators: range, const: int, coeff: int, modulus: int) -> range:
@@ -449,14 +409,8 @@ def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
             numerators = _residue_class(numerators, const, coeff, 12 * q * n_lcm)
             if not numerators:
                 continue
-        scanner = _BasketScanner(q, basket)
-        for n in numerators:
-            if scanner.scan(
-                n,
-                enforce_vanishing=config.enforce_vanishing,
-                nonnegativity=config.nonnegativity,
-            ):
-                found.append(Candidate.from_parts(q, basket, Rational(n, n_lcm)))
+        for n in _passing_numerators(q, basket, numerators, config):
+            found.append(Candidate.from_parts(q, basket, Rational(n, n_lcm)))
     return found
 
 

@@ -45,7 +45,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .arith import Rational, canonical_orientation, format_rational, mod_inverse
+from .arith import Rational, canonical_orientation, format_rational
 
 
 class IndexNotCoprimeError(ValueError):
@@ -197,7 +197,7 @@ def local_index(k: int, q: int, point: SingularPoint) -> int:
         raise IndexNotCoprimeError(
             f"point index {point.r} is not coprime to Fano index {q}"
         )
-    return (-k * mod_inverse(q, point.r)) % point.r
+    return (-k * pow(q, -1, point.r)) % point.r
 
 
 # room for the largest index's domain (84 points) beside the 125 tables a

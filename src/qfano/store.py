@@ -15,8 +15,13 @@ is recomputed.  Each row is rebuilt under a single decode guard: a missing
 field, a value of the wrong shape, or data the formula refuses (a degree
 that is not positive, a non-integral ``chi``) is reported as a malformed
 row, while the index refusal passes through that guard with its own
-message.  So a database can be trusted as input without re-running
-the enumeration.  A consumer that quantifies over some indices calls
+message.  Last, the rows of a named-filter-set database at each index it
+holds must be exactly that set's enumeration: their count and the sha256 of
+their ids must be the ones in :data:`ID_DIGESTS`, so a dropped or a forged
+row is refused.  So a named-filter-set database can be trusted as input
+without re-running the enumeration.  A ``"filter_set": null`` database is
+not compared with the enumeration: each of its rows is checked on its own.
+A consumer that quantifies over some indices calls
 :meth:`Database.require_indices`, which refuses a named-filter-set database
 with no rows at one of them.
 """
@@ -24,6 +29,7 @@ with no rows at one of them.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -45,6 +51,40 @@ from .enumeration import (
 from .riemann_roch import Basket, SingularPoint
 
 FORMAT_VERSION = 1
+
+#: Per filter set and index: the candidate count and the sha256 of the ids,
+#: in canonical order, joined by newlines.  The test suite re-derives it
+#: from :func:`~qfano.enumeration.enumerate_candidates`.
+ID_DIGESTS: dict[str, dict[int, tuple[int, str]]] = {
+    "capped": {
+        3: (231, "b3cbf41cbb91ba217b4ee0ff97cb975bd8bed433518f630a961f30f0dacc4339"),
+        4: (121, "34b4f5b897973f11dc57c99c571ba2e68865b0390da04e5ddd660c3d87d9ee65"),
+        5: (60, "c7dfb8808b6e55417ec4ae4a518c52b08e7f893f7dcdf583e2867183d11e6447"),
+        6: (10, "2828fd3b6cb133691ec073aaf01e731c19a2948006a70a84c74bf9cdbb6107dd"),
+        7: (21, "5e93dbd6abe590d4ef3c116dbfed5832c2d29338697710537f928bb2de5f79de"),
+        8: (10, "9c0578e6f8dc9d037825286ea7138414e7e5034c99f2b40ccfe3ea32f8e55905"),
+        9: (2, "adcbac4915531cd1c5840d4a980da298674d6c471eb4d62d039305d9aa1492cc"),
+        10: (1, "70a006a2e48b791f8d4914d134daced063fabb7ced0946b4a03a473725bc4b03"),
+        11: (3, "722e7b7aaf1398659879a1eefb053e65780858af8bc9e7f8ec338debb71ceff0"),
+        13: (2, "80ba5531049e85051c750f306380418088f8e68749468647852473c573a7e2ff"),
+        17: (1, "e6067a0eb05f7b5de99017a1113eee41dc6637ceb647b6c1fe93560811213dd8"),
+        19: (1, "d06d02832ce67aca050f449999fe692f74be03460ce7f0c78319b0967fa7814a"),
+    },
+    "default": {
+        3: (231, "b3cbf41cbb91ba217b4ee0ff97cb975bd8bed433518f630a961f30f0dacc4339"),
+        4: (124, "f77f8966b927d57b5141f227c13e30c8b04725621c1c099106aa0f7884bd9b5e"),
+        5: (63, "d8c6e70a894df9470a0848f96325228ebf83cf2d06cdebfec4b324140ec64f18"),
+        6: (11, "4ecfb16a7253d498e094678588b47f3812dc845dea26c9c8b0b6c8fa16bd3d3a"),
+        7: (23, "b102f97d7f8ed82837eb5bf46bcf947ca4bb4642ff936b2d66fa142bafcdbf71"),
+        8: (10, "9c0578e6f8dc9d037825286ea7138414e7e5034c99f2b40ccfe3ea32f8e55905"),
+        9: (2, "adcbac4915531cd1c5840d4a980da298674d6c471eb4d62d039305d9aa1492cc"),
+        10: (1, "70a006a2e48b791f8d4914d134daced063fabb7ced0946b4a03a473725bc4b03"),
+        11: (3, "722e7b7aaf1398659879a1eefb053e65780858af8bc9e7f8ec338debb71ceff0"),
+        13: (2, "80ba5531049e85051c750f306380418088f8e68749468647852473c573a7e2ff"),
+        17: (1, "e6067a0eb05f7b5de99017a1113eee41dc6637ceb647b6c1fe93560811213dd8"),
+        19: (1, "d06d02832ce67aca050f449999fe692f74be03460ce7f0c78319b0967fa7814a"),
+    },
+}
 
 
 class StoreError(ValueError):
@@ -189,6 +229,19 @@ def loads_database(text: str) -> Database:
             if before == after:
                 raise StoreError(f"duplicate candidate {candidate.id!r}")
             raise StoreError(f"candidate {candidate.id!r} is out of canonical order")
+    if filter_set is not None:
+        # imported here, not at the top: hashlib loads OpenSSL, a cost every
+        # command would pay at start-up, whether it loads a database or not
+        import hashlib
+
+        # the rows are in canonical order, so each index's rows are one run
+        for q, rows_at_q in itertools.groupby(db.candidates, key=lambda c: c.q):
+            found = [c.id for c in rows_at_q]
+            digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
+            if (len(found), digest) != ID_DIGESTS[filter_set].get(q):
+                raise StoreError(
+                    f"the rows at index {q} are not the {filter_set!r} enumeration"
+                )
     return db
 
 

@@ -67,7 +67,6 @@ class SurveyRow:
     indices: tuple[int, ...]
     a3: Rational
     dims: tuple[int, ...]
-    genus: int
     multiplicity: int
 
     @property
@@ -85,21 +84,13 @@ class SurveyRow:
 def survey_rows(survey: Survey, candidates: Sequence[Candidate]) -> list[SurveyRow]:
     """Select, collapse and sort the table rows for one survey."""
     groups: dict[tuple, int] = {}
-    genus_of: dict[tuple, int] = {}
     for cand in candidates:
         if not survey.admits(cand):
             continue
         key = series_class(cand)
         groups[key] = groups.get(key, 0) + 1
-        genus_of[key] = cand.genus
     rows = [
-        SurveyRow(
-            indices=key[1],
-            a3=key[2],
-            dims=key[3],
-            genus=genus_of[key],
-            multiplicity=mult,
-        )
+        SurveyRow(indices=key[1], a3=key[2], dims=key[3], multiplicity=mult)
         for key, mult in groups.items()
     ]
     rows.sort(key=lambda r: (-r.a3, r.indices, r.dims))

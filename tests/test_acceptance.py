@@ -4,7 +4,7 @@ Each test here is one acceptance criterion for the package: the reference
 survey tables reproduced as exact row multisets, the per-index candidate
 counts, the hypersurface oracle agreement, the degree anchors, the always-on
 chi identities, the surface dimension counts, the link-case eliminations,
-and byte-identical parallel enumeration.  Run with ``pytest -v`` to get one
+byte-identical parallel enumeration, and the max-genus ladder.  Run with ``pytest -v`` to get one
 pass/fail line per criterion.
 """
 
@@ -15,7 +15,7 @@ from collections import Counter
 
 from qfano.arith import Rational
 from qfano.cli import main
-from qfano.enumeration import FILTER_SETS, enumerate_candidates
+from qfano.enumeration import DEGREE_CAP, FILTER_SETS, INDEX_SET, enumerate_candidates
 from qfano.links import audit, dims_table, feasible_indices, load_case_file, solve
 from qfano.riemann_roch import (
     Basket,
@@ -249,3 +249,52 @@ def test_criterion_8_parallel_determinism(tmp_path):
     assert main(["enumerate", "--all", "--jobs", "1", "--db", str(serial)]) == 0
     assert main(["enumerate", "--all", "--jobs", "2", "--db", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+# the paper's corollary, numerically: at each index the one candidate of
+# maximal genus with -K^3 <= 125/2 is a weighted projective model, or the
+# source of a shipped case that eliminates it
+LADDER_MODELS = {
+    5: WpsModel(weights=(1, 1, 1, 2)),
+    7: WpsModel(weights=(1, 1, 2, 3)),
+    9: WpsModel(weights=(1, 2, 3, 4, 5), degree=6),
+    11: WpsModel(weights=(1, 2, 3, 5)),
+    13: WpsModel(weights=(1, 3, 4, 5)),
+    17: WpsModel(weights=(2, 3, 5, 7)),
+    19: WpsModel(weights=(3, 4, 5, 7)),
+}
+LADDER_CASES = {
+    6: ("q6_basket7.case", "q6-7.3-a2.7"),
+    8: ("q8_basket_3_9.case", "q8-3.1_9.4-a1.9"),
+}
+#: Indices whose top genus matches no model and no shipped case.
+NO_RUNG = frozenset({3, 4, 10})
+
+
+def test_criterion_9_max_genus_ladder(full_db):
+    assert sorted([*LADDER_MODELS, *LADDER_CASES, *NO_RUNG]) == list(INDEX_SET)
+    lookup = dims_table(full_db)
+    # the source of every shipped case that eliminates its candidate
+    eliminated = {}
+    for entry in case_path("").iterdir():
+        if entry.name.endswith(".case"):
+            case = load_case_file(entry)
+            if solve(case, full_db, lookup) == []:
+                eliminated[entry.name] = case.source.resolve(full_db)
+    assert sorted(eliminated) == sorted(name for name, _ in LADDER_CASES.values())
+    for q in INDEX_SET:
+        pool = [c for c in full_db if c.q == q and c.minus_k3 <= DEGREE_CAP]
+        top = max(c.genus for c in pool)
+        best = [c for c in pool if c.genus == top]
+        covering = sorted(name for name, source in eliminated.items() if source in best)
+        if q in NO_RUNG:
+            # a case file that eliminates one of these must add a rung here
+            assert covering == [], f"q={q}"
+            continue
+        assert len(best) == 1, f"q={q} has {len(best)} candidates of genus {top}"
+        if q in LADDER_MODELS:
+            assert match_candidate(LADDER_MODELS[q], best[0]).is_match, f"q={q}"
+            assert covering == [], f"q={q}"
+        else:
+            name, source_id = LADDER_CASES[q]
+            assert covering == [name] and best[0].id == source_id

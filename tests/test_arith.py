@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 
 from qfano.arith import (
     NotCoprimeError,
-    NotInvertibleError,
     Rational,
     canonical_orientation,
     format_rational,
-    mod_inverse,
     parse_rational,
 )
 
@@ -38,27 +36,6 @@ def test_parse_rational_rejects(bad):
 def test_parse_format_round_trip(num, den):
     x = Rational(num, den)
     assert parse_rational(format_rational(x)) == x
-
-
-def test_mod_inverse():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(8, 9) == 8
-    assert mod_inverse(1, 1) == 0  # everything is 0 mod 1
-    with pytest.raises(NotInvertibleError):
-        mod_inverse(6, 9)
-    with pytest.raises(ValueError):
-        mod_inverse(1, 0)
-
-
-@given(st.integers(2, 500), st.integers(-1000, 1000))
-def test_mod_inverse_property(r, x):
-    if math.gcd(x, r) != 1:
-        with pytest.raises(NotInvertibleError):
-            mod_inverse(x, r)
-    else:
-        inv = mod_inverse(x, r)
-        assert 0 <= inv < r
-        assert (x * inv) % r == 1
 
 
 def test_canonical_orientation():

@@ -10,8 +10,15 @@ from qfano.cli import (
     main,
 )
 from qfano import cli, enumeration, links
-from qfano.enumeration import DEFAULT_CONFIG, FILTER_FLAGS, INDEX_SET, enumerate_candidates
-from qfano.store import Database, save_database
+from qfano.enumeration import (
+    DEFAULT_CONFIG,
+    FILTER_FLAGS,
+    INDEX_SET,
+    Candidate,
+    enumerate_candidates,
+)
+from qfano.riemann_roch import Basket
+from qfano.store import Database, load_database, save_database
 
 from test_enumeration import _recording_pool, _set_cpus
 from qfano.arith import Rational
@@ -511,6 +518,57 @@ def test_database_missing_an_index_serves_the_others(no_q5_paths, db_path, capsy
         assert main(["table", "--case", "q6", "--db", str(path)]) == EXIT_OK
     first, second = capsys.readouterr().out.split("index 6 survey")[1:]
     assert first == second
+
+
+#: A row of the full database, and a triple that is integral at k = 1..8 with
+#: genus 30, above the true q=8 maximum of 28, but is not a candidate.
+DROPPED_ROW = "q8-3.1_9.4-a1.9"
+FORGED = (8, Basket.from_pairs([(3, 1), (3, 1), (11, 5)]), Rational(4, 33))
+
+
+@pytest.fixture(scope="module")
+def edited_paths(full_db, tmp_path_factory):
+    """The full database with one row dropped, and with one forged row inserted.
+
+    Each is written by the tool itself, so it is in canonical order and its
+    ``count`` is right: only the set of rows at index 8 is wrong.
+    """
+    forged = Candidate.from_parts(*FORGED)
+    assert forged.genus == 30 and forged.id not in {c.id for c in full_db}
+    edits = {
+        "dropped": [c for c in full_db if c.id != DROPPED_ROW],
+        "forged": sorted([*full_db, forged], key=Candidate.sort_key),
+    }
+    assert len(edits["dropped"]) == len(full_db) - 1
+    base = tmp_path_factory.mktemp("edited")
+    paths = {}
+    for name, rows in edits.items():
+        paths[name] = base / f"{name}.json"
+        save_database(Database(DEFAULT_CONFIG, tuple(rows), filter_set="default"), paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("edit", ["dropped", "forged"])
+@pytest.mark.parametrize("command", [
+    ["link", "solve", "q9_4A.case"],
+    ["facts"],
+    ["table", "--case", "q8"],
+    ["wps", "check", "--weights", "1,1,1,2"],
+    ["export"],
+])
+def test_database_with_an_edited_index_is_refused(edited_paths, edit, command, capsys):
+    # a dropped row turns q9_4A's 24 solutions into 18 and drops qhat = 8
+    # from the feasible set; a forged row adds an eighth q8 survey row
+    assert main(command + ["--db", str(edited_paths[edit])]) == EXIT_MISSING_INPUT
+    err = capsys.readouterr().err
+    assert "the rows at index 8 are not the 'default' enumeration" in err
+
+
+def test_named_databases_of_whole_indices_load(db_path, q8_doc, no_q5_paths, tmp_path):
+    q8_path = tmp_path / "q8.json"
+    q8_path.write_text(json.dumps(q8_doc), encoding="utf-8")
+    for path in (db_path, q8_path, no_q5_paths["default"]):
+        assert load_database(path).filter_set == "default"
 
 
 def test_unnamed_database_is_served_with_a_warning(no_q5_paths, db_path, capsys):

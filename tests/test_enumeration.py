@@ -23,7 +23,14 @@ from qfano.enumeration import (
     point_domain,
     series_class,
 )
-from qfano.riemann_roch import Basket, FanoInput, chi_integer, scaled_kawamata_sum
+from qfano.riemann_roch import (
+    Basket,
+    FanoInput,
+    chi_integer,
+    local_terms,
+    scaled_kawamata_sum,
+)
+from qfano.store import ID_DIGESTS
 
 from test_riemann_roch import _reference_chi, _reference_sigma
 
@@ -188,13 +195,34 @@ def test_filter_diff_bm_inequality():
     assert len(added) == 66
 
 
+def _t_scaled(q, basket, k, n):
+    """``T(k) = 12 q N chi(k)`` for ``A^3 = n/N`` as a plain integer, one term per point."""
+    n_lcm = basket.index_lcm
+    value = (
+        12 * q * n_lcm
+        + q * n * k * (k + q) * (2 * k + q)
+        + k * (24 * n_lcm - basket.sigma_scaled)
+    )
+    for p in basket:
+        value += q * (n_lcm // p.r) * local_terms(q, p.r, p.a)[k % p.r]
+    return value
+
+
 def _integrality_window(fano):
-    """Period of the fractional part of ``chi``: checking one period suffices."""
-    return enumeration._BasketScanner(fano.q, fano.basket).window(fano.a3.denominator)
+    """Period of chi's fractional part: ``lcm(12 den A^3, 12 q den sigma, N)``."""
+    n_lcm = fano.basket.index_lcm
+    sigma_den = n_lcm // math.gcd(fano.basket.sigma_scaled, n_lcm)
+    return math.lcm(12 * fano.a3.denominator, 12 * fano.q * sigma_den, n_lcm)
+
+
+def _config(enforce_vanishing=True, nonnegativity=True):
+    return replace(
+        DEFAULT_CONFIG, enforce_vanishing=enforce_vanishing, nonnegativity=nonnegativity
+    )
 
 
 def _passes_integrality(fano, *, enforce_vanishing=True, nonnegativity=True):
-    """The enumeration's sieve on one triple: its ``_BasketScanner`` at ``A^3``.
+    """The enumeration's sieve on one triple: ``_passing_numerators`` at ``A^3``.
 
     Decides ``chi(k) = 0`` on ``-q < k < 0``, and integrality (plus optional
     non-negativity) for ``0 <= k < L``, ``L`` = :func:`_integrality_window`;
@@ -202,32 +230,48 @@ def _passes_integrality(fano, *, enforce_vanishing=True, nonnegativity=True):
     is ``_reference_passes``, which runs the whole period on
     ``_reference_chi``.
     """
-    scanner = enumeration._BasketScanner(fano.q, fano.basket)
-    if scanner.n_lcm % fano.a3.denominator != 0:
+    n_lcm = fano.basket.index_lcm
+    if n_lcm % fano.a3.denominator != 0:
         return False
-    return scanner.scan(
-        fano.a3.numerator * (scanner.n_lcm // fano.a3.denominator),
-        enforce_vanishing=enforce_vanishing,
-        nonnegativity=nonnegativity,
-    )
+    n = fano.a3.numerator * (n_lcm // fano.a3.denominator)
+    config = _config(enforce_vanishing, nonnegativity)
+    return list(enumeration._passing_numerators(fano.q, fano.basket, (n,), config)) == [n]
 
 
-def _reference_scan(scanner, n, *, enforce_vanishing=True, nonnegativity=True):
-    """``_BasketScanner.scan`` as one ``chi_scaled`` call per ``k``."""
+def _reference_scan(q, basket, n, *, enforce_vanishing=True, nonnegativity=True):
+    """The sieve on ``A^3 = n/N`` as one ``_t_scaled`` call per ``k``."""
     if enforce_vanishing:
-        for k in range(1 - scanner.q, 0):
-            if scanner.chi_scaled(k, n) != 0:
+        for k in range(1 - q, 0):
+            if _t_scaled(q, basket, k, n) != 0:
                 return False
-    window = scanner.window(scanner.n_lcm // math.gcd(n, scanner.n_lcm))
-    if not nonnegativity or scanner.linear_coeff >= 0:
-        window = min(window, 3 * scanner.n_lcm)
+    n_lcm = basket.index_lcm
+    window = _integrality_window(FanoInput(q=q, basket=basket, a3=Rational(n, n_lcm)))
+    if not nonnegativity or basket.sigma_scaled <= 24 * n_lcm:
+        window = min(window, 3 * n_lcm)
     for k in range(1, window):
-        value = scanner.chi_scaled(k, n)
-        if value % scanner.modulus != 0:
+        value = _t_scaled(q, basket, k, n)
+        if value % (12 * q * n_lcm) != 0:
             return False
         if nonnegativity and value < 0:
             return False
     return True
+
+
+def _scan_agrees(q, basket, numerators, verdicts=None):
+    """One generator call per flag pair over ``numerators``, against the per-k loop."""
+    for vanish, nonneg in itertools.product((True, False), repeat=2):
+        passed = list(
+            enumeration._passing_numerators(q, basket, numerators, _config(vanish, nonneg))
+        )
+        expected = []
+        for n in numerators:
+            verdict = _reference_scan(
+                q, basket, n, enforce_vanishing=vanish, nonnegativity=nonneg
+            )
+            expected += [n] * verdict
+            if verdicts is not None:
+                verdicts.add((vanish, nonneg, verdict))
+        assert passed == expected
 
 
 def test_passes_integrality_frozen_cases():
@@ -326,24 +370,20 @@ def test_short_scan_agrees_with_rational_reference():
 @pytest.mark.parametrize("q", [5, 7])
 def test_scan_matches_the_per_k_loop(q):
     # every basket with a degree range, at its chi(1) residue class and a
-    # few numerators outside it, each through one scanner in turn so that
-    # the scanner's table is shared between them
+    # few numerators outside it, all through one generator call per flag
+    # pair so that the basket's period table is shared between them
     verdicts = set()
     for basket in enumerate_baskets(q):
         numerators = degree_candidates(q, basket)
         if not numerators:
             continue
-        scanner = enumeration._BasketScanner(q, basket)
         solved = enumeration._residue_class(
-            numerators, scanner.chi_scaled(1, 0), q * (q + 1) * (q + 2), scanner.modulus
+            numerators,
+            _t_scaled(q, basket, 1, 0),
+            q * (q + 1) * (q + 2),
+            12 * q * basket.index_lcm,
         )
-        for n in sorted({*solved, *numerators[:2], numerators[-1]}):
-            for vanish, nonneg in itertools.product((True, False), repeat=2):
-                verdict = scanner.scan(n, enforce_vanishing=vanish, nonnegativity=nonneg)
-                assert verdict == _reference_scan(
-                    scanner, n, enforce_vanishing=vanish, nonnegativity=nonneg
-                )
-                verdicts.add((vanish, nonneg, verdict))
+        _scan_agrees(q, basket, sorted({*solved, *numerators[:2], numerators[-1]}), verdicts)
     assert len(verdicts) == 8
 
 
@@ -365,40 +405,30 @@ def test_scan_past_sigma_24_matches_the_per_k_loop(data):
     # integral up to 3N make the checked scan run the whole period.
     q = data.draw(st.sampled_from([5, 7]))
     basket = data.draw(_heavy_baskets(q))
-    scanner = enumeration._BasketScanner(q, basket)
-    assert scanner.linear_coeff < 0
-    n_lcm = scanner.n_lcm
+    n_lcm = basket.index_lcm
+    assert 24 * n_lcm - basket.sigma_scaled < 0
     integral = [
         n
         for n in range(1, 3 * n_lcm + 1)
-        if _reference_scan(scanner, n, enforce_vanishing=False, nonnegativity=False)
+        if _reference_scan(q, basket, n, enforce_vanishing=False, nonnegativity=False)
     ]
     numerators = data.draw(st.lists(st.integers(1, 3 * n_lcm), max_size=2))
     if integral:
         numerators += data.draw(st.lists(st.sampled_from(integral), min_size=1, max_size=2))
-    for n in numerators:
-        for vanish, nonneg in itertools.product((True, False), repeat=2):
-            assert scanner.scan(
-                n, enforce_vanishing=vanish, nonnegativity=nonneg
-            ) == _reference_scan(scanner, n, enforce_vanishing=vanish, nonnegativity=nonneg)
+    _scan_agrees(q, basket, numerators)
 
 
 def test_scan_past_3n_on_a_heavy_basket():
     # sigma = 73/2 > 24: a checked scan of the integral n = 36 runs the
     # whole period (120 > 3N = 72), and a second numerator reuses the table
     basket = Basket.from_pairs([(3, 1), (3, 1), (4, 1), (6, 1), (6, 1), (8, 3), (8, 3)])
-    scanner = enumeration._BasketScanner(5, basket)
-    assert scanner.linear_coeff < 0 and scanner.window(2) == 120
-    for n in (36, 12, 36):
-        for vanish, nonneg in itertools.product((True, False), repeat=2):
-            assert scanner.scan(
-                n, enforce_vanishing=vanish, nonnegativity=nonneg
-            ) == _reference_scan(scanner, n, enforce_vanishing=vanish, nonnegativity=nonneg)
-    assert scanner.scan(36, enforce_vanishing=False)
-    assert _passes_integrality(
-        FanoInput(q=5, basket=basket, a3=Rational(36, 24)), enforce_vanishing=False
-    ) == _reference_passes(
-        FanoInput(q=5, basket=basket, a3=Rational(36, 24)), enforce_vanishing=False
+    fano = FanoInput(q=5, basket=basket, a3=Rational(36, 24))
+    assert 24 * basket.index_lcm - basket.sigma_scaled < 0
+    assert fano.a3.denominator == 2 and _integrality_window(fano) == 120
+    _scan_agrees(5, basket, (36, 12, 36))
+    assert _passes_integrality(fano, enforce_vanishing=False)
+    assert _passes_integrality(fano, enforce_vanishing=False) == _reference_passes(
+        fano, enforce_vanishing=False
     )
 
 
@@ -438,20 +468,18 @@ def test_residue_class_matches_brute_force(q, full_db):
     walk = list(enumerate_baskets(q))
     sample = random.Random(q).sample(walk[150:], min(150, len(walk) - 150))
     for basket in walk[:150] + sample + [c.basket for c in full_db if c.q == q]:
-        scanner = enumeration._BasketScanner(q, basket)
         n_lcm = basket.index_lcm
+        modulus = 12 * q * n_lcm
         for k in (-1, 1):  # T(k) at n = 0, from the per-point shares
             assert (12 * q + 24 * k) * n_lcm + sum(
                 (n_lcm // p.r) * shares[k][p.r, p.a] for p in basket
-            ) == scanner.chi_scaled(k, 0)
+            ) == _t_scaled(q, basket, k, 0)
         # T(1) = T(1)|_{n=0} + q(q+1)(q+2) n
-        const, coeff = scanner.chi_scaled(1, 0), q * (q + 1) * (q + 2)
+        const, coeff = _t_scaled(q, basket, 1, 0), q * (q + 1) * (q + 2)
         for config in FILTER_SETS.values():
             numerators = degree_candidates(q, basket, config)
-            integral = [
-                n for n in numerators if scanner.chi_scaled(1, n) % scanner.modulus == 0
-            ]
-            solved = enumeration._residue_class(numerators, const, coeff, scanner.modulus)
+            integral = [n for n in numerators if _t_scaled(q, basket, 1, n) % modulus == 0]
+            solved = enumeration._residue_class(numerators, const, coeff, modulus)
             assert list(solved) == integral
             if numerators:
                 seen.add(bool(integral))
@@ -473,52 +501,20 @@ def test_no_vanishing_counts_frozen(name):
     assert counts == NO_VANISHING_COUNTS[name]
 
 
-#: Per filter set and index in INDEX_SET: the candidate count and the sha256
-#: of the ids, in canonical order, joined by newlines.
-ID_DIGESTS = {
-    "capped": [
-        (231, "b3cbf41cbb91ba217b4ee0ff97cb975bd8bed433518f630a961f30f0dacc4339"),  # q=3
-        (121, "34b4f5b897973f11dc57c99c571ba2e68865b0390da04e5ddd660c3d87d9ee65"),  # q=4
-        (60, "c7dfb8808b6e55417ec4ae4a518c52b08e7f893f7dcdf583e2867183d11e6447"),  # q=5
-        (10, "2828fd3b6cb133691ec073aaf01e731c19a2948006a70a84c74bf9cdbb6107dd"),  # q=6
-        (21, "5e93dbd6abe590d4ef3c116dbfed5832c2d29338697710537f928bb2de5f79de"),  # q=7
-        (10, "9c0578e6f8dc9d037825286ea7138414e7e5034c99f2b40ccfe3ea32f8e55905"),  # q=8
-        (2, "adcbac4915531cd1c5840d4a980da298674d6c471eb4d62d039305d9aa1492cc"),  # q=9
-        (1, "70a006a2e48b791f8d4914d134daced063fabb7ced0946b4a03a473725bc4b03"),  # q=10
-        (3, "722e7b7aaf1398659879a1eefb053e65780858af8bc9e7f8ec338debb71ceff0"),  # q=11
-        (2, "80ba5531049e85051c750f306380418088f8e68749468647852473c573a7e2ff"),  # q=13
-        (1, "e6067a0eb05f7b5de99017a1113eee41dc6637ceb647b6c1fe93560811213dd8"),  # q=17
-        (1, "d06d02832ce67aca050f449999fe692f74be03460ce7f0c78319b0967fa7814a"),  # q=19
-    ],
-    "default": [
-        (231, "b3cbf41cbb91ba217b4ee0ff97cb975bd8bed433518f630a961f30f0dacc4339"),  # q=3
-        (124, "f77f8966b927d57b5141f227c13e30c8b04725621c1c099106aa0f7884bd9b5e"),  # q=4
-        (63, "d8c6e70a894df9470a0848f96325228ebf83cf2d06cdebfec4b324140ec64f18"),  # q=5
-        (11, "4ecfb16a7253d498e094678588b47f3812dc845dea26c9c8b0b6c8fa16bd3d3a"),  # q=6
-        (23, "b102f97d7f8ed82837eb5bf46bcf947ca4bb4642ff936b2d66fa142bafcdbf71"),  # q=7
-        (10, "9c0578e6f8dc9d037825286ea7138414e7e5034c99f2b40ccfe3ea32f8e55905"),  # q=8
-        (2, "adcbac4915531cd1c5840d4a980da298674d6c471eb4d62d039305d9aa1492cc"),  # q=9
-        (1, "70a006a2e48b791f8d4914d134daced063fabb7ced0946b4a03a473725bc4b03"),  # q=10
-        (3, "722e7b7aaf1398659879a1eefb053e65780858af8bc9e7f8ec338debb71ceff0"),  # q=11
-        (2, "80ba5531049e85051c750f306380418088f8e68749468647852473c573a7e2ff"),  # q=13
-        (1, "e6067a0eb05f7b5de99017a1113eee41dc6637ceb647b6c1fe93560811213dd8"),  # q=17
-        (1, "d06d02832ce67aca050f449999fe692f74be03460ce7f0c78319b0967fa7814a"),  # q=19
-    ],
-}
-
-
 @pytest.mark.parametrize("name", sorted(FILTER_SETS))
 def test_ids_frozen_per_filter_set(name, full_db):
-    # the default set's rows are the session database's
+    # the table a load checks a named-set database against is a cache of
+    # the enumeration; the default set's rows are the session database's
+    assert sorted(ID_DIGESTS) == sorted(FILTER_SETS)
     config = FILTER_SETS[name]
-    got = []
+    got = {}
     for q in INDEX_SET:
         if config == DEFAULT_CONFIG:
             found = [c for c in full_db if c.q == q]
         else:
             found = enumerate_candidates(q, config)
         ids = "\n".join(c.id for c in found)
-        got.append((len(found), hashlib.sha256(ids.encode()).hexdigest()))
+        got[q] = (len(found), hashlib.sha256(ids.encode()).hexdigest())
     assert got == ID_DIGESTS[name]
 
 
