@@ -205,11 +205,11 @@ def cmd_wps_check(args) -> int:
         return EXIT_USAGE
     q = fano_index(model)
     a3 = degree_a3(model)
+    db = _load_or_build(args)
+    db.require_indices((q,), "wps check")
     print(f"model: {model}")
     print(f"fano index q = {q}, A^3 = {format_rational(a3)}, "
           f"-K^3 = {format_rational(q**3 * a3)}")
-    db = _load_or_build(args)
-    db.require_indices((q,), "wps check")
     pool = [c for c in db.candidates if c.q == q and c.a3 == a3]
     if not pool:
         print("candidate match: none (no enumerated candidate has this index and degree)")
@@ -283,9 +283,8 @@ def cmd_export(args) -> int:
 def cmd_diff(args) -> int:
     config = FILTER_SETS[args.filter_set]
     flags = (args.flag,) if args.flag else FILTER_FLAGS
-    base = enumerate_candidates(args.q, config)
     for flag in flags:
-        removed, added = filter_diff(args.q, flag, config, base=base)
+        removed, added = filter_diff(args.q, flag, config)
         current = getattr(config, flag)
         print(f"{flag}: {current} -> {not current}: "
               f"removes {len(removed)}, adds {len(added)}")

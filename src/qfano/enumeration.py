@@ -550,26 +550,47 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
 
 
 def filter_diff(
-    q: int,
-    flag: str,
-    config: FilterConfig = DEFAULT_CONFIG,
-    base: Sequence[Candidate] | None = None,
+    q: int, flag: str, config: FilterConfig = DEFAULT_CONFIG
 ) -> tuple[list[Candidate], list[Candidate]]:
     """Effect of toggling one boolean filter flag on the index-q candidates.
 
     Returns ``(removed, added)`` relative to ``config``: candidates that
     disappear / appear when ``flag`` is flipped.  Backs the ``diff`` command
-    demanded by the count-calibration protocol.  ``base``, if given, is
-    ``enumerate_candidates(q, config)``, so a caller diffing several flags
-    enumerates it once.
+    demanded by the count-calibration protocol.
+
+    Every flip but one is nested: the side with ``flag`` on keeps exactly the
+    candidates of the side with it off that also pass the on side's checks.
+    ``enforce_vanishing`` and ``nonnegativity`` only add a check to the sieve
+    and leave the degree range as it is.  ``bm_inequality`` under the cap
+    cuts the range ``cap`` to ``min(cap, BM)``, and without the cap BM bounds
+    both sides.  ``degree_cap_enforced`` with ``bm_inequality`` on cuts the
+    range ``BM`` to ``min(cap, BM)``.  So the off side is enumerated once,
+    and each of its candidates is kept for the on side when its numerator is
+    in the on side's :func:`degree_candidates` and passes the on side's
+    :func:`_passing_numerators`.  The exception is ``degree_cap_enforced``
+    with ``bm_inequality`` off: the cap-only and the BM-only ranges do not
+    nest, so both sides are enumerated.
     """
     if flag not in FILTER_FLAGS:
         raise ValueError(f"unknown filter flag {flag!r}; choose from {FILTER_FLAGS}")
-    flipped = replace(config, **{flag: not getattr(config, flag)})
-    before = {c.id: c for c in (enumerate_candidates(q, config) if base is None else base)}
-    after = {c.id: c for c in enumerate_candidates(q, flipped)}
-    removed = [c for cid, c in before.items() if cid not in after]
-    added = [c for cid, c in after.items() if cid not in before]
-    removed.sort(key=Candidate.sort_key)
-    added.sort(key=Candidate.sort_key)
+    looser, tighter = (replace(config, **{flag: on}) for on in (False, True))
+    loose = enumerate_candidates(q, looser)
+    if flag == "degree_cap_enforced" and not config.bm_inequality:
+        tight = enumerate_candidates(q, tighter)
+    else:
+        tight = [c for c in loose if _passes(c, tighter)]
+    before, after = (tight, loose) if getattr(config, flag) else (loose, tight)
+    before_ids = {c.id for c in before}
+    after_ids = {c.id for c in after}
+    removed = [c for c in before if c.id not in after_ids]
+    added = [c for c in after if c.id not in before_ids]
     return removed, added
+
+
+def _passes(candidate: Candidate, config: FilterConfig) -> bool:
+    """Whether ``config``'s degree range and sieve keep an enumerated candidate."""
+    q, basket, a3 = candidate.q, candidate.basket, candidate.a3
+    n = a3.numerator * (basket.index_lcm // a3.denominator)
+    return n in degree_candidates(q, basket, config) and any(
+        _passing_numerators(q, basket, (n,), config)
+    )

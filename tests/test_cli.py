@@ -463,23 +463,24 @@ def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
     assert in_turn == [vars(cli._build_parser.__wrapped__().parse_args(argv)) for argv in valid]
 
 
-def test_diff_enumerates_its_base_once(monkeypatch, capsys):
-    per_flag = []
-    for flag in FILTER_FLAGS:
-        assert main(["diff", "--q", "5", "--flag", flag]) == EXIT_OK
-        per_flag.append(capsys.readouterr().out)
+def test_diff_walks_the_baskets_once_per_flag(monkeypatch, capsys):
     calls = []
-    real = enumeration.enumerate_candidates
+    real = enumeration.enumerate_baskets
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "enumerate_candidates", counting)
-    monkeypatch.setattr(cli, "enumerate_candidates", counting)
+    monkeypatch.setattr(enumeration, "enumerate_baskets", counting)
+    per_flag = []
+    for flag in FILTER_FLAGS:
+        assert main(["diff", "--q", "5", "--flag", flag]) == EXIT_OK
+        per_flag.append(capsys.readouterr().out)
+        assert len(calls) == len(per_flag)
+    calls.clear()
     assert main(["diff", "--q", "5"]) == EXIT_OK
     assert capsys.readouterr().out == "".join(per_flag)
-    assert len(calls) == 1 + len(FILTER_FLAGS)
+    assert len(calls) == len(FILTER_FLAGS)
     # one index: every enumeration runs in this process, with no pool
     sizes = []
     monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
@@ -560,7 +561,8 @@ def test_database_with_an_edited_index_is_refused(edited_paths, edit, command, c
     # a dropped row turns q9_4A's 24 solutions into 18 and drops qhat = 8
     # from the feasible set; a forged row adds an eighth q8 survey row
     assert main(command + ["--db", str(edited_paths[edit])]) == EXIT_MISSING_INPUT
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "the rows at index 8 are not the 'default' enumeration" in err
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -11,9 +12,11 @@ from qfano import enumeration
 from qfano.arith import Rational
 from qfano.enumeration import (
     DEFAULT_CONFIG,
+    FILTER_FLAGS,
     FILTER_SETS,
     INDEX_SET,
     Candidate,
+    FilterConfig,
     candidate_id,
     degree_candidates,
     enumerate_baskets,
@@ -187,12 +190,21 @@ def test_degree_candidates_bm_bound():
     assert len(degree_candidates(3, heavy, CAPPED)) == 0
 
 
+#: Candidates that turning ``bm_inequality`` off adds under ``capped``, by index
+#: (none at the indices not listed).
+BM_OFF_ADDS_UNDER_CAP = {3: 596, 4: 220, 5: 66, 6: 9, 7: 12, 9: 1}
+
+
 def test_filter_diff_bm_inequality():
-    # the uncapped walk is bounded by BM whatever the flag says
-    assert filter_diff(5, "bm_inequality") == ([], [])
-    removed, added = filter_diff(5, "bm_inequality", CAPPED)
-    assert removed == []
-    assert len(added) == 66
+    # the README's claims, at every index: the uncapped walk is bounded by BM
+    # whatever the flag says, and nonnegativity changes nothing in either set
+    for q in INDEX_SET:
+        assert filter_diff(q, "bm_inequality") == ([], [])
+        removed, added = filter_diff(q, "bm_inequality", CAPPED)
+        assert removed == []
+        assert len(added) == BM_OFF_ADDS_UNDER_CAP.get(q, 0)
+        for config in (DEFAULT_CONFIG, CAPPED):
+            assert filter_diff(q, "nonnegativity", config) == ([], [])
 
 
 def _t_scaled(q, basket, k, n):
@@ -684,6 +696,33 @@ def test_filter_diff_degree_cap():
     assert added == []
     with pytest.raises(ValueError):
         filter_diff(5, "no_such_flag")
+
+
+def test_filter_diff_matches_two_enumerations():
+    """``filter_diff`` walks once and re-sieves; its oracle enumerates both sides."""
+    enumerated = functools.lru_cache(maxsize=None)(enumerate_candidates)
+
+    def oracle(q, flag, config):
+        before = enumerated(q, config)
+        after = enumerated(q, replace(config, **{flag: not getattr(config, flag)}))
+        before_ids = {c.id for c in before}
+        after_ids = {c.id for c in after}
+        return (
+            [c for c in before if c.id not in after_ids],
+            [c for c in after if c.id not in before_ids],
+        )
+
+    # every config at q = 6 and 8, which includes the cap flip with BM off,
+    # the one flip whose two sides do not nest
+    cases = [
+        (q, FilterConfig(*bits))
+        for q in (6, 8)
+        for bits in itertools.product((False, True), repeat=len(FILTER_FLAGS))
+    ]
+    cases += [(5, config) for config in FILTER_SETS.values()]
+    for q, config in cases:
+        for flag in FILTER_FLAGS:
+            assert filter_diff(q, flag, config) == oracle(q, flag, config), (q, config, flag)
 
 
 def test_filter_diff_vanishing_adds():
