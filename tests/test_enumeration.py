@@ -725,6 +725,51 @@ def test_filter_diff_matches_two_enumerations():
             assert filter_diff(q, flag, config) == oracle(q, flag, config), (q, config, flag)
 
 
+#: The flags :func:`degree_candidates` reads, and those the sieve reads.
+RANGE_FLAGS = ("degree_cap_enforced", "bm_inequality")
+SIEVE_FLAGS = ("enforce_vanishing", "nonnegativity")
+
+
+def test_each_flag_feeds_one_half_of_the_battery():
+    """``filter_diff`` re-checks only the half of the battery that a flag feeds.
+
+    At every q = 5 basket, flipping a sieve flag leaves the degree range as
+    it is, and flipping a range flag leaves the sieve's verdict on every
+    numerator of that range as it is: under both named sets, and under the
+    default with the vanishing filter off, where ``nonnegativity`` acts.
+    """
+    assert sorted(RANGE_FLAGS + SIEVE_FLAGS) == sorted(FILTER_FLAGS)
+    configs = [*FILTER_SETS.values(), replace(DEFAULT_CONFIG, enforce_vanishing=False)]
+    for config in configs:
+        flipped = {f: replace(config, **{f: not getattr(config, f)}) for f in FILTER_FLAGS}
+        for basket in enumerate_baskets(5):
+            numerators = degree_candidates(5, basket, config)
+            for flag in SIEVE_FLAGS:
+                assert degree_candidates(5, basket, flipped[flag]) == numerators
+            passed = list(enumeration._passing_numerators(5, basket, numerators, config))
+            for flag in RANGE_FLAGS:
+                assert list(
+                    enumeration._passing_numerators(5, basket, numerators, flipped[flag])
+                ) == passed, (config, flag, basket)
+
+
+#: For each flag, one ``(config, q)`` where flipping it changes the
+#: candidates, with the ``(removed, added)`` counts it gives.
+FLAG_WITNESSES = {
+    "degree_cap_enforced": (DEFAULT_CONFIG, 5, (3, 0)),
+    "enforce_vanishing": (DEFAULT_CONFIG, 5, (0, 11)),
+    "bm_inequality": (CAPPED, 3, (0, 596)),
+    "nonnegativity": (replace(DEFAULT_CONFIG, enforce_vanishing=False), 4, (0, 3)),
+}
+
+
+def test_every_filter_flag_changes_something():
+    assert sorted(FLAG_WITNESSES) == sorted(FILTER_FLAGS)
+    for flag, (config, q, counts) in FLAG_WITNESSES.items():
+        removed, added = filter_diff(q, flag, config)
+        assert (len(removed), len(added)) == counts, flag
+
+
 def test_filter_diff_vanishing_adds():
     removed, added = filter_diff(6, "enforce_vanishing")
     assert removed == []  # relaxing a filter can only add candidates
