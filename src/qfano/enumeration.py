@@ -67,6 +67,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import cycle, islice
 from multiprocessing import Pool
@@ -287,6 +288,26 @@ def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:
     }
 
 
+def _columns(q: int, basket: Basket) -> list[tuple[int, tuple[int, ...]]]:
+    """``(r, column)`` per distinct point: its share of ``q W(k)`` by ``k mod r``, all copies."""
+    n_lcm = basket.index_lcm
+    return [
+        (p.r, tuple(q * mult * (n_lcm // p.r) * t for t in local_terms(q, p.r, p.a)))
+        for p, mult in Counter(basket).items()
+    ]
+
+
+def _vanishes(q: int, n: int, basket: Basket, columns: list[tuple[int, tuple[int, ...]]]) -> bool:
+    """Whether ``T(k) = 0`` at ``A^3 = n/N`` for every ``k`` in the window ``-q < k < 0``."""
+    n_lcm, qn = basket.index_lcm, q * n
+    linear = 24 * n_lcm - basket.sigma_scaled
+    return not any(
+        12 * q * n_lcm + qn * k * (k + q) * (2 * k + q) + k * linear
+        + sum(column[k % r] for r, column in columns)
+        for k in range(1 - q, 0)
+    )
+
+
 def _passing_numerators(
     q: int, basket: Basket, numerators: Iterable[int], config: FilterConfig
 ) -> Iterator[int]:
@@ -301,37 +322,24 @@ def _passing_numerators(
     from the per-point tables :func:`~qfano.riemann_roch.local_terms`,
     indexed by ``k mod r``.  ``chi(k)`` is integral iff ``T(k) % 12qN == 0``,
     and signs and zeros transfer directly.  The vanishing window
-    ``-q < k < 0`` reads each point's column at ``k mod r``.  Past it, ``q W``
-    is read from one table of a period ``N``, built once per basket by the
-    first degree that gets that far, and the rest of ``T(k)``, a cubic in
-    ``k``, steps by forward differences (third difference ``12qn``).  A
-    degree stops at the first ``k`` that fails, and at ``min(window, 3N)``
-    (the 3N lemma, module docstring).
+    ``-q < k < 0`` (:func:`_vanishes`) reads each point's column at
+    ``k mod r``.  Past it, ``q W`` is read from one table of a period ``N``,
+    built once per basket by the first degree that gets that far, and the
+    rest of ``T(k)``, a cubic in ``k``, steps by forward differences (third
+    difference ``12qn``).  A degree stops at the first ``k`` that fails, and
+    at ``min(window, 3N)`` (the 3N lemma, module docstring).
     """
     n_lcm = basket.index_lcm
     modulus = 12 * q * n_lcm
     linear = 24 * n_lcm - basket.sigma_scaled
     sigma_den = n_lcm // math.gcd(basket.sigma_scaled, n_lcm)
-    # merge identical points: many baskets repeat (2,1) etc.
-    merged: dict[SingularPoint, int] = {}
-    for point in basket:
-        merged[point] = merged.get(point, 0) + 1
-    # each column holds one point's share of q W(k), by k mod r
-    columns = [
-        (p.r, tuple(q * mult * (n_lcm // p.r) * t for t in local_terms(q, p.r, p.a)))
-        for p, mult in merged.items()
-    ]
-    vanishing = range(1 - q, 0) if config.enforce_vanishing else ()
+    columns = _columns(q, basket)
     nonnegativity = config.nonnegativity
     period = None
     for n in numerators:
-        qn = q * n
-        if any(
-            modulus + qn * k * (k + q) * (2 * k + q) + k * linear
-            + sum(column[k % r] for r, column in columns)
-            for k in vanishing
-        ):
+        if config.enforce_vanishing and not _vanishes(q, n, basket, columns):
             continue
+        qn = q * n
         # the period of chi's fractional part: lcm(12 den A^3, 12 q den sigma, N)
         window = math.lcm(12 * (n_lcm // math.gcd(n, n_lcm)), 12 * q * sigma_den, n_lcm)
         # the 3N lemma; its non-negativity half needs sigma <= 24, so past
@@ -572,7 +580,9 @@ def filter_diff(
       side's :func:`degree_candidates`.
     * ``enforce_vanishing`` and ``nonnegativity`` only add a check to the
       sieve.  A candidate is kept when it passes the on side's
-      :func:`_passing_numerators`.
+      :func:`_passing_numerators`; for ``enforce_vanishing`` that is the
+      window check :func:`_vanishes` alone, since the off side already
+      passed the rest of the sieve.
 
     The exception is ``degree_cap_enforced`` with ``bm_inequality`` off: the
     cap-only and the BM-only ranges do not nest, so both sides are
@@ -591,6 +601,8 @@ def filter_diff(
             n = c.a3.numerator * (basket.index_lcm // c.a3.denominator)
             if flag in ("degree_cap_enforced", "bm_inequality"):
                 kept = n in degree_candidates(q, basket, tighter)
+            elif flag == "enforce_vanishing":
+                kept = _vanishes(q, n, basket, _columns(q, basket))
             else:
                 kept = any(_passing_numerators(q, basket, (n,), tighter))
             if kept:

@@ -24,9 +24,11 @@ monomials over the unknowns, with the coefficients alpha brings in scaled by
 their common denominator ``d``, so a branch ``(qhat, alpha)`` only asks for
 the value ``qhat * d`` and every search node is plain ``int`` arithmetic.
 Alpha is positive, so every coefficient is non-negative; with non-negative
-unknowns each relation is then monotone in every variable, which is what
-the branch-and-prune interval bound relies on.  The expression trees are
-evaluated over exact rationals only by :func:`audit`.
+unknowns each relation is then monotone in every variable.  The search
+relies on that twice: a relation lies between its values at the corners of
+the remaining box, and a variable's value loop stops at the first value
+whose low corner passes the target.  The expression trees are evaluated
+over exact rationals only by :func:`audit`.
 
 Case documents are strict JSON: integer fields must be JSON integers,
 ``genus_transfer`` a JSON boolean, and a key the format does not define is
@@ -544,7 +546,9 @@ def _branch(
 
     In order: the genus-transfer gate, the dimension floors, the search over
     the ``compiled`` relations, and the exact re-check of the dimension
-    constraints on each assignment the search proposes.
+    constraints on each assignment the search proposes.  The search checks
+    the root box once, then each value as it is set: a low corner past its
+    target ends the variable's loop, a high corner short of it skips the value.
     """
     if case.genus_transfer and alpha < 1 and lookup(qhat, 0, source.genus) is None:
         return  # no target at qhat supports the transferred genus
@@ -573,21 +577,23 @@ def _branch(
     hi_vals = list(hi)
 
     def assign(idx: int) -> Iterator[tuple[int, ...]]:
-        # every coefficient is >= 0, so over the box of remaining
-        # values a relation ranges between its two corner values
-        for terms, target in relations:
-            if not _evaluate(terms, lo_vals) <= target <= _evaluate(terms, hi_vals):
-                return
         if idx == len(lo):
             # lo_vals == hi_vals here, so every relation holds exactly
             yield tuple(lo_vals)
             return
         for value in range(lo[idx], hi[idx] + 1):
             lo_vals[idx] = hi_vals[idx] = value
-            yield from assign(idx + 1)
+            if any(_evaluate(terms, lo_vals) > target for terms, target in relations):
+                break
+            if all(_evaluate(terms, hi_vals) >= target for terms, target in relations):
+                yield from assign(idx + 1)
         lo_vals[idx] = lo[idx]
         hi_vals[idx] = hi[idx]
 
+    # every coefficient is >= 0, so over the box of remaining values a
+    # relation ranges between its two corner values
+    if any(not _evaluate(t, lo_vals) <= target <= _evaluate(t, hi_vals) for t, target in relations):
+        return
     for found in assign(0):
         # final exact re-check of the dimension constraints
         if all(meets(found[idx], need, gmin) for idx, need, gmin in floors):

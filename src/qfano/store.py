@@ -216,7 +216,8 @@ def loads_database(text: str) -> Database:
     db = Database(config, tuple(_rebuild_row(data, point) for data in rows), filter_set)
     written = _document(db)
     # one comparison of the texts is the comparison of every value, type and
-    # key order; only on a mismatch are the rows compared, to name the first
+    # key order; only on a mismatch are the rows compared, to name the first.
+    # Both sides compact: with indent=2 json takes its pure-Python encoder
     if json.dumps(written) != json.dumps(doc):
         for c, row, data in zip(db.candidates, written["candidates"], rows):
             if json.dumps(row) != json.dumps(data):

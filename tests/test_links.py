@@ -6,6 +6,7 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfano import links
 from qfano.arith import Rational
 from qfano.enumeration import INDEX_SET
 from qfano.links import (
@@ -447,7 +448,11 @@ def _reference_solve(case, db):
 
 SHIPPED_CASES = ("q9_4A.case", "q6_basket7.case", "q8_basket_3_9.case")
 
-# the toy cases the solver-semantics tests above build
+#: Solutions at a variable's upper bound and just below the value where the
+#: search stops its loop.
+AT_A_BREAK = {"relations": ["qhat = 2*s1 + e"], "index_set": [5], "unknowns": WIDE}
+
+# the toy cases the solver-semantics tests build
 TOY_OVERRIDES = [
     {},
     {"dim_constraints": [["s1", 1, 0]]},
@@ -458,7 +463,39 @@ TOY_OVERRIDES = [
     {"alpha": ["1/2", "2"], "relations": ["qhat = s1 + alpha*e"]},
     # a dip of dim|s*Theta| above the floor, which only the re-check catches
     {"relations": ["qhat = 9*s1 + e"], "index_set": [10], "dim_constraints": [["s1", 0, 0]]},
+    AT_A_BREAK,
 ]
+
+
+#: ``_evaluate`` calls one ``solve`` makes on each shipped case.  The value
+#: loop stops at the first value whose low corner passes its target (21,351
+#: calls on ``q9_4A`` when every value opened a child node).
+EVALUATIONS = {"q9_4A.case": 2463, "q6_basket7.case": 29, "q8_basket_3_9.case": 48}
+
+
+@pytest.mark.parametrize("name", SHIPPED_CASES)
+def test_search_work_on_shipped_cases(name, full_db, monkeypatch):
+    calls = 0
+    evaluate = links._evaluate
+
+    def counting(terms, values):
+        nonlocal calls
+        calls += 1
+        return evaluate(terms, values)
+
+    monkeypatch.setattr(links, "_evaluate", counting)
+    solve(load_case_file(case_path(name)), full_db, dims_table(full_db))
+    assert calls == EVALUATIONS[name]
+
+
+def test_solutions_at_a_bound_and_below_a_break(full_db):
+    # qhat = 2*s1 + e at qhat = 5: s1 = 1 needs e at its bound 3, and s1 = 2
+    # is the last value before the low corner 2*3 + 1 passes 5 and the loop
+    # stops; TOY_OVERRIDES checks the case against the reference search
+    case = load_case(make_case_text(**AT_A_BREAK))
+    assert [s.assignment for s in solve(case, full_db, dims_table(full_db))] == [
+        (("s1", 1), ("e", 3)), (("s1", 2), ("e", 1))
+    ]
 
 
 @pytest.mark.parametrize("name", SHIPPED_CASES)
@@ -548,6 +585,18 @@ def _random_cases(draw):
 def test_solve_matches_reference_on_random_cases(case, full_db):
     lookup = dims_table(full_db)
     assert solve(case, full_db, lookup) == _reference_solve(case, full_db)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_cases())
+def test_compiled_coefficients_are_non_negative(case):
+    # the search's corner bounds and its early stop hold only while they are
+    position = {u.name: i for i, u in enumerate(case.unknowns)}
+    for alpha in case.alpha_options:
+        for rel in case.relations:
+            terms, scale = links._compile(rel.rhs, alpha, position)
+            assert scale >= 1
+            assert all(coef >= 0 for coef, _ in terms)
 
 
 # ---------------------------------------------------------------------------
