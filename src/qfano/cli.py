@@ -288,14 +288,11 @@ def cmd_diff(args) -> int:
         current = getattr(config, flag)
         print(f"{flag}: {current} -> {not current}: "
               f"removes {len(removed)}, adds {len(added)}")
-        for c in removed[:20]:
-            print(f"  - {c.id}")
-        if len(removed) > 20:
-            print(f"  - ... {len(removed) - 20} more")
-        for c in added[:20]:
-            print(f"  + {c.id}")
-        if len(added) > 20:
-            print(f"  + ... {len(added) - 20} more")
+        for sign, changed in (("-", removed), ("+", added)):
+            for c in changed[:20]:
+                print(f"  {sign} {c.id}")
+            if len(changed) > 20:
+                print(f"  {sign} ... {len(changed) - 20} more")
     return EXIT_OK
 
 
@@ -396,9 +393,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (StoreError, LinkCaseError) as exc:
         print(f"qfano: bad input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except AssertionError as exc:
-        print(f"qfano: internal consistency check failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -39,11 +39,12 @@ the work small:
   difference is ``6 * 2qnN^3``, already a multiple of ``12qN``, so by
   Newton's forward-difference formula ``T`` is divisible by ``12qN`` for
   every ``t >= 0`` as soon as it is for ``t = 0, 1, 2``: integrality needs
-  only ``k < 3N``.  Non-negativity needs no more when ``sigma <= 24``: for
+  only ``k < 3N``.  Non-negativity needs no more when ``sigma < 24``: for
   ``k >= 3N`` the cubic term is at least ``54 q n N^3``, each point term
   ``12 r c_p`` exceeds ``-r^3`` so ``q W(k) >= -q N sum r^2 >= -32 q N^2``
-  (``sigma <= 24`` forces ``sum r <= 32``), and the other terms are
-  positive, so ``T(k) > 0``.  The scan stops at ``min(window, 3N)``.
+  (``sigma < 24`` forces ``sum r <= 32``), and the other terms are
+  positive, so ``T(k) > 0``.  :func:`enumerate_baskets` yields only
+  baskets with ``sigma < 24``, so the scan stops at ``3N``.
 
 Two more keep the per-basket work flat:
 
@@ -56,7 +57,7 @@ Two more keep the per-basket work flat:
   point.
 * **Forward differences.**  Past the vanishing window,
   :func:`_passing_numerators` reads ``q W(k)`` from one table of a period
-  ``N``, built once per basket and cycled up to the window, and steps the
+  ``N``, built once per basket and cycled up to ``3N``, and steps the
   rest of ``T(k)``, a cubic in ``k`` with third difference ``12qn``, by
   forward differences: a few additions per ``k`` instead of one term per
   point.
@@ -69,7 +70,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from itertools import cycle, islice
+from itertools import cycle, islice, starmap
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
@@ -327,12 +328,12 @@ def _passing_numerators(
     built once per basket by the first degree that gets that far, and the
     rest of ``T(k)``, a cubic in ``k``, steps by forward differences (third
     difference ``12qn``).  A degree stops at the first ``k`` that fails, and
-    at ``min(window, 3N)`` (the 3N lemma, module docstring).
+    at ``3N`` (the 3N lemma, module docstring), which needs ``sigma < 24``:
+    the basket must be one :func:`enumerate_baskets` yields.
     """
     n_lcm = basket.index_lcm
     modulus = 12 * q * n_lcm
     linear = 24 * n_lcm - basket.sigma_scaled
-    sigma_den = n_lcm // math.gcd(basket.sigma_scaled, n_lcm)
     columns = _columns(q, basket)
     nonnegativity = config.nonnegativity
     period = None
@@ -340,12 +341,6 @@ def _passing_numerators(
         if config.enforce_vanishing and not _vanishes(q, n, basket, columns):
             continue
         qn = q * n
-        # the period of chi's fractional part: lcm(12 den A^3, 12 q den sigma, N)
-        window = math.lcm(12 * (n_lcm // math.gcd(n, n_lcm)), 12 * q * sigma_den, n_lcm)
-        # the 3N lemma; its non-negativity half needs sigma <= 24, so past
-        # that the whole period is scanned
-        if not nonnegativity or linear >= 0:
-            window = min(window, 3 * n_lcm)
         if period is None:
             tiled = [column * (n_lcm // r) for r, column in columns]
             period = list(map(sum, zip(*tiled))) if tiled else [0]
@@ -354,7 +349,7 @@ def _passing_numerators(
         step = qn * (q + 2) * (q + 7) + linear
         step2 = 6 * qn * (q + 4)
         step3 = 12 * qn
-        for w in islice(cycle(period), 1, window):
+        for w in islice(cycle(period), 1, 3 * n_lcm):
             total = value + w
             if total % modulus or (total < 0 and nonnegativity):
                 break
@@ -423,10 +418,6 @@ def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
     return found
 
 
-def _scan_job(args: tuple[int, FilterConfig]) -> list[Candidate]:
-    return _scan_baskets(*args)
-
-
 def enumerate_candidates(
     q: int | Iterable[int], config: FilterConfig = DEFAULT_CONFIG, jobs: int = 1
 ) -> list[Candidate]:
@@ -446,10 +437,10 @@ def enumerate_candidates(
         cpus = os.cpu_count() or 1
     workers = min(jobs, cpus, len(chunks))
     if workers <= 1:
-        per_index = map(_scan_job, chunks)
+        per_index = starmap(_scan_baskets, chunks)
     else:
         with Pool(processes=workers) as pool:
-            per_index = pool.map(_scan_job, chunks)
+            per_index = pool.starmap(_scan_baskets, chunks)
     found = [c for found_at_q in per_index for c in found_at_q]
     found.sort(key=Candidate.sort_key)
     return found

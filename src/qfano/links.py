@@ -458,8 +458,14 @@ def load_case(text: str) -> LinkCase:
 
 
 def load_case_file(path) -> LinkCase:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_case(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LinkCaseError(f"cannot read case file: {exc}") from exc
+    return load_case(text)
 
 
 @dataclass(frozen=True, slots=True)

@@ -264,6 +264,11 @@ def save_database(db: Database, path: str | os.PathLike) -> None:
 
 
 def load_database(path: str | os.PathLike) -> Database:
-    with open(path, "r", encoding="utf-8") as handle, _decoding("database file"):
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle, _decoding("database file"):
+            text = handle.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise StoreError(f"cannot read database file: {exc}") from exc
     return loads_database(text)

@@ -29,7 +29,7 @@ from qfano.surveys import SURVEYS, survey_rows
 from qfano.wps import WpsModel, fano_index, hilbert_coeffs, match_candidate
 
 import conftest
-from test_enumeration import _integrality_window, _passes_integrality
+from test_enumeration import _passes_integrality, _reference_window
 from test_links import case_path
 from test_riemann_roch import point_contribution
 from test_wps import EXPECTED_H0, _model
@@ -191,7 +191,7 @@ def test_criterion_5_chi_property_suites(full_db):
             value = chi(k, fano)
             assert value.denominator == 1 and value >= 0
         assert _passes_integrality(fano)
-        assert _integrality_window(fano) >= 1
+        assert _reference_window(fano) >= 1
         assert c.dims == tuple(chi_integer(k, fano) - 1 for k in range(1, c.q + 1))
         assert c.genus == chi_integer(c.q, fano) - 2
 

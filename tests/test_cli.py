@@ -48,6 +48,26 @@ def test_missing_database_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["facts", "--db", "{dir}"],
+    ["table", "--case", "q5", "--db", "{dir}"],
+    ["export", "--db", "{dir}"],
+    ["wps", "check", "--weights", "1,1,2,3", "--db", "{dir}"],
+    ["link", "solve", "q9_4A.case", "--db", "{dir}"],
+    ["link", "solve", "{dir}"],
+    ["link", "solve", "{utf16}"],
+])
+def test_unreadable_input_is_bad_input(argv, tmp_path, capsys):
+    # a directory where a file belongs, or a case file that is not UTF-8
+    utf16 = tmp_path / "utf16.case"
+    utf16.write_bytes(b"\xff\xfe" + "[case]\n".encode("utf-16-le"))
+    argv = [arg.format(dir=tmp_path, utf16=utf16) for arg in argv]
+    assert main(argv) == EXIT_MISSING_INPUT  # any exception escaping fails the test
+    err = capsys.readouterr().err
+    assert err.startswith("qfano: bad input: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("option", ["--out", "--db"])
 def test_unwritable_output_is_usage_error(option, tmp_path, capsys):
     target = tmp_path / "missing" / "dir" / "x.csv"

@@ -80,6 +80,8 @@ def test_walk_matches_the_public_constructor(q):
         assert basket.index_lcm == rebuilt.index_lcm
         assert basket.sigma_scaled == rebuilt.sigma_scaled
         assert basket.sigma_scaled == scaled_kawamata_sum(basket.points, basket.index_lcm)
+        # sigma < 24: the precondition of the sieve's 3N scan bound
+        assert basket.sigma_scaled < 24 * basket.index_lcm
         assert previous is None or previous < basket
         previous = basket
 
@@ -220,13 +222,6 @@ def _t_scaled(q, basket, k, n):
     return value
 
 
-def _integrality_window(fano):
-    """Period of chi's fractional part: ``lcm(12 den A^3, 12 q den sigma, N)``."""
-    n_lcm = fano.basket.index_lcm
-    sigma_den = n_lcm // math.gcd(fano.basket.sigma_scaled, n_lcm)
-    return math.lcm(12 * fano.a3.denominator, 12 * fano.q * sigma_den, n_lcm)
-
-
 def _config(enforce_vanishing=True, nonnegativity=True):
     return replace(
         DEFAULT_CONFIG, enforce_vanishing=enforce_vanishing, nonnegativity=nonnegativity
@@ -237,10 +232,9 @@ def _passes_integrality(fano, *, enforce_vanishing=True, nonnegativity=True):
     """The enumeration's sieve on one triple: ``_passing_numerators`` at ``A^3``.
 
     Decides ``chi(k) = 0`` on ``-q < k < 0``, and integrality (plus optional
-    non-negativity) for ``0 <= k < L``, ``L`` = :func:`_integrality_window`;
-    by the 3N lemma the scan itself may stop well before ``L``.  Its oracle
-    is ``_reference_passes``, which runs the whole period on
-    ``_reference_chi``.
+    non-negativity) for ``0 <= k < 3N``, which by the 3N lemma settles every
+    ``k >= 0`` when ``sigma < 24``.  Its oracle is ``_reference_passes``,
+    which runs ``_reference_chi`` over a whole period and past ``3N``.
     """
     n_lcm = fano.basket.index_lcm
     if n_lcm % fano.a3.denominator != 0:
@@ -257,10 +251,7 @@ def _reference_scan(q, basket, n, *, enforce_vanishing=True, nonnegativity=True)
             if _t_scaled(q, basket, k, n) != 0:
                 return False
     n_lcm = basket.index_lcm
-    window = _integrality_window(FanoInput(q=q, basket=basket, a3=Rational(n, n_lcm)))
-    if not nonnegativity or basket.sigma_scaled <= 24 * n_lcm:
-        window = min(window, 3 * n_lcm)
-    for k in range(1, window):
+    for k in range(1, 3 * n_lcm):
         value = _t_scaled(q, basket, k, n)
         if value % (12 * q * n_lcm) != 0:
             return False
@@ -295,6 +286,7 @@ def test_passes_integrality_frozen_cases():
 
 
 def _reference_window(fano):
+    """Period of chi's fractional part: ``lcm(12 den A^3, 12 q den sigma, N)``."""
     sigma = _reference_sigma(fano.basket)
     return math.lcm(
         12 * fano.a3.denominator, 12 * fano.q * sigma.denominator, fano.basket.index_lcm
@@ -302,13 +294,14 @@ def _reference_window(fano):
 
 
 def _reference_passes(fano, *, enforce_vanishing=True, nonnegativity=True):
-    # pure rational-arithmetic re-statement of the sieve over a whole period,
-    # independent of the integer kernel the production scan uses
+    # pure rational-arithmetic re-statement of the sieve over a whole period
+    # and up to 3N, independent of the integer kernel the production scan
+    # uses; q = 1 can have a period below 3N
     if enforce_vanishing:
         for k in range(1 - fano.q, 0):
             if _reference_chi(k, fano) != 0:
                 return False
-    for k in range(1, _reference_window(fano)):
+    for k in range(1, max(_reference_window(fano), 3 * fano.basket.index_lcm)):
         value = _reference_chi(k, fano)
         if value.denominator != 1:
             return False
@@ -341,8 +334,8 @@ def test_scanner_agrees_with_rational_reference(q):
 
 
 def test_short_scan_agrees_with_rational_reference():
-    # the scan stops at min(window, 3N); the reference runs the whole
-    # period, so random triples on both sides of 3N must agree
+    # the scan stops at 3N; the reference runs the whole period and up to
+    # 3N, so random triples with periods on both sides of 3N must agree
     rng = random.Random(2010)
     small = {q: [b for b in enumerate_baskets(q) if b.index_lcm <= 12] for q in (3, 4, 5)}
     triples = []
@@ -363,11 +356,10 @@ def test_short_scan_agrees_with_rational_reference():
     triples.append(negative)
     assert _passes_integrality(negative, nonnegativity=False)
     assert not _passes_integrality(negative)
-    spans = {_integrality_window(f) > 3 * f.basket.index_lcm for f in triples}
+    spans = {_reference_window(f) > 3 * f.basket.index_lcm for f in triples}
     assert spans == {True, False}
     passed = 0
     for fano in triples:
-        assert _integrality_window(fano) == _reference_window(fano)
         for vanish, nonneg in itertools.product((True, False), repeat=2):
             verdict = _passes_integrality(
                 fano, enforce_vanishing=vanish, nonnegativity=nonneg
@@ -397,51 +389,6 @@ def test_scan_matches_the_per_k_loop(q):
         )
         _scan_agrees(q, basket, sorted({*solved, *numerators[:2], numerators[-1]}), verdicts)
     assert len(verdicts) == 8
-
-
-def _heavy_baskets(q):
-    """Baskets with ``sigma > 24`` from points of index at most 8."""
-    domain = [p for p in point_domain(q) if p.r <= 8]
-    return (
-        st.lists(st.sampled_from(domain), min_size=3, max_size=9)
-        .map(Basket)
-        .filter(lambda b: b.sigma_scaled > 24 * b.index_lcm)
-    )
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_scan_past_sigma_24_matches_the_per_k_loop(data):
-    # sigma > 24 takes the whole period when non-negativity is checked, and
-    # 3N without it; the walk never yields such a basket.  The numerators
-    # integral up to 3N make the checked scan run the whole period.
-    q = data.draw(st.sampled_from([5, 7]))
-    basket = data.draw(_heavy_baskets(q))
-    n_lcm = basket.index_lcm
-    assert 24 * n_lcm - basket.sigma_scaled < 0
-    integral = [
-        n
-        for n in range(1, 3 * n_lcm + 1)
-        if _reference_scan(q, basket, n, enforce_vanishing=False, nonnegativity=False)
-    ]
-    numerators = data.draw(st.lists(st.integers(1, 3 * n_lcm), max_size=2))
-    if integral:
-        numerators += data.draw(st.lists(st.sampled_from(integral), min_size=1, max_size=2))
-    _scan_agrees(q, basket, numerators)
-
-
-def test_scan_past_3n_on_a_heavy_basket():
-    # sigma = 73/2 > 24: a checked scan of the integral n = 36 runs the
-    # whole period (120 > 3N = 72), and a second numerator reuses the table
-    basket = Basket.from_pairs([(3, 1), (3, 1), (4, 1), (6, 1), (6, 1), (8, 3), (8, 3)])
-    fano = FanoInput(q=5, basket=basket, a3=Rational(36, 24))
-    assert 24 * basket.index_lcm - basket.sigma_scaled < 0
-    assert fano.a3.denominator == 2 and _integrality_window(fano) == 120
-    _scan_agrees(5, basket, (36, 12, 36))
-    assert _passes_integrality(fano, enforce_vanishing=False)
-    assert _passes_integrality(fano, enforce_vanishing=False) == _reference_passes(
-        fano, enforce_vanishing=False
-    )
 
 
 def _walked_ids(q, config):
@@ -536,7 +483,7 @@ def test_window_is_a_period(k):
     fano = FanoInput(
         q=5, basket=Basket.from_pairs([(2, 1), (7, 2)]), a3=Rational(3, 14)
     )
-    window = _integrality_window(fano)
+    window = _reference_window(fano)
     a = _reference_chi(k, fano)
     b = _reference_chi(k + window, fano)
     assert (a - b).denominator == 1  # fractional parts repeat with period L
@@ -589,10 +536,10 @@ def _recording_pool(sizes, jobs=None):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, func, chunks):
+        def starmap(self, func, chunks):
             if jobs is not None:
                 jobs.append([index for index, _ in chunks])
-            return [func(chunk) for chunk in chunks]
+            return [func(*chunk) for chunk in chunks]
 
     return RecordingPool
 
