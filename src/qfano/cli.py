@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import os
 import sys
@@ -235,7 +236,7 @@ def _resolve_case_path(name: str) -> str:
     packaged = resources.files("qfano").joinpath("cases", os.path.basename(name))
     if packaged.is_file():
         return str(packaged)
-    raise FileNotFoundError(name)
+    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), name)
 
 
 def cmd_link_solve(args) -> int:
@@ -387,8 +388,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"qfano: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
-        missing = getattr(exc, "filename", None) or exc
-        print(f"qfano: input not found: {missing}", file=sys.stderr)
+        # quoted, so an empty or blank path still shows
+        print(f"qfano: input not found: {exc.filename!r}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (StoreError, LinkCaseError) as exc:
         print(f"qfano: bad input: {exc}", file=sys.stderr)

@@ -18,17 +18,19 @@ any claimed solution independently of the search; a command builds one
 :func:`dims_table` and hands it to both, so no key is looked up twice.
 
 Expressions use ``+``, ``*``, non-negative integer literals, declared
-variable names, the token ``alpha``, and parentheses.  For each alpha the
-search compiles every relation once into an integer polynomial: its
-monomials over the unknowns, with the coefficients alpha brings in scaled by
-their common denominator ``d``, so a branch ``(qhat, alpha)`` only asks for
-the value ``qhat * d`` and every search node is plain ``int`` arithmetic.
-Alpha is positive, so every coefficient is non-negative; with non-negative
-unknowns each relation is then monotone in every variable.  The search
-relies on that twice: a relation lies between its values at the corners of
-the remaining box, and a variable's value loop stops at the first value
-whose low corner passes the target.  The expression trees are evaluated
-over exact rationals only by :func:`audit`.
+variable names, the token ``alpha``, and parentheses.  The parser multiplies
+each relation out into its polynomial in the unknowns and ``alpha``, with
+non-negative integer coefficients.  For each alpha the search compiles that
+polynomial into one over the unknowns alone, with the coefficients alpha
+brings in scaled by their common denominator ``d``, so a branch
+``(qhat, alpha)`` only asks for the value ``qhat * d`` and every search node
+is plain ``int`` arithmetic.  Alpha is positive, so every coefficient is
+non-negative; with non-negative unknowns each relation is then monotone in
+every variable.  The search relies on that twice: a relation lies between
+its values at the corners of the remaining box, and a variable's value loop
+stops at the first value whose low corner passes the target.  :func:`audit`
+evaluates the parsed polynomials over exact rationals, with none of the
+search's scaling or pruning.
 
 Case documents are strict JSON: integer fields must be JSON integers,
 ``genus_transfer`` a JSON boolean, and a key the format does not define is
@@ -61,99 +63,7 @@ class UnboundedCaseError(LinkCaseError):
 # expression mini-language
 
 
-#: A polynomial in the unknowns: sorted position tuple -> coefficient.
-_Poly = dict[tuple[int, ...], Rational]
-
-
-class Expr:
-    __slots__ = ()
-
-    def value(self, env: Mapping[str, Rational]) -> Rational:
-        raise NotImplementedError
-
-    def names(self) -> set[str]:
-        raise NotImplementedError
-
-    def monomials(self, alpha: Rational, position: Mapping[str, int]) -> _Poly:
-        """Expand with ``alpha`` substituted: sorted unknown positions -> coefficient."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True, slots=True)
-class Num(Expr):
-    n: int
-
-    def value(self, env):
-        return Rational(self.n)
-
-    def names(self):
-        return set()
-
-    def monomials(self, alpha, position):
-        return {(): Rational(self.n)}
-
-
-@dataclass(frozen=True, slots=True)
-class Var(Expr):
-    name: str
-
-    def value(self, env):
-        return env[self.name]
-
-    def names(self):
-        return {self.name}
-
-    def monomials(self, alpha, position):
-        if self.name == "alpha":
-            return {(): alpha}
-        return {(position[self.name],): Rational(1)}
-
-
-@dataclass(frozen=True, slots=True)
-class Sum(Expr):
-    terms: tuple[Expr, ...]
-
-    def value(self, env):
-        return sum(t.value(env) for t in self.terms)
-
-    def names(self):
-        return set().union(*(t.names() for t in self.terms))
-
-    def monomials(self, alpha, position):
-        out: _Poly = {}
-        for t in self.terms:
-            for mono, coef in t.monomials(alpha, position).items():
-                out[mono] = out.get(mono, 0) + coef
-        return out
-
-
-@dataclass(frozen=True, slots=True)
-class Prod(Expr):
-    factors: tuple[Expr, ...]
-
-    def value(self, env):
-        out = Rational(1)
-        for f in self.factors:
-            out *= f.value(env)
-        return out
-
-    def names(self):
-        return set().union(*(f.names() for f in self.factors))
-
-    def monomials(self, alpha, position):
-        out: _Poly = {(): Rational(1)}
-        for f in self.factors:
-            fpoly = f.monomials(alpha, position)
-            product: _Poly = {}
-            for mono, coef in out.items():
-                for fmono, fcoef in fpoly.items():
-                    key = tuple(sorted(mono + fmono))
-                    product[key] = product.get(key, 0) + coef * fcoef
-            out = product
-        return out
-
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+*=]))")
+_TOKEN_RE = re.compile(r"\s*(?:\d+|[A-Za-z_][A-Za-z_0-9]*|[()+*=])")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -161,23 +71,30 @@ def _tokenize(text: str) -> list[str]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             rest = text[pos:].strip()
             if not rest:
                 break
             raise LinkCaseError(f"bad token at {rest[:12]!r} in {text!r}")
         tokens.append(m.group(0).strip())
         pos = m.end()
-    return [t for t in tokens if t]
+    return tokens
 
 
-#: Deepest parenthesis nesting an expression may use.  The parser and the
-#: expression trees recurse once per level, so the cap keeps a hostile case
-#: file a LinkCaseError instead of a RecursionError.
+#: Deepest parenthesis nesting an expression may use.  The parser recurses
+#: once per level, so the cap keeps a hostile case file a LinkCaseError
+#: instead of a RecursionError.
 MAX_NESTING = 100
 
 
 class _Parser:
+    """Multiplies an expression out into a polynomial as it parses it.
+
+    The polynomial maps each monomial, a sorted tuple of names (``alpha``
+    among them), to its integer coefficient.  Zero coefficients stay, so the
+    names in ``0*z`` are still checked against the declared ones.
+    """
+
     def __init__(self, tokens: list[str], text: str):
         self.tokens = tokens
         self.pos = 0
@@ -194,21 +111,28 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Expr:
-        terms = [self.term()]
+    def expr(self) -> dict[tuple[str, ...], int]:
+        poly = self.term()
         while self.peek() == "+":
             self.take()
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            for names, coef in self.term().items():
+                poly[names] = poly.get(names, 0) + coef
+        return poly
 
-    def term(self) -> Expr:
-        factors = [self.factor()]
+    def term(self) -> dict[tuple[str, ...], int]:
+        poly = self.factor()
         while self.peek() == "*":
             self.take()
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+            factor = self.factor()
+            product: dict[tuple[str, ...], int] = {}
+            for names, coef in poly.items():
+                for more, by in factor.items():
+                    key = tuple(sorted(names + more))
+                    product[key] = product.get(key, 0) + coef * by
+            poly = product
+        return poly
 
-    def factor(self) -> Expr:
+    def factor(self) -> dict[tuple[str, ...], int]:
         tok = self.take()
         if tok == "(":
             self.depth += 1
@@ -220,19 +144,19 @@ class _Parser:
             self.depth -= 1
             return inner
         if tok.isdigit():
-            return Num(int(tok))
+            return {(): int(tok)}
         if tok.isidentifier():
-            return Var(tok)
+            return {(tok,): 1}
         raise LinkCaseError(f"unexpected token {tok!r} in {self.text!r}")
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse ``+``/``*``/parenthesis arithmetic over ints, names, alpha."""
+def parse_expression(text: str) -> dict[tuple[str, ...], int]:
+    """The polynomial of ``+``/``*``/parenthesis arithmetic over ints, names, alpha."""
     parser = _Parser(_tokenize(text), text)
-    expr = parser.expr()
+    poly = parser.expr()
     if parser.peek() is not None:
         raise LinkCaseError(f"trailing input {parser.peek()!r} in {text!r}")
-    return expr
+    return poly
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,7 +164,7 @@ class Relation:
     """One identity ``qhat = <expression>``."""
 
     text: str
-    rhs: Expr
+    rhs: dict[tuple[str, ...], int]
 
     @classmethod
     def parse(cls, text: str) -> "Relation":
@@ -324,7 +248,7 @@ class LinkCase:
             if unk.lo < 0 or unk.hi < unk.lo:
                 raise LinkCaseError(f"bad bounds for {unk.name!r}: [{unk.lo}, {unk.hi}]")
         for rel in self.relations:
-            undeclared = rel.rhs.names() - declared
+            undeclared = {name for names in rel.rhs for name in names} - declared
             if undeclared:
                 raise LinkCaseError(
                     f"relation {rel.text!r} uses undeclared names {sorted(undeclared)}"
@@ -514,13 +438,18 @@ def dims_table(db: Sequence[Candidate]) -> Callable[[int, int, int], int | None]
 _Terms = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _compile(rhs: Expr, alpha: Rational, position: Mapping[str, int]) -> tuple[_Terms, int]:
+def _compile(
+    rhs: dict[tuple[str, ...], int], alpha: Rational, position: Mapping[str, int]
+) -> tuple[_Terms, int]:
     """``rhs`` at ``alpha`` as integer terms ``(coef, positions)`` and a scale ``d``.
 
     ``d`` is the lcm of the coefficient denominators, so ``rhs == qhat``
     exactly when the terms sum to ``qhat * d``.
     """
-    poly = rhs.monomials(alpha, position)
+    poly: dict[tuple[int, ...], Rational] = {}
+    for names, coef in rhs.items():
+        mono = tuple(sorted(position[name] for name in names if name != "alpha"))
+        poly[mono] = poly.get(mono, 0) + coef * alpha ** names.count("alpha")
     scale = math.lcm(*(c.denominator for c in poly.values()))
     terms = tuple(
         (int(coef * scale), mono) for mono, coef in sorted(poly.items()) if coef
@@ -637,9 +566,10 @@ def audit(
 ) -> bool:
     """Independently re-verify one claimed solution against case and database.
 
-    Bounds, relations and genus floors are checked here, over exact
-    rationals; only the database values come from ``lookup``, a
-    :func:`dims_table` of ``db``.
+    Bounds, relations and genus floors are checked here: each relation's
+    parsed polynomial is evaluated over exact rationals, with none of the
+    search's scaling, positions or pruning.  Only the database values come
+    from ``lookup``, a :func:`dims_table` of ``db``.
     """
     source = case.source.resolve(db)
     if solution.qhat not in case.target_index_set:
@@ -655,8 +585,11 @@ def audit(
         if not lo <= value <= hi:
             return False
     env = {name: Rational(v) for name, v in values.items()} | {"alpha": solution.alpha}
-    target = Rational(solution.qhat)
-    if any(rel.rhs.value(env) != target for rel in case.relations):
+    if any(
+        sum(coef * math.prod(env[name] for name in names) for names, coef in rel.rhs.items())
+        != solution.qhat
+        for rel in case.relations
+    ):
         return False
     if case.genus_transfer and solution.alpha < 1:
         if lookup(solution.qhat, 0, source.genus) is None:

@@ -191,7 +191,6 @@ def test_criterion_5_chi_property_suites(full_db):
             value = chi(k, fano)
             assert value.denominator == 1 and value >= 0
         assert _passes_integrality(fano)
-        assert _reference_window(fano) >= 1
         assert c.dims == tuple(chi_integer(k, fano) - 1 for k in range(1, c.q + 1))
         assert c.genus == chi_integer(c.q, fano) - 2
 
@@ -204,6 +203,8 @@ def test_criterion_5_chi_property_suites(full_db):
         assert chi(0, fano) == 1
         for k in range(-q - 12, 13):
             assert chi(k, fano) + chi(-q - k, fano) == 0
+        # the reference window is a period of chi's fractional part
+        assert (chi(1 + _reference_window(fano), fano) - chi(1, fano)).denominator == 1
         for p in fano.basket:
             assert local_index(q, q, p) == p.r - 1
             k = rng.randint(-30, 30)

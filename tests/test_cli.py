@@ -235,7 +235,14 @@ def test_link_solve_looks_up_each_key_once(db_path, monkeypatch, capsys, name):
 
 def test_link_solve_missing_case_file(capsys):
     assert main(["link", "solve", "/nonexistent/foo.case"]) == EXIT_MISSING_INPUT
-    capsys.readouterr()
+    assert capsys.readouterr().err == "qfano: input not found: '/nonexistent/foo.case'\n"
+
+
+@pytest.mark.parametrize("name", ["", " "])
+def test_link_solve_blank_case_name(name, capsys):
+    # the message still names the input when it is empty or blank
+    assert main(["link", "solve", name]) == EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == f"qfano: input not found: {name!r}\n"
 
 
 def test_export_csv(db_path, tmp_path, capsys):

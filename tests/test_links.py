@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import re
 from importlib.resources import files
 from typing import Iterator
 
@@ -55,6 +57,34 @@ WIDE = [{"name": "s1", "min": 0, "max": 13}, {"name": "e", "min": 1, "max": 3}]
 
 
 # ---------------------------------------------------------------------------
+# the tests' own reading of an expression, sharing no code with links
+
+#: Leading zeros of an integer literal: "007" is 7 to a case file and a
+#: syntax error to Python.
+_LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
+
+
+@functools.cache
+def _compiled_text(text):
+    # ints, names, + and * are Python syntax; the outer parentheses let the
+    # text span lines
+    return compile("(" + _LEADING_ZEROS.sub("", text) + ")", "<relation>", "eval")
+
+
+def _text_value(text, env):
+    """``text`` evaluated by Python with ``env``'s values bound, as a Fraction."""
+    return Rational(eval(_compiled_text(text), {"__builtins__": {}}, dict(env)))
+
+
+def _rhs_text(relation):
+    return relation.text.partition("=")[2]
+
+
+def _poly_value(poly, env):
+    return sum(coef * math.prod(env[name] for name in names) for names, coef in poly.items())
+
+
+# ---------------------------------------------------------------------------
 # expression grammar
 
 
@@ -67,14 +97,21 @@ WIDE = [{"name": "s1", "min": 0, "max": 13}, {"name": "e", "min": 1, "max": 3}]
         ("(2 + e) * alpha", {"e": Rational(1), "alpha": Rational(1, 3)}, 1),
         ("9*s1 + a1*e", {"s1": Rational(1), "a1": Rational(2), "e": Rational(3)}, 15),
         ("(35 + m1)*alpha*e", {"m1": Rational(1), "alpha": Rational(1, 6), "e": Rational(1)}, 6),
+        ("007*e + 010", {"e": Rational(2)}, 24),
     ],
 )
 def test_parse_expression_values(text, env, value):
-    assert parse_expression(text).value(env) == Rational(value)
+    assert _poly_value(parse_expression(text), env) == _text_value(text, env) == value
 
 
 def test_parse_expression_names():
-    assert parse_expression("9*s1 + a1*e + 4").names() == {"s1", "a1", "e"}
+    # each monomial is the sorted tuple of its names; products are multiplied out
+    assert parse_expression("9*s1 + a1*e + 4") == {("s1",): 9, ("a1", "e"): 1, (): 4}
+    assert parse_expression("(e + alpha)*(e + 2) + e*alpha") == {
+        ("e", "e"): 1, ("e",): 2, ("alpha", "e"): 2, ("alpha",): 2,
+    }
+    # a zero coefficient keeps its monomial, so its names are still checked
+    assert parse_expression("0*z + 3") == {("z",): 0, (): 3}
 
 
 @pytest.mark.parametrize(
@@ -87,12 +124,14 @@ def test_parse_expression_rejects(text):
 
 
 def test_parse_expression_nesting_is_capped():
-    # at the cap, alternating sums and products nest the tree as deep as the
-    # parentheses, and both evaluation paths still walk it
+    # at the cap the parser still multiplies out alternating sums and
+    # products nested as deep as the parentheses
     deep = "1 + 2*(" * MAX_NESTING + "e" + ")" * MAX_NESTING
-    expr = parse_expression(deep)
-    assert expr.value({"e": Rational(0)}) == 2**MAX_NESTING - 1
-    assert expr.monomials(Rational(1), {"e": 0})[(0,)] == 2**MAX_NESTING
+    poly = parse_expression(deep)
+    assert _poly_value(poly, {"e": 0}) == _text_value(deep, {"e": 0}) == 2**MAX_NESTING - 1
+    assert links._compile(poly, Rational(1), {"e": 0}) == (
+        ((2**MAX_NESTING - 1, ()), (2**MAX_NESTING, (0,))), 1
+    )
     too_deep = "(" * (MAX_NESTING + 1) + "e" + ")" * (MAX_NESTING + 1)
     with pytest.raises(LinkCaseError, match="nested deeper"):
         parse_expression(too_deep)
@@ -100,7 +139,7 @@ def test_parse_expression_nesting_is_capped():
 
 def test_relation_parse():
     rel = Relation.parse("qhat = 6*s1 + (35 + m1)*alpha*e")
-    assert rel.rhs.names() == {"s1", "m1", "alpha", "e"}
+    assert rel.rhs == {("s1",): 6, ("alpha", "e"): 35, ("alpha", "e", "m1"): 1}
     with pytest.raises(LinkCaseError):
         Relation.parse("x = s1 + e")
     with pytest.raises(LinkCaseError):
@@ -269,6 +308,11 @@ def test_audit_rejects_perturbations(full_db):
     incomplete = LinkSolution(good.qhat, good.assignment[:-1], good.alpha)
     assert not audit(case, incomplete, full_db, lookup)
 
+    # alpha's monomials count: s1 + alpha*e is 1 + 2*2 = 5 only at alpha = 2
+    scaled = load_case(make_case_text(alpha=["1/2", "2"], relations=["qhat = s1 + alpha*e"]))
+    assert audit(scaled, LinkSolution(5, (("s1", 1), ("e", 2)), Rational(2)), full_db, lookup)
+    assert not audit(scaled, LinkSolution(5, (("s1", 1), ("e", 2)), Rational(1, 2)), full_db, lookup)
+
     # below a dimension floor: dim|0*Theta| = 0 at qhat = 3, against dim|A| = 1
     floored = load_case(make_case_text(dim_constraints=[["s1", 1, 0]]))
     assert audit(floored, LinkSolution(3, (("s1", 1), ("e", 2)), Rational(1)), full_db, lookup)
@@ -326,6 +370,20 @@ def test_genus_transfer_prunes_targets(full_db):
     assert len(solve(load_case(relaxed), full_db, lookup)) == 3
 
 
+def test_zero_coefficients_keep_their_names(full_db):
+    # an undeclared name is refused even where its coefficient is zero
+    with pytest.raises(LinkCaseError, match=r"undeclared names \['z'\]"):
+        load_case(make_case_text(relations=["qhat = 0*z + e"]))
+    # a declared one with a zero coefficient constrains nothing
+    lookup = dims_table(full_db)
+    zeroed = load_case(make_case_text(relations=["qhat = 0*e + 3"]))
+    solutions = solve(zeroed, full_db, lookup)
+    assert solutions == solve(load_case(make_case_text(relations=["qhat = 3"])), full_db, lookup)
+    # s1 in 0..5 and e in 1..3, all at qhat = 3
+    assert len(solutions) == 18
+    assert all(audit(zeroed, s, full_db, lookup) for s in solutions)
+
+
 def test_recheck_drops_a_dip_above_the_floor(full_db):
     # at index 10, dim|s*Theta| is 0, -1, 0 for s = 0, 1, 2: the floor for
     # dim >= dim|0*A| = 0 stays at s1 = 0, so only the exact re-check
@@ -342,18 +400,19 @@ def test_recheck_drops_a_dip_above_the_floor(full_db):
 
 
 # ---------------------------------------------------------------------------
-# the compiled search against the tree-evaluating search it replaced
+# the compiled search against a search that evaluates the relation text
 
 
-def _reference_interval(expr, lo_env, hi_env):
+def _reference_interval(text, lo_env, hi_env):
     # all variables are >= 0 and the grammar has no subtraction, so every
     # expression is monotone non-decreasing in every variable
-    return expr.value(lo_env), expr.value(hi_env)
+    return _text_value(text, lo_env), _text_value(text, hi_env)
 
 
 def _reference_solve(case, db):
-    """The search over Fraction expression trees, kept as the oracle."""
+    """The exhaustive search over the relation text in Fractions, kept as the oracle."""
     source = case.source.resolve(db)
+    relations = [_rhs_text(rel) for rel in case.relations]
     memo: dict[tuple[int, int, int], int | None] = {}
     names = [u.name for u in case.unknowns]
     solutions: list[LinkSolution] = []
@@ -408,12 +467,12 @@ def _reference_solve(case, db):
                 hi_env[name] = Rational(hi[name])
 
             def assign(idx: int) -> Iterator[dict[str, Rational]]:
-                for rel in case.relations:
-                    rlo, rhi = _reference_interval(rel.rhs, lo_env, hi_env)
+                for text in relations:
+                    rlo, rhi = _reference_interval(text, lo_env, hi_env)
                     if not (rlo <= target <= rhi):
                         return
                 if idx == len(names):
-                    if all(rel.rhs.value(env) == target for rel in case.relations):
+                    if all(_text_value(text, env) == target for text in relations):
                         yield dict(env)
                     return
                 name = names[idx]
@@ -547,7 +606,7 @@ def _random_cases(draw):
     # exceeds there
     planted = []
     for text in draw(st.lists(rhs, min_size=1, max_size=2)):
-        value = parse_expression(text).value(env)
+        value = _text_value(text, env)
         if value.denominator > 1:
             # value.denominator is a power of 1/alpha
             power, unit = 0, Rational(1)
