@@ -134,8 +134,14 @@ def _writing(path: str):
         raise OutputError(path) from exc
 
 
+def _refuse_empty(*paths: str | None) -> None:
+    """An empty output path names no file: refuse it before any work is done."""
+    if "" in paths:
+        raise OutputError("'' (an empty path names no file)")
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with _writing(out), open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
@@ -161,7 +167,7 @@ def _build_database(filter_set: str, qs: Sequence[int], jobs: int) -> Database:
 
 
 def _load_or_build(args) -> Database:
-    if getattr(args, "db", None):
+    if args.db is not None:
         return load_database(args.db)
     return _build_database("default", INDEX_SET, getattr(args, "jobs", 1))
 
@@ -171,9 +177,10 @@ def _load_or_build(args) -> Database:
 
 
 def cmd_enumerate(args) -> int:
+    _refuse_empty(args.db, args.out)
     qs = INDEX_SET if args.all else (args.q,)
     db = _build_database(args.filter_set, qs, args.jobs)
-    if args.db:
+    if args.db is not None:
         with _writing(args.db):
             save_database(db, args.db)
         print(f"{render_counts(db)} -> {args.db}")
@@ -186,6 +193,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _refuse_empty(args.out)
     db = _load_or_build(args)
     db.require_indices((SURVEYS[args.case].q,), f"table --case {args.case}")
     _emit(render_survey_table(args.case, db.candidates), args.out)
@@ -276,6 +284,7 @@ def cmd_facts(args) -> int:
 
 
 def cmd_export(args) -> int:
+    _refuse_empty(args.out)
     db = load_database(args.db)
     _emit(_render_db(db, args.format), args.out)
     return EXIT_OK

@@ -224,19 +224,23 @@ def enumerate_baskets(q: int) -> Iterator[Basket]:
     """
     domain = point_domain(q)
     sigmas = [scaled_kawamata_sum((p,), _SIGMA_UNIT) for p in domain]
+    indices = [p.r for p in domain]
     full = 24 * _SIGMA_UNIT
     make = Basket._from_sorted
+    lcm, fits = math.lcm, bisect.bisect_left
     # depth-first, children pushed last-first so they pop in order; a node
     # is (first domain index it may add, points, N, budget)
     stack = [(0, (), 1, full)]
+    pop, push = stack.pop, stack.append
     while stack:
-        start, points, n_lcm, budget = stack.pop()
+        start, points, n_lcm, budget = pop()
         yield make(points, n_lcm, (full - budget) // (_SIGMA_UNIT // n_lcm))
         # sigma is non-decreasing along the domain, so the points that still
         # fit are a prefix of domain[start:]
-        for idx in range(bisect.bisect_left(sigmas, budget, start) - 1, start - 1, -1):
-            p = domain[idx]
-            stack.append((idx, points + (p,), math.lcm(n_lcm, p.r), budget - sigmas[idx]))
+        for idx in range(fits(sigmas, budget, start) - 1, start - 1, -1):
+            push(
+                (idx, points + (domain[idx],), lcm(n_lcm, indices[idx]), budget - sigmas[idx])
+            )
 
 
 def degree_candidates(
@@ -251,28 +255,29 @@ def degree_candidates(
     runs up to the cap ``q^3 n / N <= 125/2`` instead (plus the BM bound
     when ``bm_inequality`` is set), and a degree meeting the cap with
     equality is dropped unless the triple is :data:`DEGREE_CAP_EXCEPTION`.
+    Without the cap the BM range is returned at once: it is the whole answer
+    there, whatever ``bm_inequality`` says.
     """
     n_lcm = basket.index_lcm
-    room = 24 * n_lcm - basket.sigma_scaled
-    bounds = []
-    if config.bm_inequality or not config.degree_cap_enforced:
-        bounds.append(4 * room // ((4 * q - 3) * q))
-    if config.degree_cap_enforced:
-        cap_num = DEGREE_CAP.numerator * n_lcm
-        cap_den = DEGREE_CAP.denominator * q**3
-        n_cap, over = divmod(cap_num, cap_den)
-        if not over:
-            # n_cap / N meets the cap: kept only for the exception, compared
-            # field by field in integers
-            exc_q, exc_basket, exc_a3 = DEGREE_CAP_EXCEPTION
-            if not (
-                q == exc_q
-                and basket.points == exc_basket.points
-                and n_cap * exc_a3.denominator == exc_a3.numerator * n_lcm
-            ):
-                n_cap -= 1
-        bounds.append(n_cap)
-    return range(1, min(bounds) + 1)
+    bm = 4 * (24 * n_lcm - basket.sigma_scaled) // ((4 * q - 3) * q)
+    if not config.degree_cap_enforced:
+        return range(1, bm + 1)
+    cap_num = DEGREE_CAP.numerator * n_lcm
+    cap_den = DEGREE_CAP.denominator * q**3
+    n_cap, over = divmod(cap_num, cap_den)
+    if not over:
+        # n_cap / N meets the cap: kept only for the exception, compared
+        # field by field in integers
+        exc_q, exc_basket, exc_a3 = DEGREE_CAP_EXCEPTION
+        if not (
+            q == exc_q
+            and basket.points == exc_basket.points
+            and n_cap * exc_a3.denominator == exc_a3.numerator * n_lcm
+        ):
+            n_cap -= 1
+    if config.bm_inequality:
+        n_cap = min(n_cap, bm)
+    return range(1, n_cap + 1)
 
 
 def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:

@@ -86,6 +86,12 @@ def _tokenize(text: str) -> list[str]:
 #: instead of a RecursionError.
 MAX_NESTING = 100
 
+#: Most monomial pairs one product may form.  Multiplying out is the only
+#: step whose cost is not linear in the text (ten factors of an eight-name
+#: sum give 19,448 monomials), so a product past this is refused before it
+#: is formed.  The shipped cases form at most a few pairs per product.
+MAX_PRODUCT_PAIRS = 10_000
+
 
 class _Parser:
     """Multiplies an expression out into a polynomial as it parses it.
@@ -124,6 +130,12 @@ class _Parser:
         while self.peek() == "*":
             self.take()
             factor = self.factor()
+            pairs = len(poly) * len(factor)
+            if pairs > MAX_PRODUCT_PAIRS:
+                raise LinkCaseError(
+                    f"a product in {self.text!r} forms {pairs} monomial pairs, "
+                    f"more than {MAX_PRODUCT_PAIRS}"
+                )
             product: dict[tuple[str, ...], int] = {}
             for names, coef in poly.items():
                 for more, by in factor.items():

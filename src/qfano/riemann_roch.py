@@ -110,11 +110,18 @@ class Basket:
         cls, points: tuple[SingularPoint, ...], index_lcm: int, sigma_scaled: int
     ) -> "Basket":
         """Trust the caller: ``points`` already sorted, ``index_lcm`` their
-        lcm and ``sigma_scaled`` their ``N sigma``.  Neither sorts nor sums."""
+        lcm and ``sigma_scaled`` their ``N sigma``.  Neither sorts nor sums.
+
+        The basket walk builds one basket per node, so the three slots are
+        written through the class's own slot descriptors, bound once below:
+        a direct descriptor call is cheaper than ``object.__setattr__``.
+        It bypasses only the frozen ``__setattr__``, which stays in place,
+        so an assignment to the instance still raises.
+        """
         basket = object.__new__(cls)
-        object.__setattr__(basket, "points", points)
-        object.__setattr__(basket, "index_lcm", index_lcm)
-        object.__setattr__(basket, "sigma_scaled", sigma_scaled)
+        _set_points(basket, points)
+        _set_index_lcm(basket, index_lcm)
+        _set_sigma_scaled(basket, sigma_scaled)
         return basket
 
     @classmethod
@@ -153,6 +160,12 @@ class Basket:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.points) + "]"
+
+
+# the slot writers of Basket._from_sorted
+_set_points = Basket.points.__set__
+_set_index_lcm = Basket.index_lcm.__set__
+_set_sigma_scaled = Basket.sigma_scaled.__set__
 
 
 def scaled_kawamata_sum(points: Iterable[SingularPoint], n_lcm: int) -> int:

@@ -84,6 +84,32 @@ def test_export_to_unwritable_path_is_usage_error(db_path, tmp_path, capsys):
     assert "cannot write output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["facts", "--db", ""], EXIT_MISSING_INPUT, "input not found: ''"),
+    (["table", "--case", "q3", "--db", ""], EXIT_MISSING_INPUT, "input not found: ''"),
+    (["wps", "check", "--weights", "1,1,1,2", "--db", ""], EXIT_MISSING_INPUT,
+     "input not found: ''"),
+    (["link", "solve", "q9_4A.case", "--db", ""], EXIT_MISSING_INPUT,
+     "input not found: ''"),
+    (["export", "--db", ""], EXIT_MISSING_INPUT, "input not found: ''"),
+    (["enumerate", "--q", "19", "--db", ""], EXIT_USAGE, "cannot write output: ''"),
+    (["enumerate", "--q", "19", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
+    (["table", "--case", "q3", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
+    (["export", "--db", "{db}", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
+])
+def test_empty_path_is_a_path(argv, code, message, db_path, monkeypatch, capsys):
+    # an empty --db or --out is refused like any other path that names no
+    # file, before anything is enumerated
+    builds = []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
+    argv = [arg.format(db=db_path) for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"qfano: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert builds == []
+
+
 def test_enumerate_single_index_table(capsys):
     assert main(["enumerate", "--q", "6", "--format", "table"]) == EXIT_OK
     out = capsys.readouterr().out

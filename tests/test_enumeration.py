@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,18 +71,24 @@ def test_enumerate_baskets_count_frozen():
 
 @pytest.mark.parametrize("q", INDEX_SET)
 def test_walk_matches_the_public_constructor(q):
-    # the walk builds baskets without sorting or summing; the public
-    # constructor (here fed the points reversed) does both
+    # the walk builds baskets without sorting or summing, and writes their
+    # slots directly; the public constructor (here fed the points reversed)
+    # does both the usual way
     previous = None
     for basket in enumerate_baskets(q):
         rebuilt = Basket(basket.points[::-1])
         assert basket == rebuilt
+        assert hash(basket) == hash(rebuilt)
+        assert basket <= rebuilt <= basket
         assert basket.index_lcm == rebuilt.index_lcm
         assert basket.sigma_scaled == rebuilt.sigma_scaled
         assert basket.sigma_scaled == scaled_kawamata_sum(basket.points, basket.index_lcm)
         # sigma < 24: the precondition of the sieve's 3N scan bound
         assert basket.sigma_scaled < 24 * basket.index_lcm
-        assert previous is None or previous < basket
+        assert previous is None or previous < basket and previous < rebuilt
+        for name in ("points", "index_lcm", "sigma_scaled"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(basket, name, getattr(rebuilt, name))
         previous = basket
 
 
@@ -174,6 +180,20 @@ def test_capped_degree_range_matches_the_fraction_rule(bm, exception, monkeypatc
     two = Basket.from_pairs([(2, 1)])
     assert (1 in degree_candidates(5, two, config)) == (exception == "real")
     assert 1 not in degree_candidates(5, Basket.from_pairs([(2, 1), (2, 1)]), config)
+
+
+def test_uncapped_degree_range_is_the_bm_range():
+    # without the cap the range is Bogomolov-Miyaoka's whatever bm_inequality
+    # says: n <= 4 (24N - N sigma) / ((4q - 3) q), from a sigma in rationals
+    configs = [replace(DEFAULT_CONFIG, bm_inequality=bm) for bm in (True, False)]
+    for q in INDEX_SET:
+        for basket in enumerate_baskets(q):
+            n_lcm = math.lcm(*basket.indices)
+            n_sigma = n_lcm * _reference_sigma(basket)
+            assert n_sigma.denominator == 1
+            bound = 4 * (24 * n_lcm - n_sigma.numerator) // ((4 * q - 3) * q)
+            for config in configs:
+                assert degree_candidates(q, basket, config) == range(1, bound + 1)
 
 
 def test_degree_candidates_bm_bound():

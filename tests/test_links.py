@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import time
 from importlib.resources import files
 from typing import Iterator
 
@@ -16,6 +17,7 @@ from qfano.links import (
     LinkCaseError,
     LinkSolution,
     MAX_NESTING,
+    MAX_PRODUCT_PAIRS,
     Relation,
     SourceRef,
     UnboundedCaseError,
@@ -135,6 +137,21 @@ def test_parse_expression_nesting_is_capped():
     too_deep = "(" * (MAX_NESTING + 1) + "e" + ")" * (MAX_NESTING + 1)
     with pytest.raises(LinkCaseError, match="nested deeper"):
         parse_expression(too_deep)
+
+
+def test_parse_expression_products_are_capped():
+    # ten factors of an eight-name sum would multiply out to C(17, 7) =
+    # 19,448 monomials; the product that first passes the cap is refused
+    # before it is formed
+    sum8 = "(" + " + ".join("abcdefgh") + ")"
+    started = time.monotonic()
+    with pytest.raises(LinkCaseError, match=f"more than {MAX_PRODUCT_PAIRS}"):
+        Relation.parse("qhat = " + "*".join([sum8] * 10))
+    assert time.monotonic() - started < 0.2
+    # a product at the cap is still formed
+    square = "(" + " + ".join(f"x{i}" for i in range(100)) + ")"
+    assert 100 * 100 == MAX_PRODUCT_PAIRS
+    assert len(parse_expression(f"{square}*{square}")) == 100 * 101 // 2
 
 
 def test_relation_parse():
