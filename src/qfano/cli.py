@@ -134,10 +134,15 @@ def _writing(path: str):
         raise OutputError(path) from exc
 
 
-def _refuse_empty(*paths: str | None) -> None:
-    """An empty output path names no file: refuse it before any work is done."""
-    if "" in paths:
-        raise OutputError("'' (an empty path names no file)")
+def _refuse_unwritable(*paths: str | None) -> None:
+    """Refuse, before any work is done, an output path that is empty or whose
+    directory is missing or not a directory.  The file itself is not opened,
+    since opening it would truncate it."""
+    for path in paths:
+        if path == "":
+            raise OutputError("'' (an empty path names no file)")
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise OutputError(path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -177,7 +182,7 @@ def _load_or_build(args) -> Database:
 
 
 def cmd_enumerate(args) -> int:
-    _refuse_empty(args.db, args.out)
+    _refuse_unwritable(args.db, args.out)
     qs = INDEX_SET if args.all else (args.q,)
     db = _build_database(args.filter_set, qs, args.jobs)
     if args.db is not None:
@@ -193,7 +198,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _refuse_empty(args.out)
+    _refuse_unwritable(args.out)
     db = _load_or_build(args)
     db.require_indices((SURVEYS[args.case].q,), f"table --case {args.case}")
     _emit(render_survey_table(args.case, db.candidates), args.out)
@@ -284,7 +289,7 @@ def cmd_facts(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _refuse_empty(args.out)
+    _refuse_unwritable(args.out)
     db = load_database(args.db)
     _emit(_render_db(db, args.format), args.out)
     return EXIT_OK

@@ -68,10 +68,12 @@ from __future__ import annotations
 import bisect
 import math
 import os
+import pickle
+import signal
+import traceback
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from itertools import cycle, islice, starmap
-from multiprocessing import Pool
+from itertools import cycle, islice
 from typing import Iterable, Iterator, Sequence
 
 from .arith import Rational, format_rational
@@ -423,30 +425,115 @@ def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
     return found
 
 
+def _scan_share(share: Sequence[int], config: FilterConfig) -> list[Candidate]:
+    """Every candidate of the indices in ``share``, index by index."""
+    return [c for q in share for c in _scan_baskets(q, config)]
+
+
+def _fork_scan(share: Sequence[int], config: FilterConfig, cpu: int) -> tuple[int, int]:
+    """Fork a child that scans ``share`` pinned to ``cpu``; return its pid and pipe.
+
+    The child writes to the pipe one pickled pair: the list of candidates
+    and ``None``, or the exception the scan raised and its traceback text.
+    It leaves only through ``os._exit``: it never returns into its caller's
+    code.  The caller gets the read end.  Like any fork, this expects a
+    caller with no other threads.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        os.sched_setaffinity(0, (cpu,))
+        try:
+            reply = (_scan_share(share, config), None)
+        except Exception as exc:
+            reply = (exc, traceback.format_exc())
+        with open(write, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _scan_shares(
+    shares: Sequence[Sequence[int]], config: FilterConfig, cpus: Sequence[int]
+) -> list[list[Candidate]]:
+    """The candidates of each share: the first scanned here, each other in a forked child.
+
+    Share ``i`` runs pinned to CPU ``cpus[i]``: this process pins itself to
+    ``cpus[0]`` for its own share and then restores its mask.  It then reads
+    every child's pipe, reaps every child and re-raises the first exception a
+    child sent, from a ``RuntimeError`` that holds the child's traceback.  On
+    any error of its own it kills and reaps its children first, so none is
+    left running.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end) of each unreaped child
+    try:
+        for cpu, share in zip(cpus[1:], shares[1:]):
+            children.append(_fork_scan(share, config, cpu))
+        own = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus[:1])
+        try:
+            per_share = [_scan_share(shares[0], config)]
+        finally:
+            os.sched_setaffinity(0, own)
+        replies = []  # (payload, wait status) per child
+        while children:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            replies.append((payload, os.waitpid(pid, 0)[1]))
+            del children[0]
+            os.close(read)
+    finally:
+        for pid, read in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    for share, (payload, status) in zip(shares[1:], replies):
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"the scan of q in {share} exited with code {code}")
+        result, trace = pickle.loads(payload)
+        if trace is not None:
+            raise result from RuntimeError(f"in the scan of q in {share}:\n{trace}")
+        per_share.append(result)
+    return per_share
+
+
 def enumerate_candidates(
     q: int | Iterable[int], config: FilterConfig = DEFAULT_CONFIG, jobs: int = 1
 ) -> list[Candidate]:
     """All candidates of index ``q`` (or of every index in ``q``), canonically sorted.
 
-    ``jobs > 1`` scans the indices in one pool of worker processes, one job
-    per index, with no more workers than indices or than CPUs this process
-    may run on (its affinity mask, where the OS has one); a single index
-    therefore runs in this process.  (An index is not split: every part
-    would walk the whole basket tree of the index.)  The result is merged
-    and sorted, so it is byte-for-byte independent of ``jobs``.
+    ``jobs > 1`` splits the indices into contiguous shares of near-equal
+    length, one per worker, with no more workers than ``jobs``, than
+    indices, or than CPUs in this process's affinity mask.  This process
+    scans the first share and one forked child scans each other share
+    (:func:`_scan_shares`), every one pinned to its own CPU of the mask.
+    Unpinned, two processes often share one CPU while the other idles, and
+    the split does not pay.  So where the OS has no ``sched_setaffinity``,
+    and for one CPU or one index, the scan runs here alone.  (An index is
+    not split: every part would walk the whole basket tree of the index.)
+    The result is merged and sorted, so it is byte-for-byte independent of
+    ``jobs``.
     """
-    chunks = [(index, config) for index in ((q,) if isinstance(q, int) else q)]
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
+    indices = (q,) if isinstance(q, int) else tuple(q)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    workers = min(jobs, len(cpus), len(indices))
+    if workers > 1:
+        size = len(indices)
+        shares = [
+            indices[i * size // workers:(i + 1) * size // workers] for i in range(workers)
+        ]
+        per_share = _scan_shares(shares, config, cpus[:workers])
     else:
-        cpus = os.cpu_count() or 1
-    workers = min(jobs, cpus, len(chunks))
-    if workers <= 1:
-        per_index = starmap(_scan_baskets, chunks)
-    else:
-        with Pool(processes=workers) as pool:
-            per_index = pool.starmap(_scan_baskets, chunks)
-    found = [c for found_at_q in per_index for c in found_at_q]
+        per_share = [_scan_share(indices, config)]
+    found = [c for part in per_share for c in part]
     found.sort(key=Candidate.sort_key)
     return found
 

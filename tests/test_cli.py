@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from qfano.cli import (
     EXIT_USAGE,
     main,
 )
+import qfano
 from qfano import cli, enumeration, links
 from qfano.enumeration import (
     DEFAULT_CONFIG,
@@ -20,7 +25,7 @@ from qfano.enumeration import (
 from qfano.riemann_roch import Basket
 from qfano.store import Database, load_database, save_database
 
-from test_enumeration import _recording_pool, _set_cpus
+from test_enumeration import _recording_forks, _set_cpus, _workers
 from qfano.arith import Rational
 from qfano.links import LinkSolution
 from test_links import case_path, make_case_text
@@ -78,6 +83,23 @@ def test_unwritable_output_is_usage_error(option, tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("option", ["--out", "--db"])
+def test_unwritable_output_is_refused_before_enumerating(
+    option, parent, tmp_path, monkeypatch, capsys
+):
+    # a directory that is missing, or a file where the directory belongs
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    target = tmp_path / parent / "x.csv"
+    builds = []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
+    assert main(["enumerate", "--q", "6", option, str(target)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"qfano: cannot write output: {target}\n"
+    assert captured.out == ""
+    assert builds == []
+
+
 def test_export_to_unwritable_path_is_usage_error(db_path, tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     assert main(["export", "--db", str(db_path), "--out", str(target)]) == EXIT_USAGE
@@ -127,15 +149,40 @@ def test_enumerate_writes_database_with_summary(tmp_path, capsys):
     assert "[7:3]" not in out
 
 
-def test_enumerate_all_starts_one_pool(monkeypatch, tmp_path, capsys):
-    sizes, jobs = [], []
-    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes, jobs))
+def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
+    calls, scanned = [], []
+    real = enumeration._scan_baskets
+
+    def counting(q, config):
+        scanned.append(q)
+        return real(q, config)
+
+    monkeypatch.setattr(enumeration, "_scan_baskets", counting)
+    monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     _set_cpus(monkeypatch, 2)
     db = tmp_path / "db.json"
     assert main(["enumerate", "--all", "--jobs", "2", "--db", str(db)]) == EXIT_OK
     assert "472 candidates" in capsys.readouterr().out
-    assert sizes == [2]
-    assert sorted(jobs[0]) == list(INDEX_SET)
+    # this process scans q = 3..8, one child the rest; every index once
+    assert calls == [([INDEX_SET[:6], INDEX_SET[6:]], [0, 1])]
+    assert scanned == list(INDEX_SET)
+
+
+def test_parallel_build_does_not_import_multiprocessing(tmp_path):
+    script = (
+        "import sys\n"
+        "import qfano.cli\n"
+        "code = qfano.cli.main(['enumerate', '--all', '--jobs', '2', '--db', sys.argv[1]])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(qfano.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "db.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_table_from_stored_database(db_path, capsys):
@@ -303,7 +350,7 @@ def test_bad_jobs_is_usage_error(command, jobs, capsys):
 
 
 def test_diff_has_no_jobs_option(capsys):
-    # diff runs on one index, and one index never starts a pool
+    # diff runs on one index, and one index never forks
     assert main(["diff", "--q", "5", "--jobs", "2"]) == EXIT_USAGE
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
@@ -485,8 +532,8 @@ def test_case_file_missing_field(field, tmp_path, capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
-    sizes = []
-    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
+    calls = []
+    monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     _set_cpus(monkeypatch, 2)
     runs = [
         ["export", "--db", str(db_path), "--format", "json"],
@@ -504,12 +551,12 @@ def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
     for argv in runs:
         cached.append((main(argv), capsys.readouterr()))
     assert cli._build_parser.cache_info().misses == 1
-    # only the --jobs 2 run started a pool: the option did not stick
-    assert sizes == [2]
+    # only the --jobs 2 run forked: the option did not stick
+    assert _workers(calls) == [2]
     for argv, result in zip(runs, cached):
         cli._build_parser.cache_clear()
         assert (main(argv), capsys.readouterr()) == result
-    assert sizes == [2, 2]
+    assert _workers(calls) == [2, 2]
     valid = [argv for argv in runs if argv[-1] != "20"]
     reused = cli._build_parser()
     in_turn = [vars(reused.parse_args(argv)) for argv in valid]
@@ -534,13 +581,13 @@ def test_diff_walks_the_baskets_once_per_flag(monkeypatch, capsys):
     assert main(["diff", "--q", "5"]) == EXIT_OK
     assert capsys.readouterr().out == "".join(per_flag)
     assert len(calls) == len(FILTER_FLAGS)
-    # one index: every enumeration runs in this process, with no pool
-    sizes = []
-    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
+    # one index: every enumeration runs in this process, with no fork
+    forks = []
+    monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(forks))
     _set_cpus(monkeypatch, 2)
     assert main(["diff", "--q", "5"]) == EXIT_OK
     assert capsys.readouterr().out == "".join(per_flag)
-    assert sizes == []
+    assert forks == []
 
 
 @pytest.fixture(scope="module")

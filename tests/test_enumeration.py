@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -543,25 +544,18 @@ def test_enumerate_candidates_jobs_equivalence():
     assert enumerate_candidates((8, 9, 10), jobs=3) == enumerate_candidates((8, 9, 10))
 
 
-def _recording_pool(sizes, jobs=None):
-    """A Pool stand-in that records its size (and jobs' indices) and runs them here."""
+def _recording_forks(calls):
+    """A ``_scan_shares`` stand-in that records its shares and CPUs and scans them here."""
 
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def record(shares, config, cpus):
+        calls.append((list(shares), list(cpus)))
+        return [enumeration._scan_share(share, config) for share in shares]
 
-        def __enter__(self):
-            return self
+    return record
 
-        def __exit__(self, *exc_info):
-            return False
 
-        def starmap(self, func, chunks):
-            if jobs is not None:
-                jobs.append([index for index, _ in chunks])
-            return [func(*chunk) for chunk in chunks]
-
-    return RecordingPool
+def _workers(calls):
+    return [len(shares) for shares, _ in calls]
 
 
 def _set_cpus(monkeypatch, count):
@@ -572,68 +566,157 @@ def _set_cpus(monkeypatch, count):
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    sizes = []
+    calls = []
     qs = (8, 9, 10, 11)
     serial = enumerate_candidates(qs)
-    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
+    monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     _set_cpus(monkeypatch, 3)
     assert enumerate_candidates(qs, jobs=2) == serial
     assert enumerate_candidates(qs, jobs=8) == serial
-    assert sizes == [2, 3]
+    assert _workers(calls) == [2, 3]
+    # contiguous shares of near-equal length, one CPU of the mask each
+    assert calls[1] == ([(8,), (9,), (10, 11)], [0, 1, 2])
     _set_cpus(monkeypatch, 1)
     assert enumerate_candidates(qs, jobs=8) == serial
-    assert sizes == [2, 3]  # one CPU: no pool at all
+    assert _workers(calls) == [2, 3]  # one CPU: no fork at all
     # never more workers than indices, and a single index runs here
     _set_cpus(monkeypatch, 16)
     assert enumerate_candidates(qs[:2], jobs=8) == enumerate_candidates(qs[:2])
-    assert sizes == [2, 3, 2]
+    assert _workers(calls) == [2, 3, 2]
     assert enumerate_candidates(6, jobs=8) == enumerate_candidates(6)
     assert enumerate_candidates((6,), jobs=8) == enumerate_candidates(6)
-    assert sizes == [2, 3, 2]
+    assert _workers(calls) == [2, 3, 2]
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
-    sizes = []
+    calls = []
     qs = (8, 9, 10, 11)
     serial = enumerate_candidates(qs)
-    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes))
+    monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     # the affinity mask, not the machine's CPU count, bounds the workers
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 16)
     _set_cpus(monkeypatch, 1)
     assert enumerate_candidates(qs, jobs=8) == serial
-    assert sizes == []
+    assert calls == []
     _set_cpus(monkeypatch, 2)
     assert enumerate_candidates(qs, jobs=8) == serial
-    assert sizes == [2]
-    # without an affinity call the CPU count bounds them (unknown: one)
-    monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    assert _workers(calls) == [2]
+    # the workers are pinned to the CPUs the mask holds, lowest first
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {7, 3})
     assert enumerate_candidates(qs, jobs=8) == serial
-    assert sizes == [2, 3]
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert calls[-1] == ([(8, 9), (10, 11)], [3, 7])
+    # without an affinity call there is nothing to pin into: the scan is serial
+    monkeypatch.delattr(enumeration.os, "sched_setaffinity", raising=False)
     assert enumerate_candidates(qs, jobs=8) == serial
-    assert sizes == [2, 3]
+    assert _workers(calls) == [2, 2]
 
 
-def test_one_pool_serves_every_index(monkeypatch):
+def test_shares_cover_every_index_once(monkeypatch):
     qs = (10, 6, 8)
     serial = enumerate_candidates(qs)
     assert serial == sorted(
         enumerate_candidates(6) + enumerate_candidates(8) + enumerate_candidates(10),
         key=Candidate.sort_key,
     )
-    sizes, jobs = [], []
-    monkeypatch.setattr(enumeration, "Pool", _recording_pool(sizes, jobs))
+    calls, scanned = [], []
+    real = enumeration._scan_baskets
+
+    def counting(q, config):
+        scanned.append(q)
+        return real(q, config)
+
+    monkeypatch.setattr(enumeration, "_scan_baskets", counting)
+    monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     _set_cpus(monkeypatch, 2)
     assert enumerate_candidates(qs, jobs=2) == serial
-    # three indices keep two workers busy: one whole walk per index
-    assert sizes == [2]
-    assert jobs == [[10, 6, 8]]
-    # fewer indices than workers: one job per index all the same
+    # three indices keep two workers busy: one whole walk per index, in the
+    # given order, and this process scans the first share
+    assert calls == [([(10,), (6, 8)], [0, 1])]
+    assert scanned == [10, 6, 8]
+    # fewer indices than workers: one share per index all the same
     _set_cpus(monkeypatch, 8)
     assert enumerate_candidates((6, 8), jobs=5) == enumerate_candidates((6, 8))
-    assert sizes == [2, 2]
-    assert jobs[1] == [6, 8]
+    assert calls[1] == ([(6,), (8,)], [0, 1])
+    assert scanned == [10, 6, 8, 6, 8, 6, 8]
+
+
+needs_two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the forked scan pins each share to its own CPU",
+)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_forked_scan_restores_the_mask():
+    mask = os.sched_getaffinity(0)
+    qs = (6, 8, 9, 10)
+    assert enumerate_candidates(qs, jobs=2) == enumerate_candidates(qs)
+    assert os.sched_getaffinity(0) == mask
+    _assert_no_child_left()
+
+
+@needs_two_cpus
+def test_forked_scan_pins_each_share(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    masks = {}
+
+    def mask_scan(q, config):
+        masks[q] = sorted(os.sched_getaffinity(0))
+        if q == 10:
+            raise ValueError(masks)  # the child's record comes back in the exception
+        return []
+
+    monkeypatch.setattr(enumeration, "_scan_baskets", mask_scan)
+    with pytest.raises(ValueError) as raised:
+        enumerate_candidates((6, 8, 9, 10), jobs=2)
+    # (6, 8) was scanned here on the mask's first CPU, (9, 10) in the child
+    # on its second
+    assert masks == {6: cpus[:1], 8: cpus[:1]}
+    assert raised.value.args[0] == {9: cpus[1:2], 10: cpus[1:2]}
+    _assert_no_child_left()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failing", [10, 6], ids=["in-child", "in-caller"])
+def test_forked_scan_failure_reaches_the_caller(failing, monkeypatch):
+    # (6, 8) is scanned here and (9, 10) in the child; a failure in either
+    # share reaches the caller, with its mask restored and no child left
+    real = enumeration._scan_baskets
+
+    def failing_scan(q, config):
+        if q == failing:
+            raise ValueError(f"no scan of q={q}")
+        return real(q, config)
+
+    monkeypatch.setattr(enumeration, "_scan_baskets", failing_scan)
+    mask = os.sched_getaffinity(0)
+    with pytest.raises(ValueError, match=f"no scan of q={failing}") as raised:
+        enumerate_candidates((6, 8, 9, 10), jobs=2)
+    # a child's traceback comes back as the cause; a failure here has none
+    assert ("in failing_scan" in str(raised.value.__cause__)) == (failing == 10)
+    assert os.sched_getaffinity(0) == mask
+    _assert_no_child_left()
+
+
+@needs_two_cpus
+def test_forked_scan_reports_a_child_that_sent_nothing(monkeypatch):
+    real = enumeration._scan_baskets
+    caller = os.getpid()
+
+    def dying_scan(q, config):
+        if q == 10 and os.getpid() != caller:
+            os._exit(3)
+        return real(q, config)
+
+    monkeypatch.setattr(enumeration, "_scan_baskets", dying_scan)
+    with pytest.raises(RuntimeError, match=r"q in \(9, 10\) exited with code 3"):
+        enumerate_candidates((6, 8, 9, 10), jobs=2)
+    _assert_no_child_left()
 
 
 def test_series_class_collapses_orientations():
