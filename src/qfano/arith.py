@@ -4,8 +4,9 @@ Everything downstream (Riemann-Roch sums, degree filters, the link solver)
 works over exact rationals; floats never enter the pipeline.  ``Rational``
 is stdlib :class:`fractions.Fraction`, which already keeps values in lowest
 terms with a positive denominator.  This module adds the plain-text wire
-format used in tables and JSON ("n/d", or "n" for integers) and the
-canonical orientation of a cyclic quotient point.
+format used in tables and JSON ("n/d", or "n" for integers), the
+canonical orientation of a cyclic quotient point, and :class:`InputError`,
+the base of the errors that mean an input file cannot be used.
 """
 
 from __future__ import annotations
@@ -17,6 +18,14 @@ from fractions import Fraction
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+class InputError(ValueError):
+    """A database or case file the tool cannot use; the CLI exits 3 on it.
+
+    It lives here, in the module every other one imports, so the CLI can
+    catch the errors of modules it imports only on demand.
+    """
 
 
 class NotCoprimeError(ValueError):

@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
-from .arith import format_rational
+from .arith import InputError, format_rational
 from .enumeration import (
     Candidate,
     FILTER_FLAGS,
@@ -28,18 +28,12 @@ from .enumeration import (
     facts,
     filter_diff,
 )
-from .links import (
-    LinkCaseError,
-    audit,
-    describe_case,
-    dims_table,
-    feasible_indices,
-    load_case_file,
-    solve,
-)
-from .store import Database, StoreError, dumps_database, load_database, save_database
+from .store import Database, dumps_database, load_database, save_database
 from .surveys import SURVEYS, survey_rows
-from .wps import WpsModel, degree_a3, fano_index, match_candidate
+
+# links and wps are imported inside the one command that uses each
+# (cmd_link_solve, cmd_wps_check), so no other command pays for them at
+# start-up; main catches their errors through the InputError base class
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -206,6 +200,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_wps_check(args) -> int:
+    from .wps import WpsModel, degree_a3, fano_index, match_candidate
+
     try:
         weights = tuple(int(w) for w in args.weights.split(","))
         model = WpsModel(weights=weights, degree=args.degree)
@@ -253,6 +249,8 @@ def _resolve_case_path(name: str) -> str:
 
 
 def cmd_link_solve(args) -> int:
+    from .links import audit, describe_case, dims_table, feasible_indices, load_case_file, solve
+
     case = load_case_file(_resolve_case_path(args.case))
     db = _load_or_build(args)
     db.require_indices((*case.target_index_set, case.source.q), "link solve")
@@ -405,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # quoted, so an empty or blank path still shows
         print(f"qfano: input not found: {exc.filename!r}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (StoreError, LinkCaseError) as exc:
+    except InputError as exc:  # a StoreError or a LinkCaseError
         print(f"qfano: bad input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
 

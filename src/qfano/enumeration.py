@@ -68,11 +68,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
-import pickle
-import signal
-import traceback
-from collections import Counter
-from dataclasses import dataclass, fields, replace
+from collections import Counter, namedtuple
 from itertools import cycle, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -109,10 +105,17 @@ DEGREE_CAP_EXCEPTION: tuple[int, Basket, Rational] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FilterConfig:
+class FilterConfig(
+    namedtuple(
+        "FilterConfig",
+        "degree_cap_enforced enforce_vanishing bm_inequality nonnegativity",
+        defaults=(False, True, True, True),
+    )
+):
     """Switches for the candidate filters; ``qfano diff`` shows each one's effect.
 
+    A named tuple of four booleans, in the order of :data:`FILTER_FLAGS`;
+    ``config._replace(flag=value)`` is the config with one switch changed.
     The degree walk is always bounded by Bogomolov-Miyaoka unless
     ``degree_cap_enforced`` bounds it instead.  Calibration against the
     reference tallies showed the cap must *not* prune the enumeration
@@ -128,10 +131,7 @@ class FilterConfig:
     q = 3 to 7, and under the cap with ``bm_inequality`` off 2 at q = 3.
     """
 
-    degree_cap_enforced: bool = False
-    enforce_vanishing: bool = True
-    bm_inequality: bool = True
-    nonnegativity: bool = True
+    __slots__ = ()
 
 
 DEFAULT_CONFIG = FilterConfig()
@@ -143,22 +143,19 @@ FILTER_SETS: dict[str, FilterConfig] = {
 }
 
 #: Boolean FilterConfig fields whose individual effect `qfano diff` reports.
-FILTER_FLAGS = tuple(f.name for f in fields(FilterConfig))
+FILTER_FLAGS = FilterConfig._fields
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """One enumerated numerical candidate with its derived invariants."""
+class Candidate(
+    namedtuple("Candidate", "q basket a3 sigma minus_k3 minus_k_c2 dims genus id")
+):
+    """One enumerated numerical candidate with its derived invariants.
 
-    q: int
-    basket: Basket
-    a3: Rational
-    sigma: Rational
-    minus_k3: Rational
-    minus_k_c2: Rational
-    dims: tuple[int, ...]
-    genus: int
-    id: str
+    ``(q, basket, a3)`` with ``sigma``, ``-K^3`` and ``-K.c2`` (Rationals),
+    ``dims`` (``dim |kA|`` for k = 1..q), ``genus`` and the text ``id``.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_parts(cls, q: int, basket: Basket, a3: Rational) -> "Candidate":
@@ -439,6 +436,8 @@ def _fork_scan(share: Sequence[int], config: FilterConfig, cpu: int) -> tuple[in
     code.  The caller gets the read end.  Like any fork, this expects a
     caller with no other threads.
     """
+    import pickle
+
     read, write = os.pipe()
     pid = os.fork()
     if pid:
@@ -451,6 +450,8 @@ def _fork_scan(share: Sequence[int], config: FilterConfig, cpu: int) -> tuple[in
         try:
             reply = (_scan_share(share, config), None)
         except Exception as exc:
+            import traceback
+
             reply = (exc, traceback.format_exc())
         with open(write, "wb") as pipe:
             pickle.dump(reply, pipe)
@@ -471,6 +472,11 @@ def _scan_shares(
     any error of its own it kills and reaps its children first, so none is
     left running.
     """
+    # imported here, not at the top: only a forked scan uses them, and every
+    # command would pay for them at start-up
+    import pickle
+    import signal
+
     children: list[tuple[int, int]] = []  # (pid, read end) of each unreaped child
     try:
         for cpu, share in zip(cpus[1:], shares[1:]):
@@ -538,14 +544,8 @@ def enumerate_candidates(
     return found
 
 
-@dataclass(frozen=True, slots=True)
-class Fact:
-    """A machine-checked statement about the candidate database."""
-
-    name: str
-    statement: str
-    value: str
-    holds: bool
+#: A machine-checked statement about the candidate database.
+Fact = namedtuple("Fact", "name statement value holds")
 
 
 def series_class(candidate: Candidate) -> tuple:
@@ -673,7 +673,7 @@ def filter_diff(
     """
     if flag not in FILTER_FLAGS:
         raise ValueError(f"unknown filter flag {flag!r}; choose from {FILTER_FLAGS}")
-    looser, tighter = (replace(config, **{flag: on}) for on in (False, True))
+    looser, tighter = (config._replace(**{flag: on}) for on in (False, True))
     loose = enumerate_candidates(q, looser)
     if flag == "degree_cap_enforced" and not config.bm_inequality:
         tight = enumerate_candidates(q, tighter)

@@ -44,14 +44,14 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .arith import Rational, format_rational, parse_rational
+from .arith import InputError, Rational, format_rational, parse_rational
 from .enumeration import INDEX_SET, Candidate
 
 
-class LinkCaseError(ValueError):
+class LinkCaseError(InputError):
     """Malformed case file: syntax, undeclared names, bad references."""
 
 
@@ -171,12 +171,10 @@ def parse_expression(text: str) -> dict[tuple[str, ...], int]:
     return poly
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
-    """One identity ``qhat = <expression>``."""
+class Relation(namedtuple("Relation", "text rhs")):
+    """One identity ``qhat = <expression>``: its text and its polynomial."""
 
-    text: str
-    rhs: dict[tuple[str, ...], int]
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "Relation":
@@ -190,25 +188,15 @@ class Relation:
 # case model
 
 
-@dataclass(frozen=True, slots=True)
-class Unknown:
-    name: str
-    lo: int
-    hi: int
-    note: str = ""
+#: An unknown ``name`` with its bounds ``lo <= value <= hi``.
+Unknown = namedtuple("Unknown", "name lo hi note", defaults=("",))
+
+#: dim of the ``var``-th multiple on the target >= dim|kA| on the source, at
+#: ``k = source_k``, over targets of genus at least ``genus_min``.
+DimConstraint = namedtuple("DimConstraint", "var source_k genus_min", defaults=(0,))
 
 
-@dataclass(frozen=True, slots=True)
-class DimConstraint:
-    """dim of the ``var``-th multiple on the target >= dim|kA| on the source."""
-
-    var: str
-    source_k: int
-    genus_min: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class SourceRef:
+class SourceRef(namedtuple("SourceRef", "q indices a3 pairs", defaults=(None,))):
     """How a case file names its source candidate.
 
     The basket may be given as bare indices ``[2, 4, 5]`` or, when
@@ -216,10 +204,7 @@ class SourceRef:
     pairs ``[[2, 1], [4, 1], [5, 2]]``.
     """
 
-    q: int
-    indices: tuple[int, ...]
-    a3: Rational
-    pairs: tuple[tuple[int, int], ...] | None = None
+    __slots__ = ()
 
     def resolve(self, db: Sequence[Candidate]) -> Candidate:
         matches = [
@@ -235,21 +220,22 @@ class SourceRef:
         return matches[0]
 
 
-@dataclass(frozen=True, slots=True)
-class LinkCase:
-    name: str
-    q: int
-    source: SourceRef
-    alpha_options: tuple[Rational, ...]
-    unknowns: tuple[Unknown, ...]
-    relations: tuple[Relation, ...]
-    dim_constraints: tuple[DimConstraint, ...]
-    target_index_set: tuple[int, ...]
-    genus_transfer: bool
-    threshold_floor: int | None = None
-    notes: str = ""
+class LinkCase(
+    namedtuple(
+        "LinkCase",
+        "name q source alpha_options unknowns relations dim_constraints "
+        "target_index_set genus_transfer threshold_floor notes",
+        defaults=(None, ""),
+    )
+):
+    """A parsed case file; construction refuses an inconsistent one."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    # so that _replace, which builds through _make, checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs) -> "LinkCase":
+        self = super().__new__(cls, *args, **kwargs)
         names = [u.name for u in self.unknowns]
         if len(set(names)) != len(names):
             raise LinkCaseError(f"duplicate unknown names in case {self.name!r}")
@@ -285,6 +271,7 @@ class LinkCase:
         if outside:
             # the tool enumerates no candidate there: an elimination would be vacuous
             raise LinkCaseError(f"index_set entries {outside} are not in {INDEX_SET}")
+        return self
 
 
 _CASE_KEYS = frozenset({
@@ -404,13 +391,10 @@ def load_case_file(path) -> LinkCase:
     return load_case(text)
 
 
-@dataclass(frozen=True, slots=True)
-class LinkSolution:
+class LinkSolution(namedtuple("LinkSolution", "qhat assignment alpha")):
     """A satisfying assignment: target index, unknowns, discrepancy."""
 
-    qhat: int
-    assignment: tuple[tuple[str, int], ...]
-    alpha: Rational
+    __slots__ = ()
 
     def sort_key(self):
         return (self.qhat, tuple(v for _, v in self.assignment), self.alpha)

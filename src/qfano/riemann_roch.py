@@ -40,7 +40,7 @@ rational transcription of the formula that shares no code with this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -61,49 +61,44 @@ class NonIntegralChiError(ValueError):
         super().__init__(f"chi({k}) = {format_rational(value)} is not an integer")
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class SingularPoint:
+class SingularPoint(namedtuple("SingularPoint", "r a")):
     """A terminal cyclic quotient point ``1/r(a, -a, 1)``.
 
     The orientation is stored canonically (``1 <= a <= r/2``, coprime to
     ``r``); constructing with the mirror multiplier ``r - a`` gives the same
-    point.
+    point, and so does unpickling.  Points order by ``(r, a)``.
     """
 
-    r: int
-    a: int = 1
+    __slots__ = ()
+    # so that _replace, which builds through _make, canonicalises too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", canonical_orientation(self.a, self.r))
+    def __new__(cls, r: int, a: int = 1) -> "SingularPoint":
+        return tuple.__new__(cls, (r, canonical_orientation(a, r)))
 
     def __str__(self) -> str:
         return f"{self.r}:{self.a}"
 
 
-# the dataclass order of points, as a key: sorting by it calls no Python code
+# the order of points, as a key: sorting by it calls no Python code
 _point_order = attrgetter("r", "a")
 
 
-@dataclass(frozen=True, slots=True, order=True)
 class Basket:
     """A multiset of terminal quotient points, kept in sorted order.
 
     ``index_lcm`` (``N``, the lcm of the point indices, 1 for no points) and
     ``sigma_scaled`` (``N sigma``, see :func:`scaled_kawamata_sum`) are
     computed once, on construction.  Equality, hashing, ordering and repr
-    look at ``points`` only.
+    look at ``points`` only, and no field can be assigned.
     """
 
-    points: tuple[SingularPoint, ...] = ()
-    index_lcm: int = field(init=False, repr=False, compare=False)
-    sigma_scaled: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("points", "index_lcm", "sigma_scaled")
 
-    def __post_init__(self) -> None:
-        points = tuple(sorted(self.points, key=_point_order))
+    def __new__(cls, points: Iterable[SingularPoint] = ()) -> "Basket":
+        points = tuple(sorted(points, key=_point_order))
         n_lcm = math.lcm(*(p.r for p in points))
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "index_lcm", n_lcm)
-        object.__setattr__(self, "sigma_scaled", scaled_kawamata_sum(points, n_lcm))
+        return cls._from_sorted(points, n_lcm, scaled_kawamata_sum(points, n_lcm))
 
     @classmethod
     def _from_sorted(
@@ -113,10 +108,9 @@ class Basket:
         lcm and ``sigma_scaled`` their ``N sigma``.  Neither sorts nor sums.
 
         The basket walk builds one basket per node, so the three slots are
-        written through the class's own slot descriptors, bound once below:
-        a direct descriptor call is cheaper than ``object.__setattr__``.
-        It bypasses only the frozen ``__setattr__``, which stays in place,
-        so an assignment to the instance still raises.
+        written through the class's own slot descriptors, bound once below.
+        They bypass only ``__setattr__``, which stays in place, so an
+        assignment to the instance still raises.
         """
         basket = object.__new__(cls)
         _set_points(basket, points)
@@ -144,6 +138,40 @@ class Basket:
                 raise ValueError(f"malformed basket entry {chunk!r} in {text!r}")
             pairs.append((int(r_text.strip()), int(a_text.strip())))
         return cls.from_pairs(pairs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # pickled as its points and rebuilt by the constructor: the default
+    # would assign the slots, which __setattr__ refuses
+    def __reduce__(self):
+        return type(self), (self.points,)
+
+    # hash((points,)), as a record with the one compared field ``points``
+    # hashes, so sets and dicts of baskets keep their iteration order
+    def __hash__(self) -> int:
+        return hash((self.points,))
+
+    def __eq__(self, other):
+        return self.points == other.points if isinstance(other, Basket) else NotImplemented
+
+    def __lt__(self, other):
+        return self.points < other.points if isinstance(other, Basket) else NotImplemented
+
+    def __le__(self, other):
+        return self.points <= other.points if isinstance(other, Basket) else NotImplemented
+
+    def __gt__(self, other):
+        return self.points > other.points if isinstance(other, Basket) else NotImplemented
+
+    def __ge__(self, other):
+        return self.points >= other.points if isinstance(other, Basket) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Basket(points={self.points!r})"
 
     def __iter__(self) -> Iterator[SingularPoint]:
         return iter(self.points)
@@ -178,25 +206,25 @@ def kawamata_sum(basket: Basket) -> Rational:
     return Rational(basket.sigma_scaled, basket.index_lcm)
 
 
-@dataclass(frozen=True, slots=True)
-class FanoInput:
+class FanoInput(namedtuple("FanoInput", "q basket a3")):
     """Numerical input data ``(q, basket, A^3)`` for the Riemann-Roch formula."""
 
-    q: int
-    basket: Basket
-    a3: Rational
+    __slots__ = ()
+    # so that _replace, which builds through _make, checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"Fano index must be >= 1, got {self.q}")
+    def __new__(cls, q: int, basket: Basket, a3: Rational) -> "FanoInput":
+        if q < 1:
+            raise ValueError(f"Fano index must be >= 1, got {q}")
         # a Fraction's denominator is positive: the sign is the numerator's
-        if self.a3.numerator <= 0:
-            raise ValueError(f"degree A^3 must be positive, got {self.a3}")
-        for p in self.basket.points:
-            if math.gcd(p.r, self.q) != 1:
+        if a3.numerator <= 0:
+            raise ValueError(f"degree A^3 must be positive, got {a3}")
+        for p in basket.points:
+            if math.gcd(p.r, q) != 1:
                 raise IndexNotCoprimeError(
-                    f"point index {p.r} is not coprime to Fano index {self.q}"
+                    f"point index {p.r} is not coprime to Fano index {q}"
                 )
+        return tuple.__new__(cls, (q, basket, a3))
 
 
 def local_index(k: int, q: int, point: SingularPoint) -> int:

@@ -33,11 +33,11 @@ import itertools
 import json
 import os
 import tempfile
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from .arith import format_rational, parse_rational
+from .arith import InputError, format_rational, parse_rational
 from .enumeration import (
     DEGREE_CAP,
     DEGREE_CAP_EXCEPTION,
@@ -87,7 +87,7 @@ ID_DIGESTS: dict[str, dict[int, tuple[int, str]]] = {
 }
 
 
-class StoreError(ValueError):
+class StoreError(InputError):
     """The file is not a database this version can vouch for."""
 
 
@@ -146,13 +146,15 @@ def _rebuild_row(
         raise StoreError(f"malformed candidate row: {exc!r}") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class Database:
-    """An enumeration result: the filters used and what survived them."""
+class Database(namedtuple("Database", "config candidates filter_set", defaults=(None,))):
+    """An enumeration result: the filters used and what survived them.
 
-    config: FilterConfig
-    candidates: tuple[Candidate, ...]
-    filter_set: str | None = None
+    ``config`` is a :class:`FilterConfig`, ``candidates`` a tuple of
+    :class:`Candidate` and ``filter_set`` the name of the filter set the
+    config came from, or ``None``.
+    """
+
+    __slots__ = ()
 
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -9,21 +9,21 @@ are collapsed, keeping a multiplicity count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .arith import Rational, format_rational
 from .enumeration import DEGREE_CAP, Candidate, series_class
 
 
-@dataclass(frozen=True)
-class Survey:
-    """One named per-index selection of candidates."""
+class Survey(namedtuple("Survey", "key q description extra")):
+    """One named per-index selection of candidates.
 
-    key: str
-    q: int
-    description: str
-    extra: Callable[[Candidate], bool]
+    ``extra`` is the survey's own condition on a candidate of index ``q``
+    within the degree bound.
+    """
+
+    __slots__ = ()
 
     def admits(self, candidate: Candidate) -> bool:
         if candidate.q != self.q:
@@ -56,18 +56,15 @@ SURVEYS: dict[str, Survey] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SurveyRow:
+class SurveyRow(namedtuple("SurveyRow", "indices a3 dims multiplicity")):
     """One printed table row: orientation decorations already collapsed.
 
-    ``dims`` runs over k = 1..q, so the last entry is ``dim |-K|``.
-    ``multiplicity`` counts the collapsed decorations (1 for most rows).
+    ``indices`` are the basket indices and ``a3`` the degree.  ``dims`` runs
+    over k = 1..q, so the last entry is ``dim |-K|``.  ``multiplicity``
+    counts the collapsed decorations (1 for most rows).
     """
 
-    indices: tuple[int, ...]
-    a3: Rational
-    dims: tuple[int, ...]
-    multiplicity: int
+    __slots__ = ()
 
     @property
     def basket_text(self) -> str:

@@ -15,7 +15,7 @@ Euler characteristic computed from index, degree and singularity data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .arith import Rational
@@ -25,8 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .enumeration import Candidate
 
 
-@dataclass(frozen=True, slots=True)
-class WpsModel:
+class WpsModel(namedtuple("WpsModel", "weights degree")):
     """A weighted projective space, or a general hypersurface inside one.
 
     ``degree=None`` means the whole space ``P(weights)``; otherwise the model
@@ -34,23 +33,25 @@ class WpsModel:
     models with the same weight multiset compare equal.
     """
 
-    weights: tuple[int, ...]
-    degree: int | None = None
+    __slots__ = ()
+    # so that _replace, which builds through _make, sorts and checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not self.weights:
+    def __new__(cls, weights: tuple[int, ...], degree: int | None = None) -> "WpsModel":
+        if not weights:
             raise ValueError("a model needs at least one weight")
-        if any(w < 1 for w in self.weights):
-            raise ValueError(f"weights must be positive: {self.weights}")
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
-        if self.degree is not None:
-            if self.degree < 2:
-                raise ValueError(f"hypersurface degree must be >= 2: {self.degree}")
-            if self.degree >= sum(self.weights):
+        if any(w < 1 for w in weights):
+            raise ValueError(f"weights must be positive: {weights}")
+        weights = tuple(sorted(weights))
+        if degree is not None:
+            if degree < 2:
+                raise ValueError(f"hypersurface degree must be >= 2: {degree}")
+            if degree >= sum(weights):
                 raise ValueError(
-                    f"degree {self.degree} leaves no positive Fano index "
-                    f"for weights {self.weights}"
+                    f"degree {degree} leaves no positive Fano index "
+                    f"for weights {weights}"
                 )
+        return tuple.__new__(cls, (weights, degree))
 
     def __str__(self) -> str:
         ws = ",".join(str(w) for w in self.weights)
@@ -95,23 +96,23 @@ def hilbert_coeffs(model: WpsModel, kmax: int) -> list[int]:
     return [ambient[k] - (ambient[k - d] if k >= d else 0) for k in range(kmax + 1)]
 
 
-@dataclass(frozen=True, slots=True)
-class MatchReport:
+class MatchReport(
+    namedtuple(
+        "MatchReport",
+        "model candidate_id index_match degree_match coeffs_match first_mismatch "
+        "checked_up_to",
+    )
+):
     """Outcome of checking a model against an enumerated candidate.
 
     The coefficients are compared only when the index and the degree both
     agree.  Otherwise ``coeffs_match`` is false and ``first_mismatch`` is
     ``None``, as it is on a match; on a compared mismatch it is the first
-    ``k`` at which ``h^0`` and ``chi`` differ.
+    ``k`` at which ``h^0`` and ``chi`` differ.  ``checked_up_to`` is the
+    last ``k`` compared.
     """
 
-    model: WpsModel
-    candidate_id: str
-    index_match: bool
-    degree_match: bool
-    coeffs_match: bool
-    first_mismatch: int | None
-    checked_up_to: int
+    __slots__ = ()
 
     @property
     def is_match(self) -> bool:

@@ -168,21 +168,56 @@ def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
     assert scanned == list(INDEX_SET)
 
 
-def test_parallel_build_does_not_import_multiprocessing(tmp_path):
-    script = (
-        "import sys\n"
-        "import qfano.cli\n"
-        "code = qfano.cli.main(['enumerate', '--all', '--jobs', '2', '--db', sys.argv[1]])\n"
-        "print(code, 'multiprocessing' in sys.modules)\n"
-    )
+def _fresh_interpreter(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports qfano from this checkout."""
     src = str(Path(qfano.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "db.json")],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_parallel_build_does_not_import_multiprocessing(tmp_path):
+    # each command imports only what it runs: links and wps on demand, the
+    # fork-only modules only on a forked scan, and no dataclasses anywhere
+    script = (
+        "import json, sys\n"
+        "def absent(*names):\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "from qfano.cli import main\n"
+        "seen = {'import': absent('qfano.links', 'qfano.wps', 'dataclasses', 'pickle',"
+        " 'signal', 'traceback', 'multiprocessing')}\n"
+        "db = sys.argv[1]\n"
+        "seen['enumerate'] = main(['enumerate', '--all', '--jobs', '2', '--db', db]), "
+        "absent('multiprocessing')\n"
+        "seen['facts'] = main(['facts', '--db', db]), absent('qfano.links', 'qfano.wps')\n"
+        "seen['link'] = main(['link', 'solve', 'q9_4A.case', '--db', db]), "
+        "absent('dataclasses')\n"
+        "print(json.dumps(seen))\n"
+    )
+    result = _fresh_interpreter(script, str(tmp_path / "db.json"))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "import": [], "enumerate": [0, []], "facts": [0, []], "link": [0, []],
+    }
+
+
+def test_bad_case_file_on_a_fresh_interpreter_is_bad_input(db_path, tmp_path):
+    # the error class of a module imported on demand is still caught on its
+    # first use: exit 3 with the one-line message, no traceback
+    case_file = tmp_path / "broken.case"
+    case_file.write_text("{not json", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from qfano.cli import main\n"
+        "sys.exit(main(['link', 'solve', sys.argv[1], '--db', sys.argv[2]]))\n"
+    )
+    result = _fresh_interpreter(script, str(case_file), str(db_path))
+    assert result.returncode == EXIT_MISSING_INPUT
+    assert result.stdout == ""
+    assert result.stderr.startswith("qfano: bad input: case file is not valid JSON")
+    assert result.stderr.count("\n") == 1
 
 
 def test_table_from_stored_database(db_path, capsys):
@@ -282,7 +317,7 @@ def test_link_solve_exits_4_when_the_audit_fails(db_path, tmp_path, monkeypatch,
     case_file.write_text(make_case_text(dim_constraints=[["s1", 1, 0]]), encoding="utf-8")
     # the relation holds, but dim|0*Theta| = 0 at qhat = 3 is below dim|A| = 1
     below_floor = LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1))
-    monkeypatch.setattr(cli, "solve", lambda case, db, lookup: [below_floor])
+    monkeypatch.setattr(links, "solve", lambda case, db, lookup: [below_floor])
     assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out.endswith("solutions: 1\n  qhat=3 alpha=1 s1=0 e=3\n")

@@ -3,8 +3,8 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 import random
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +34,7 @@ from qfano.riemann_roch import (
     local_terms,
     scaled_kawamata_sum,
 )
-from qfano.store import ID_DIGESTS
+from qfano.store import ID_DIGESTS, config_to_json
 
 from test_riemann_roch import _reference_chi, _reference_sigma
 
@@ -88,9 +88,27 @@ def test_walk_matches_the_public_constructor(q):
         assert basket.sigma_scaled < 24 * basket.index_lcm
         assert previous is None or previous < basket and previous < rebuilt
         for name in ("points", "index_lcm", "sigma_scaled"):
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(basket, name, getattr(rebuilt, name))
         previous = basket
+
+
+def test_candidate_survives_pickling():
+    for c in enumerate_candidates(5)[:3]:
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and type(copy) is Candidate and type(copy.basket) is Basket
+        assert copy.basket.index_lcm == c.basket.index_lcm and copy.sort_key() == c.sort_key()
+        assert repr(copy) == repr(c)
+
+
+def test_filter_flags_are_the_config_fields_in_snapshot_order():
+    assert FilterConfig._fields == FILTER_FLAGS
+    snapshot = list(config_to_json(DEFAULT_CONFIG))
+    assert [key for key in snapshot if key in FILTER_FLAGS] == list(FILTER_FLAGS)
+    assert FilterConfig() == DEFAULT_CONFIG
+    assert tuple(DEFAULT_CONFIG) == (False, True, True, True)
+    with pytest.raises(AttributeError):
+        DEFAULT_CONFIG.bm_inequality = False
 
 
 def test_q19_basket_present():
@@ -171,7 +189,7 @@ def test_capped_degree_range_matches_the_fraction_rule(bm, exception, monkeypatc
     # q = 5 is the exception's index: every even-N basket meets the cap at
     # n = N/2, and only the exception's basket keeps that degree
     monkeypatch.setattr(enumeration, "DEGREE_CAP_EXCEPTION", CAP_EXCEPTIONS[exception])
-    config = replace(CAPPED, bm_inequality=bm)
+    config = CAPPED._replace(bm_inequality=bm)
     at_cap = 0
     for basket in enumerate_baskets(5):
         got = degree_candidates(5, basket, config)
@@ -186,7 +204,7 @@ def test_capped_degree_range_matches_the_fraction_rule(bm, exception, monkeypatc
 def test_uncapped_degree_range_is_the_bm_range():
     # without the cap the range is Bogomolov-Miyaoka's whatever bm_inequality
     # says: n <= 4 (24N - N sigma) / ((4q - 3) q), from a sigma in rationals
-    configs = [replace(DEFAULT_CONFIG, bm_inequality=bm) for bm in (True, False)]
+    configs = [DEFAULT_CONFIG._replace(bm_inequality=bm) for bm in (True, False)]
     for q in INDEX_SET:
         for basket in enumerate_baskets(q):
             n_lcm = math.lcm(*basket.indices)
@@ -200,11 +218,11 @@ def test_uncapped_degree_range_is_the_bm_range():
 def test_degree_candidates_bm_bound():
     # BM for q = 5, basket (2): 17 * 5 * n <= 4 * (48 - 3), so n <= 2
     two = Basket.from_pairs([(2, 1)])
-    no_bm_two = replace(DEFAULT_CONFIG, bm_inequality=False)
+    no_bm_two = DEFAULT_CONFIG._replace(bm_inequality=False)
     assert degree_candidates(5, two, no_bm_two) == range(1, 3)
     assert _degrees(5, two, no_bm_two) == [Rational(1, 2), Rational(1)]
     basket = Basket.from_pairs([(4, 1), (5, 1)])
-    no_bm = replace(CAPPED, bm_inequality=False)
+    no_bm = CAPPED._replace(bm_inequality=False)
     assert len(degree_candidates(3, basket, no_bm)) == 46
     assert degree_candidates(3, basket, CAPPED) == degree_candidates(3, basket, no_bm)[:45]
     # sigma >= 24 leaves no room for any degree under BM
@@ -244,8 +262,8 @@ def _t_scaled(q, basket, k, n):
 
 
 def _config(enforce_vanishing=True, nonnegativity=True):
-    return replace(
-        DEFAULT_CONFIG, enforce_vanishing=enforce_vanishing, nonnegativity=nonnegativity
+    return DEFAULT_CONFIG._replace(
+        enforce_vanishing=enforce_vanishing, nonnegativity=nonnegativity
     )
 
 
@@ -432,7 +450,7 @@ def test_closed_form_degree_matches_the_walk(q, name):
     # the enumeration scans the closed-form degree, or with vanishing off one
     # residue class per basket; the walk scans every degree it may scan
     for vanishing in (True, False):
-        config = replace(FILTER_SETS[name], enforce_vanishing=vanishing)
+        config = FILTER_SETS[name]._replace(enforce_vanishing=vanishing)
         found = enumerate_candidates(q, config)
         assert found
         assert sorted(c.id for c in found) == _walked_ids(q, config)
@@ -476,7 +494,7 @@ NO_VANISHING_COUNTS = {
 
 @pytest.mark.parametrize("name", sorted(FILTER_SETS))
 def test_no_vanishing_counts_frozen(name):
-    config = replace(FILTER_SETS[name], enforce_vanishing=False)
+    config = FILTER_SETS[name]._replace(enforce_vanishing=False)
     counts = [len(enumerate_candidates(q, config)) for q in INDEX_SET]
     assert counts == NO_VANISHING_COUNTS[name]
 
@@ -754,7 +772,7 @@ def test_filter_diff_matches_two_enumerations():
 
     def oracle(q, flag, config):
         before = enumerated(q, config)
-        after = enumerated(q, replace(config, **{flag: not getattr(config, flag)}))
+        after = enumerated(q, config._replace(**{flag: not getattr(config, flag)}))
         before_ids = {c.id for c in before}
         after_ids = {c.id for c in after}
         return (
@@ -789,9 +807,9 @@ def test_each_flag_feeds_one_half_of_the_battery():
     default with the vanishing filter off, where ``nonnegativity`` acts.
     """
     assert sorted(RANGE_FLAGS + SIEVE_FLAGS) == sorted(FILTER_FLAGS)
-    configs = [*FILTER_SETS.values(), replace(DEFAULT_CONFIG, enforce_vanishing=False)]
+    configs = [*FILTER_SETS.values(), DEFAULT_CONFIG._replace(enforce_vanishing=False)]
     for config in configs:
-        flipped = {f: replace(config, **{f: not getattr(config, f)}) for f in FILTER_FLAGS}
+        flipped = {f: config._replace(**{f: not getattr(config, f)}) for f in FILTER_FLAGS}
         for basket in enumerate_baskets(5):
             numerators = degree_candidates(5, basket, config)
             for flag in SIEVE_FLAGS:
@@ -809,7 +827,7 @@ FLAG_WITNESSES = {
     "degree_cap_enforced": (DEFAULT_CONFIG, 5, (3, 0)),
     "enforce_vanishing": (DEFAULT_CONFIG, 5, (0, 11)),
     "bm_inequality": (CAPPED, 3, (0, 596)),
-    "nonnegativity": (replace(DEFAULT_CONFIG, enforce_vanishing=False), 4, (0, 3)),
+    "nonnegativity": (DEFAULT_CONFIG._replace(enforce_vanishing=False), 4, (0, 3)),
 }
 
 

@@ -174,6 +174,10 @@ def test_load_case_roundtrip():
     assert case.target_index_set == (3, 4, 5)
     assert [u.name for u in case.unknowns] == ["s1", "e"]
     assert "relation: qhat = s1 + e" in describe_case(case)
+    # a changed case is checked like a new one
+    assert case._replace(notes="changed").notes == "changed"
+    with pytest.raises(LinkCaseError, match="reserved"):
+        case._replace(unknowns=(*case.unknowns, case.unknowns[0]._replace(name="qhat")))
 
 
 def test_load_case_missing_bounds_is_unbounded():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,56 @@ def test_basket_is_sorted_multiset():
     # the cached invariants stay out of repr, equality and hashing
     assert repr(Basket.from_pairs([(2, 1)])) == "Basket(points=(SingularPoint(r=2, a=1),))"
     assert hash(b) == hash(Basket(tuple(reversed(b.points))))
+
+
+def test_basket_compares_hashes_and_prints_by_points_alone():
+    b = Basket.from_pairs([(5, 2), (2, 1)])
+    # the cached invariants are left out, so a basket whose cache disagrees
+    # is still the same basket
+    forged = Basket._from_sorted(b.points, 7, 0)
+    assert b == forged and hash(b) == hash(forged)
+    assert not b < forged and b <= forged and not b > forged and b >= forged
+    # hash((points,)): what a record with one compared field hashes, so the
+    # iteration order of every set and dict of baskets is kept
+    assert hash(b) == hash((b.points,))
+    smaller = Basket.from_pairs([(2, 1)])
+    assert smaller < b and smaller <= b and b > smaller and b >= smaller
+    assert (smaller < b) == (smaller.points < b.points)
+    # a basket is not a tuple of points, and compares with nothing else
+    assert b != b.points and b != (b.points,)
+    with pytest.raises(TypeError):
+        b < b.points
+    assert repr(smaller) == "Basket(points=(SingularPoint(r=2, a=1),))"
+    for name in ("points", "index_lcm", "sigma_scaled", "other"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, ())
+        with pytest.raises(AttributeError):
+            delattr(b, name)
+    assert b.index_lcm == 10 and b.points == (SingularPoint(2, 1), SingularPoint(5, 2))
+
+
+def test_records_survive_pickling():
+    b = Basket.from_pairs([(5, 2), (2, 1), (7, 3)])
+    copy = pickle.loads(pickle.dumps(b))
+    assert copy == b and type(copy) is Basket
+    assert (copy.index_lcm, copy.sigma_scaled) == (b.index_lcm, b.sigma_scaled)
+    assert repr(copy) == repr(b)
+    point = pickle.loads(pickle.dumps(SingularPoint(5, 3)))
+    assert point == SingularPoint(5, 2) and type(point) is SingularPoint
+    # the mirror orientation is canonicalised on unpickling too: a point
+    # stored with a = r - a (here forced past the constructor) comes back
+    # with the canonical a
+    mirror = tuple.__new__(SingularPoint, (5, 3))
+    assert mirror.a == 3
+    assert pickle.loads(pickle.dumps(mirror)) == SingularPoint(5, 2)
+
+
+def test_replace_builds_like_the_constructor():
+    assert SingularPoint(5, 1)._replace(a=3) == SingularPoint(5, 2)
+    fano = FanoInput(q=6, basket=Basket.from_pairs([(7, 3)]), a3=Rational(2, 7))
+    assert fano._replace(a3=Rational(1, 7)).a3 == Rational(1, 7)
+    with pytest.raises(IndexNotCoprimeError):
+        fano._replace(q=7)
 
 
 PAIR_LISTS = [

@@ -89,6 +89,11 @@ def test_model_validation():
     assert WpsModel(weights=(5, 1, 3)).weights == (1, 3, 5)
     assert str(WpsModel(weights=(1, 2, 3, 4, 5), degree=6)) == "X6 in P(1,2,3,4,5)"
     assert str(WpsModel(weights=(1, 1, 2, 3))) == "P(1,1,2,3)"
+    # a changed model is built, and so sorted and checked, like a new one
+    model = WpsModel(weights=(1, 1, 2, 3))
+    assert model._replace(weights=(5, 1, 3)) == WpsModel(weights=(1, 3, 5))
+    with pytest.raises(ValueError):
+        model._replace(degree=7)
 
 
 def test_index_and_degree():
