@@ -242,9 +242,12 @@ def cmd_wps_check(args) -> int:
 def _resolve_case_path(name: str) -> str:
     if os.path.exists(name):
         return name
-    packaged = resources.files("qfano").joinpath("cases", os.path.basename(name))
-    if packaged.is_file():
-        return str(packaged)
+    # only a bare name means a shipped case: a path with a directory part
+    # names that file and no other
+    if os.path.basename(name) == name:
+        packaged = resources.files("qfano").joinpath("cases", name)
+        if packaged.is_file():
+            return str(packaged)
     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), name)
 
 

@@ -2,13 +2,18 @@
 
 The file layout is fixed so that two runs producing the same candidates
 produce byte-identical files (worker count, dict ordering, and platform
-must not leak in).  :func:`_document` is the one statement of that layout.
+must not leak in).  :func:`dumps_database` is the one statement of that
+layout: the header goes through ``json.dumps(indent=2)`` and each row is one
+fixed template, so that the text is ``json.dumps(document, indent=2)`` and a
+newline, byte for byte, without ``json``'s pure-Python indenting encoder.
 A load recomputes every row from its ``(q, basket, A^3)``, takes the filter
 config from the named filter set (or, for ``"filter_set": null``, from the
-snapshot's flags), and accepts the file only if the document this version
-would write for the result is the stored one, compared as JSON text: so a
-header key, value, type or key order, or a row value or spelling, that the
-writer would not produce is refused, and the first disagreeing row is named.
+snapshot's flags), and accepts the file only if it is the document this
+version would write for the result.  A file that is that text exactly is
+accepted by one string comparison.  Any other text (compact or re-indented
+JSON, or a wrong document) is compared with it as compact JSON: so a header
+key, value, type or key order, or a row value or spelling, that the writer
+would not produce is refused, and the first disagreeing row is named.
 Rows must also be in :meth:`Candidate.sort_key` order without repeats.  A
 row whose basket has an index above ``MAX_POINT_INDEX`` is refused before it
 is recomputed.  Each row is rebuilt under a single decode guard: a missing
@@ -114,20 +119,6 @@ def config_to_json(config: FilterConfig) -> dict[str, Any]:
     }
 
 
-def candidate_to_json(c: Candidate) -> dict[str, Any]:
-    return {
-        "q": c.q,
-        "basket": [[p.r, p.a] for p in c.basket.points],
-        "a3": format_rational(c.a3),
-        "sigma": format_rational(c.sigma),
-        "minus_k3": format_rational(c.minus_k3),
-        "minus_k_c2": format_rational(c.minus_k_c2),
-        "dims": list(c.dims),
-        "genus": c.genus,
-        "id": c.id,
-    }
-
-
 def _rebuild_row(
     data: dict[str, Any], point: Callable[[int, int], SingularPoint]
 ) -> Candidate:
@@ -182,19 +173,58 @@ class Database(namedtuple("Database", "config candidates filter_set", defaults=(
             )
 
 
-def _document(db: Database) -> dict[str, Any]:
-    """The document a database is stored as; a load accepts nothing else."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "filter_set": db.filter_set,
-        "config": config_to_json(db.config),
-        "count": len(db.candidates),
-        "candidates": [candidate_to_json(c) for c in db.candidates],
-    }
+# A row as json.dumps(document, indent=2) lays it out: the row at depth 2,
+# its fields at 3, its basket's pairs and its dims at 4, each pair's numbers
+# at 5.  The strings are quoted as json quotes them.
+_ROW = """\
+    {
+      "q": %d,
+      "basket": %s,
+      "a3": %s,
+      "sigma": %s,
+      "minus_k3": %s,
+      "minus_k_c2": %s,
+      "dims": %s,
+      "genus": %d,
+      "id": %s
+    }"""
+_PAIR = "        [\n          %d,\n          %d\n        ]"
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _row_text(c: Candidate) -> str:
+    points = c.basket.points
+    basket = "[\n" + ",\n".join([_PAIR % (p.r, p.a) for p in points]) + "\n      ]"
+    dims = "[\n        " + ",\n        ".join(map(str, c.dims)) + "\n      ]"
+    return _ROW % (
+        c.q,
+        basket if points else "[]",
+        _quote(format_rational(c.a3)),
+        _quote(format_rational(c.sigma)),
+        _quote(format_rational(c.minus_k3)),
+        _quote(format_rational(c.minus_k_c2)),
+        dims if c.dims else "[]",
+        c.genus,
+        _quote(c.id),
+    )
 
 
 def dumps_database(db: Database) -> str:
-    return json.dumps(_document(db), indent=2) + "\n"
+    """The canonical text of ``db``: its document as ``json.dumps(indent=2)``
+    writes it, and a newline."""
+    header = json.dumps(
+        {
+            "format_version": FORMAT_VERSION,
+            "filter_set": db.filter_set,
+            "config": config_to_json(db.config),
+            "count": len(db.candidates),
+        },
+        indent=2,
+    )
+    rows = ",\n".join([_row_text(c) for c in db.candidates])
+    block = "[\n" + rows + "\n  ]" if rows else "[]"
+    # the header without its closing "\n}", then the rows as its last key
+    return header[:-2] + ',\n  "candidates": ' + block + "\n}\n"
 
 
 def loads_database(text: str) -> Database:
@@ -216,15 +246,18 @@ def loads_database(text: str) -> Database:
     # the full database has 38 across its 472 rows
     point = functools.cache(SingularPoint)
     db = Database(config, tuple(_rebuild_row(data, point) for data in rows), filter_set)
-    written = _document(db)
-    # one comparison of the texts is the comparison of every value, type and
-    # key order; only on a mismatch are the rows compared, to name the first.
-    # Both sides compact: with indent=2 json takes its pure-Python encoder
-    if json.dumps(written) != json.dumps(doc):
-        for c, row, data in zip(db.candidates, written["candidates"], rows):
-            if json.dumps(row) != json.dumps(data):
-                raise StoreError(f"stored row for {c.id!r} disagrees with recomputation")
-        raise StoreError("the header is not the one this version writes")
+    written = dumps_database(db)
+    # the tool's own file is this text exactly, accepted by one comparison;
+    # any other text is compared as compact JSON, which tells every value,
+    # type and key order apart, and on a mismatch the rows are compared to
+    # name the first
+    if text != written:
+        ours = json.loads(written)
+        if json.dumps(ours) != json.dumps(doc):
+            for c, row, data in zip(db.candidates, ours["candidates"], rows):
+                if json.dumps(row) != json.dumps(data):
+                    raise StoreError(f"stored row for {c.id!r} disagrees with recomputation")
+            raise StoreError("the header is not the one this version writes")
     keys = [c.sort_key() for c in db.candidates]
     for before, after, candidate in zip(keys, keys[1:], db.candidates[1:]):
         # one comparison per pair; only a failing pair is told apart

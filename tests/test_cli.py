@@ -341,9 +341,13 @@ def test_link_solve_looks_up_each_key_once(db_path, monkeypatch, capsys, name):
     capsys.readouterr()
 
 
-def test_link_solve_missing_case_file(capsys):
-    assert main(["link", "solve", "/nonexistent/foo.case"]) == EXIT_MISSING_INPUT
-    assert capsys.readouterr().err == "qfano: input not found: '/nonexistent/foo.case'\n"
+def test_link_solve_missing_case_file(tmp_path, monkeypatch, capsys):
+    # a path with a directory part names that file; only a bare name falls
+    # back to the shipped case of that name
+    monkeypatch.chdir(tmp_path)
+    for name in ("/nonexistent/foo.case", "/no/such/dir/q9_4A.case", "./q9_4A.case"):
+        assert main(["link", "solve", name]) == EXIT_MISSING_INPUT
+        assert capsys.readouterr() == ("", f"qfano: input not found: {name!r}\n")
 
 
 @pytest.mark.parametrize("name", ["", " "])

@@ -11,16 +11,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfano
-from qfano.enumeration import DEFAULT_CONFIG, FILTER_SETS, Candidate, enumerate_candidates
+from qfano.arith import format_rational
+from qfano.enumeration import DEFAULT_CONFIG, FILTER_SETS, INDEX_SET, Candidate, enumerate_candidates
 from qfano.store import (
     FORMAT_VERSION,
     Database,
     StoreError,
+    config_to_json,
     dumps_database,
     load_database,
     loads_database,
     save_database,
 )
+
+#: Two spellings of one document.  A load compares a text in the tool's own
+#: layout with the text it would write, and any other text as compact JSON,
+#: so each refusal is checked on a text of each kind.
+ENCODINGS = {
+    "indent": lambda doc: json.dumps(doc, indent=2) + "\n",
+    "compact": json.dumps,
+}
+
+
+def _document(db):
+    """The stored document, built as plain values: the oracle of the writer's text."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "filter_set": db.filter_set,
+        "config": config_to_json(db.config),
+        "count": len(db.candidates),
+        "candidates": [
+            {
+                "q": c.q,
+                "basket": [[p.r, p.a] for p in c.basket.points],
+                "a3": format_rational(c.a3),
+                "sigma": format_rational(c.sigma),
+                "minus_k3": format_rational(c.minus_k3),
+                "minus_k_c2": format_rational(c.minus_k_c2),
+                "dims": list(c.dims),
+                "genus": c.genus,
+                "id": c.id,
+            }
+            for c in db.candidates
+        ],
+    }
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +72,10 @@ def test_round_trip_is_byte_exact(small_db):
     assert again.filter_set == "default"
     assert json.loads(text)["format_version"] == FORMAT_VERSION
     assert dumps_database(again) == text
+    # other spellings of the same document load as the same database
+    doc = json.loads(text)
+    for other in (json.dumps(doc), json.dumps(doc, indent=4)):
+        assert loads_database(other) == again
 
 
 def test_full_database_round_trips_byte_for_byte(db_path):
@@ -46,6 +84,25 @@ def test_full_database_round_trips_byte_for_byte(db_path):
         "4ffd23041d8f681f97ffebca3c7edc5f47a85b6089f0ae0de8088c3e8ee432fb"
     )
     assert dumps_database(loads_database(text)) == text
+
+
+def _pinned_databases(full_db):
+    capped = FILTER_SETS["capped"]
+    yield Database(DEFAULT_CONFIG, tuple(full_db), "default")
+    yield Database(capped, tuple(enumerate_candidates(INDEX_SET, capped)), "capped")
+    yield Database(DEFAULT_CONFIG, tuple(c for c in full_db if c.q == 5), "default")
+    yield Database(DEFAULT_CONFIG, (), "default")
+    yield Database(capped, tuple(full_db[::7]), None)
+
+
+def test_text_is_the_indented_json_of_the_document(full_db):
+    # the writer renders rows from a template, not through json: each text
+    # must still be json's indent=2 encoding of the document, byte for byte,
+    # and load back by the exact-text comparison
+    for db in _pinned_databases(full_db):
+        text = dumps_database(db)
+        assert text == json.dumps(_document(db), indent=2) + "\n"
+        assert loads_database(text) == db
 
 
 def test_counts(small_db):
@@ -83,8 +140,9 @@ def test_tampered_degree_is_rejected(small_db):
     text = dumps_database(small_db)
     doc = json.loads(text)
     doc["candidates"][0]["minus_k3"] = "999/7"
-    with pytest.raises(StoreError):
-        loads_database(json.dumps(doc))
+    for encode in ENCODINGS.values():
+        with pytest.raises(StoreError):
+            loads_database(encode(doc))
 
 
 def test_unknown_format_version(small_db):
@@ -162,8 +220,9 @@ HEADER_EDITS = {
 def test_header_types_and_keys_are_strict(small_db, edit):
     doc = json.loads(dumps_database(small_db))
     HEADER_EDITS[edit](doc)
-    with pytest.raises(StoreError):
-        loads_database(json.dumps(doc))
+    for encode in ENCODINGS.values():
+        with pytest.raises(StoreError):
+            loads_database(encode(doc))
 
 
 @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
@@ -171,8 +230,9 @@ def test_header_edit_is_reported_as_the_header(small_db, edit):
     # every row still re-serialises to itself, so no row may be named
     doc = json.loads(dumps_database(small_db))
     HEADER_EDITS[edit](doc)
-    with pytest.raises(StoreError, match="header is not the one this version writes"):
-        loads_database(json.dumps(doc))
+    for encode in ENCODINGS.values():
+        with pytest.raises(StoreError, match="header is not the one this version writes"):
+            loads_database(encode(doc))
 
 
 def test_tampered_row_is_refused_under_optimize():
@@ -184,11 +244,12 @@ def test_tampered_row_is_refused_under_optimize():
         "db = Database(DEFAULT_CONFIG, tuple(enumerate_candidates(8)), 'default')\n"
         "doc = json.loads(dumps_database(db))\n"
         "doc['candidates'][1]['genus'] -= 1\n"
-        "try:\n"
-        "    loads_database(json.dumps(doc))\n"
-        "except StoreError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "for text in (json.dumps(doc, indent=2) + '\\n', json.dumps(doc)):\n"
+        "    try:\n"
+        "        loads_database(text)\n"
+        "    except StoreError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     src = str(Path(qfano.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -228,9 +289,10 @@ ROW_REFUSALS = [
 def test_row_refusal_messages(small_db, key, value, message):
     doc = json.loads(dumps_database(small_db))
     doc["candidates"][0][key] = value
-    with pytest.raises(StoreError) as refused:
-        loads_database(json.dumps(doc))
-    assert str(refused.value) == message
+    for encode in ENCODINGS.values():
+        with pytest.raises(StoreError) as refused:
+            loads_database(encode(doc))
+        assert str(refused.value) == message
 
 
 def _unreduced_a3(row):
@@ -267,12 +329,14 @@ def test_row_must_reserialise_to_itself(small_db, edit):
     assert row["id"] == "q6-7.3-a2.7" and row["dims"][0] == 1
     ROW_EDITS[edit](row)
     named = "stored row for 'q6-7.3-a2.7' disagrees with recomputation"
-    with pytest.raises(StoreError, match=named):
-        loads_database(json.dumps(doc))
+    for encode in ENCODINGS.values():
+        with pytest.raises(StoreError, match=named):
+            loads_database(encode(doc))
     # with a later row bad too, the first bad row is the one named
     ROW_EDITS["tampered-genus"](doc["candidates"][4])
-    with pytest.raises(StoreError, match=named):
-        loads_database(json.dumps(doc))
+    for encode in ENCODINGS.values():
+        with pytest.raises(StoreError, match=named):
+            loads_database(encode(doc))
 
 
 _SWAPS = (None, True, 0, 2.0, "", "1", "1/2", [], {}, [[1, 1]], [[2, 1]], [[0, 1]])
@@ -299,7 +363,7 @@ def _edited_documents(draw, doc):
         )
     else:
         target[draw(st.text(min_size=1, max_size=8))] = draw(st.sampled_from(_SWAPS))
-    return json.dumps(doc)
+    return ENCODINGS[draw(st.sampled_from(sorted(ENCODINGS)))](doc)
 
 
 @pytest.fixture(scope="module")
@@ -318,4 +382,4 @@ def test_edited_document_loads_unchanged_or_is_refused(q8_db, data):
     # the one edit that leaves a valid database is filter_set swapped to null:
     # then it must be exactly the database the edited text describes
     assert json.loads(text)["filter_set"] is None
-    assert json.dumps(json.loads(dumps_database(loaded))) == text
+    assert text in [encode(json.loads(dumps_database(loaded))) for encode in ENCODINGS.values()]
