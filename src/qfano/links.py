@@ -15,7 +15,9 @@ branch ``(qhat, alpha)`` at a time; an empty result eliminates the case.
 The database enters only through :func:`dims_lookup`, whose ``None`` ("no
 candidate qualifies") is itself an elimination.  :func:`audit` re-verifies
 any claimed solution independently of the search; a command builds one
-:func:`dims_table` and hands it to both, so no key is looked up twice.
+:func:`dims_table` and hands it to both, so no key is looked up twice.  The
+table groups the rows by index once, so each key scans only the rows of its
+target index.
 
 Expressions use ``+``, ``*``, non-negative integer literals, declared
 variable names, the token ``alpha``, and parentheses.  The parser multiplies
@@ -29,8 +31,9 @@ non-negative; with non-negative unknowns each relation is then monotone in
 every variable.  The search relies on that twice: a relation lies between
 its values at the corners of the remaining box, and a variable's value loop
 stops at the first value whose low corner passes the target.  :func:`audit`
-evaluates the parsed polynomials over exact rationals, with none of the
-search's scaling or pruning.
+refuses any unknown that is not an ``int`` and evaluates the parsed
+polynomials at the integer values and the rational alpha, exactly, with none
+of the search's scaling or pruning.
 
 Case documents are strict JSON: integer fields must be JSON integers,
 ``genus_transfer`` a JSON boolean, and a key the format does not define is
@@ -420,10 +423,19 @@ def dims_lookup(
 def dims_table(db: Sequence[Candidate]) -> Callable[[int, int, int], int | None]:
     """:func:`dims_lookup` over ``db``, each ``(qhat, s, genus_min)`` scanned once.
 
-    One table serves a whole command, so :func:`audit` reads the values
-    :func:`solve` already looked up.
+    The rows are grouped by index once, so a key scans only the rows of its
+    ``qhat``.  One table serves a whole command, so :func:`audit` reads the
+    values :func:`solve` already looked up.
     """
-    return functools.cache(functools.partial(dims_lookup, db))
+    by_index: dict[int, list[Candidate]] = {}
+    for c in db:
+        by_index.setdefault(c.q, []).append(c)
+
+    @functools.cache
+    def lookup(qhat: int, s: int, genus_min: int) -> int | None:
+        return dims_lookup(by_index.get(qhat, ()), qhat, s, genus_min)
+
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +574,12 @@ def audit(
 ) -> bool:
     """Independently re-verify one claimed solution against case and database.
 
-    Bounds, relations and genus floors are checked here: each relation's
-    parsed polynomial is evaluated over exact rationals, with none of the
-    search's scaling, positions or pruning.  Only the database values come
-    from ``lookup``, a :func:`dims_table` of ``db``.
+    Bounds, relations and genus floors are checked here.  Every unknown
+    must be an ``int`` (a ``bool``, ``float`` or ``Fraction`` is refused),
+    and each relation's parsed polynomial is evaluated at those integers and
+    the ``Fraction`` alpha, exactly, with none of the search's scaling,
+    positions or pruning.  Only the database values come from ``lookup``, a
+    :func:`dims_table` of ``db``.
     """
     source = case.source.resolve(db)
     if solution.qhat not in case.target_index_set:
@@ -578,9 +592,9 @@ def audit(
         return False
     for name, value in values.items():
         lo, hi = bounds[name]
-        if not lo <= value <= hi:
+        if type(value) is not int or not lo <= value <= hi:
             return False
-    env = {name: Rational(v) for name, v in values.items()} | {"alpha": solution.alpha}
+    env = values | {"alpha": solution.alpha}
     if any(
         sum(coef * math.prod(env[name] for name in names) for names, coef in rel.rhs.items())
         != solution.qhat

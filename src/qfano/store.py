@@ -14,7 +14,9 @@ accepted by one string comparison.  Any other text (compact or re-indented
 JSON, or a wrong document) is compared with it as compact JSON: so a header
 key, value, type or key order, or a row value or spelling, that the writer
 would not produce is refused, and the first disagreeing row is named.
-Rows must also be in :meth:`Candidate.sort_key` order without repeats.  A
+Rows must also be in :meth:`Candidate.sort_key` order without repeats,
+checked in integers: ``(q, A^3, basket points)`` with the degrees of one
+index compared by cross-multiplying, so no key is built per row.  A
 row whose basket has an index above ``MAX_POINT_INDEX`` is refused before it
 is recomputed.  Each row is rebuilt under a single decode guard: a missing
 field, a value of the wrong shape, or data the formula refuses (a degree
@@ -42,7 +44,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
-from .arith import InputError, format_rational, parse_rational
+from .arith import InputError, Rational, format_rational, parse_rational
 from .enumeration import (
     DEGREE_CAP,
     DEGREE_CAP_EXCEPTION,
@@ -189,7 +191,12 @@ _ROW = """\
       "id": %s
     }"""
 _PAIR = "        [\n          %d,\n          %d\n        ]"
-_quote = json.encoder.encode_basestring_ascii
+
+
+def _quoted_rational(x: Rational) -> str:
+    """``format_rational(x)`` as a JSON string; it holds no character to escape."""
+    n, d = x.as_integer_ratio()
+    return '"%d"' % n if d == 1 else '"%d/%d"' % (n, d)
 
 
 def _row_text(c: Candidate) -> str:
@@ -199,13 +206,14 @@ def _row_text(c: Candidate) -> str:
     return _ROW % (
         c.q,
         basket if points else "[]",
-        _quote(format_rational(c.a3)),
-        _quote(format_rational(c.sigma)),
-        _quote(format_rational(c.minus_k3)),
-        _quote(format_rational(c.minus_k_c2)),
+        _quoted_rational(c.a3),
+        _quoted_rational(c.sigma),
+        _quoted_rational(c.minus_k3),
+        _quoted_rational(c.minus_k_c2),
         dims if c.dims else "[]",
         c.genus,
-        _quote(c.id),
+        # an id holds only [a-z0-9._-], which json leaves as it is
+        '"' + c.id + '"',
     )
 
 
@@ -258,8 +266,11 @@ def loads_database(text: str) -> Database:
                 if json.dumps(row) != json.dumps(data):
                     raise StoreError(f"stored row for {c.id!r} disagrees with recomputation")
             raise StoreError("the header is not the one this version writes")
-    keys = [c.sort_key() for c in db.candidates]
-    for before, after, candidate in zip(keys, keys[1:], db.candidates[1:]):
+    # the order of Candidate.sort_key, (q, -A^3, basket), read in integers:
+    # within one index the degrees n/d are compared by cross-multiplying
+    keys = [(c.q, *c.a3.as_integer_ratio(), c.basket.points) for c in db.candidates]
+    for (q0, n0, d0, p0), (q1, n1, d1, p1), candidate in zip(keys, keys[1:], db.candidates[1:]):
+        before, after = ((n1 * d0, p0), (n0 * d1, p1)) if q0 == q1 else (q0, q1)
         # one comparison per pair; only a failing pair is told apart
         if before >= after:
             if before == after:

@@ -269,6 +269,17 @@ def test_dims_lookup_frozen(full_db):
     assert dims_lookup(full_db, 9, 0, 40) is None
 
 
+@pytest.mark.parametrize("indices", [tuple(INDEX_SET), (5,)])
+def test_dims_table_agrees_with_dims_lookup(full_db, indices):
+    # the table scans only the rows of each key's index; 12 and 20 have none
+    db = [c for c in full_db if c.q in indices]
+    lookup = dims_table(db)
+    for qhat in (*INDEX_SET, 12, 20):
+        for s in range(qhat + 3):
+            for genus_min in (0, 10, 20, 40):
+                assert lookup(qhat, s, genus_min) == dims_lookup(db, qhat, s, genus_min)
+
+
 def test_max_genus_per_index_frozen(full_db):
     best = {}
     for c in full_db:
@@ -346,6 +357,58 @@ def test_audit_rejects_perturbations(full_db):
     values = (("s1", 12), ("e", 1))
     assert audit(transfer, LinkSolution(13, values, Rational(1)), full_db, lookup)
     assert not audit(transfer, LinkSolution(13, values, Rational(1, 2)), full_db, lookup)
+
+
+def _with_value(solution, name, value):
+    return solution._replace(
+        assignment=tuple((n, value if n == name else v) for n, v in solution.assignment)
+    )
+
+
+def test_audit_refuses_an_unknown_that_is_not_an_int(full_db):
+    lookup = dims_table(full_db)
+    case = load_case_file(case_path("q9_4A.case"))
+    stand_ins = {1: [True], 2: [2.0, Rational(2)]}
+    tried = 0
+    for good in solve(case, full_db, lookup):
+        assert audit(case, good, full_db, lookup)
+        for name, value in good.assignment:
+            # each stand-in equals the value, so only its type is refused
+            for other in stand_ins.get(value, []):
+                assert not audit(case, _with_value(good, name, other), full_db, lookup)
+                tried += 1
+    assert tried
+
+
+# q9_4A, where every move breaks a relation, and a toy case whose unknown z
+# has coefficient 0, so a move of z is a solution again
+MOVED_CASES = {
+    "q9_4A": lambda: load_case_file(case_path("q9_4A.case")),
+    "free-unknown": lambda: load_case(make_case_text(
+        unknowns=[*WIDE, {"name": "z", "min": 0, "max": 2}],
+        relations=["qhat = s1 + e + 0*z"],
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVED_CASES))
+def test_audit_passes_a_moved_solution_exactly_when_solve_finds_it(full_db, name):
+    lookup = dims_table(full_db)
+    case = MOVED_CASES[name]()
+    solutions = solve(case, full_db, lookup)
+    found = set(solutions)
+    bounds = {u.name: (u.lo, u.hi) for u in case.unknowns}
+    moved = set()
+    for good in solutions:
+        for unknown, value in good.assignment:
+            lo, hi = bounds[unknown]
+            for step in (-1, 1):
+                if lo <= value + step <= hi:
+                    moved.add(_with_value(good, unknown, value + step))
+    assert moved - found
+    assert bool(moved & found) == (name == "free-unknown")
+    for candidate in moved:
+        assert audit(case, candidate, full_db, lookup) == (candidate in found)
 
 
 # ---------------------------------------------------------------------------

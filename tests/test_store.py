@@ -197,6 +197,47 @@ def test_duplicate_rows_are_rejected(small_db):
         loads_database(json.dumps(doc))
 
 
+def _order_refusal(rows):
+    """The message the parent's ``sort_key`` check gives ``rows``, or None."""
+    keys = [c.sort_key() for c in rows]
+    for before, after, candidate in zip(keys, keys[1:], rows[1:]):
+        if before == after:
+            return f"duplicate candidate {candidate.id!r}"
+        if before > after:
+            return f"candidate {candidate.id!r} is out of canonical order"
+    return None
+
+
+def test_order_check_agrees_with_sort_key(full_db):
+    # each adjacent pair of the full database as a two-row database, in
+    # order, swapped and doubled; no filter set, so nothing but the order
+    # check can refuse it
+    first_of_kind = {}
+    for i, (a, b) in enumerate(zip(full_db, full_db[1:])):
+        for rows in ((a, b), (b, a), (a, a)):
+            text = dumps_database(Database(DEFAULT_CONFIG, rows, None))
+            expected = _order_refusal(rows)
+            if expected is None:
+                assert loads_database(text).candidates == rows
+            else:
+                with pytest.raises(StoreError) as refused:
+                    loads_database(text)
+                assert str(refused.value) == expected
+        kind = "q falls" if a.q != b.q else "basket only" if a.a3 == b.a3 else "degree"
+        first_of_kind.setdefault(kind, i)
+    assert sorted(first_of_kind) == ["basket only", "degree", "q falls"]
+    # the same refusals in a whole stored database
+    for i in first_of_kind.values():
+        swapped = list(full_db)
+        swapped[i:i + 2] = swapped[i + 1], swapped[i]
+        doubled = list(full_db)
+        doubled.insert(i, doubled[i])
+        for rows in (swapped, doubled):
+            with pytest.raises(StoreError) as refused:
+                loads_database(dumps_database(Database(DEFAULT_CONFIG, tuple(rows), "default")))
+            assert str(refused.value) == _order_refusal(rows)
+
+
 def _reverse_keys(row):
     items = list(row.items())
     row.clear()
