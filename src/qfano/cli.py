@@ -261,13 +261,14 @@ def cmd_link_solve(args) -> int:
         print("qfano: the database names no filter set, so whether it holds "
               "every candidate of the indices searched was not checked", file=sys.stderr)
     lookup = dims_table(db.candidates)
-    solutions = solve(case, db.candidates, lookup)
+    source = case.source.resolve(db.candidates)
+    solutions = solve(case, source, lookup)
     print(describe_case(case))
     print(f"solutions: {len(solutions)}")
     for sol in solutions:
         assigned = " ".join(f"{name}={value}" for name, value in sol.assignment)
         print(f"  qhat={sol.qhat} alpha={format_rational(sol.alpha)} {assigned}")
-        if not audit(case, sol, db.candidates, lookup):
+        if not audit(case, sol, source, lookup):
             print("audit failed for the solution above", file=sys.stderr)
             return EXIT_INTERNAL
     feasible = feasible_indices(solutions)

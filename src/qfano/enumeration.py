@@ -34,17 +34,42 @@ the work small:
   and the closed-form numerator are both sums of the per-point shares of
   :func:`_point_terms` (at ``k = 1`` and ``k = -1``); :func:`_residue_class`
   solves the congruence.
-* **The 3N lemma.**  ``W`` is periodic mod ``N``, so on each residue class
-  ``k = k0 + tN`` the value ``T(k)`` is an integer cubic in ``t``.  Its third
-  difference is ``6 * 2qnN^3``, already a multiple of ``12qN``, so by
-  Newton's forward-difference formula ``T`` is divisible by ``12qN`` for
-  every ``t >= 0`` as soon as it is for ``t = 0, 1, 2``: integrality needs
-  only ``k < 3N``.  Non-negativity needs no more when ``sigma < 24``: for
-  ``k >= 3N`` the cubic term is at least ``54 q n N^3``, each point term
-  ``12 r c_p`` exceeds ``-r^3`` so ``q W(k) >= -q N sum r^2 >= -32 q N^2``
-  (``sigma < 24`` forces ``sum r <= 32``), and the other terms are
-  positive, so ``T(k) > 0``.  :func:`enumerate_baskets` yields only
-  baskets with ``sigma < 24``, so the scan stops at ``3N``.
+* **The one-period lemma.**  Write ``T(k) = P(k) + q W(k)`` with
+  ``P(k) = 12qN + q n k(k+q)(2k+q) + k C`` and ``C = 24N - N sigma``.
+  ``W`` is periodic mod ``N``, so ``D1(k) = P(k+N) - P(k)`` and
+  ``D2(k) = P(k+2N) - 2 P(k+N) + P(k)`` equal ``T(k+N) - T(k)`` and the
+  second difference of ``T`` with step ``N``, and hold no ``W``.
+
+  - *Integrality.*  On each residue class ``k = k0 + tN`` the value ``T``
+    is a cubic in ``t`` whose third difference ``12 q n N^3`` is a multiple
+    of ``M = 12qN``.  So by Newton's forward differences ``T = 0 (mod M)``
+    at every ``k >= 0`` exactly when it holds on ``[0, 3N)``: on ``[0, N)``,
+    with ``D1 = D2 = 0 (mod M)`` on ``[0, N)``.  Since ``D1(k+N) = D1(k) +
+    D2(k)`` and ``D2(k+N) = D2(k) + 12qnN^3``, that last condition says
+    ``D1 = 0 (mod M)`` at every ``k >= 0``.  ``D1`` is quadratic, so this
+    holds exactly when its Newton coefficients at ``k = 0`` are multiples
+    of ``M``: ``D1(0) = N (qn(2N^2 + 3qN + q^2) + C)``, ``Delta D1(0) =
+    6qnN(N + q + 1)`` and ``Delta^2 D1(0) = 12qnN``, the last always.  So
+    ``T`` is integral at every ``k >= 0`` exactly when it is on ``[1, N)``
+    (``T(0) = 12qN``) and two congruences hold
+    (:func:`_one_period_suffices`): ``qn(2N^2 + 3qN + q^2) + C = 0
+    (mod 12q)`` and ``n(N + q + 1)`` even.  (``D2(0) = 6qnN^2(2N + q)``,
+    whose congruence is ``qnN`` even, follows from the second.)
+  - *Non-negativity.*  Each point term ``w_p = 12 r c_p`` is at least
+    ``-(r-1)(r^2-1) > -r^3``, so ``q W(k) >= -qN sum r^2``.  With
+    ``n >= 1``, ``C > 0`` and ``k(k+q)(2k+q) >= 2k^3`` that gives
+    ``T(k) >= 12qN + 2qk^3 - qN sum r^2``, and ``sigma < 24`` bounds
+    ``sum r^2`` twice.  Each ``r - 1/r >= 3r/4``, so ``sum r < 32``, and
+    each ``r <= N``, so ``sum r^2 <= 32N``: ``T(k) > 0`` for ``k >= 3N``
+    (``54N^3 > 32N^2``).  Every index is at most 24, a point of index
+    ``r <= 23`` has ``r^2 <= 24 (r - 1/r)``, and a point of index 24
+    (``sigma = 575/24``) fits only alone: so ``sum r^2 <= 576``, and
+    ``T(k) >= 2q(k^3 - 282N) > 0`` for ``k >= max(N, 17)``
+    (``17^2 > 282``).
+
+  So the scan of one degree checks the two congruences and runs over
+  ``1 <= k < min(3N, max(N, 17))`` (:func:`_scan_stop`).
+  :func:`enumerate_baskets` yields only baskets with ``sigma < 24``.
 
 Two more keep the per-basket work flat:
 
@@ -57,10 +82,10 @@ Two more keep the per-basket work flat:
   point.
 * **Forward differences.**  Past the vanishing window,
   :func:`_passing_numerators` reads ``q W(k)`` from one table of a period
-  ``N``, built once per basket and cycled up to ``3N``, and steps the
-  rest of ``T(k)``, a cubic in ``k`` with third difference ``12qn``, by
-  forward differences: a few additions per ``k`` instead of one term per
-  point.
+  ``N``, built once per basket and cycled to the end of the scan, and
+  steps the rest of ``T(k)``, a cubic in ``k`` with third difference
+  ``12qn``, by forward differences: a few additions per ``k`` instead of
+  one term per point.
 """
 
 from __future__ import annotations
@@ -68,8 +93,8 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from collections import Counter, namedtuple
-from itertools import cycle, islice
+from collections import namedtuple
+from itertools import cycle, groupby, islice
 from typing import Iterable, Iterator, Sequence
 
 from .arith import Rational, format_rational
@@ -187,10 +212,6 @@ class Candidate(
             return self.dims[k - 1]
         return chi_integer(k, self.fano) - 1
 
-    def sort_key(self):
-        """Canonical order: index, then degree descending, then basket."""
-        return (self.q, -self.a3, self.basket)
-
 
 def candidate_id(q: int, basket: Basket, a3: Rational) -> str:
     """Stable text id derived from the candidate content only."""
@@ -279,8 +300,8 @@ def degree_candidates(
     return range(1, n_cap + 1)
 
 
-def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:
-    """Each point's share ``q w_p(k) - k(r^2 - 1)`` of ``T(k)``, by ``(r, a)``.
+def _point_terms(q: int, k: int) -> dict[SingularPoint, int]:
+    """Each point's share ``q w_p(k) - k(r^2 - 1)`` of ``T(k)``, by point.
 
     ``w_p = 12 r c_p`` (:func:`~qfano.riemann_roch.local_terms`); a basket's
     ``T(k)`` is ``(12q + 24k) N + q n k(k+q)(2k+q)`` plus ``N/r`` times the
@@ -288,7 +309,7 @@ def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:
     closed-form degree) and ``k = 1`` (the residue class of the walk).
     """
     return {
-        (p.r, p.a): q * local_terms(q, p.r, p.a)[k % p.r] - k * (p.r * p.r - 1)
+        p: q * local_terms(q, p.r, p.a)[k % p.r] - k * (p.r * p.r - 1)
         for p in point_domain(q)
     }
 
@@ -296,10 +317,12 @@ def _point_terms(q: int, k: int) -> dict[tuple[int, int], int]:
 def _columns(q: int, basket: Basket) -> list[tuple[int, tuple[int, ...]]]:
     """``(r, column)`` per distinct point: its share of ``q W(k)`` by ``k mod r``, all copies."""
     n_lcm = basket.index_lcm
-    return [
-        (p.r, tuple(q * mult * (n_lcm // p.r) * t for t in local_terms(q, p.r, p.a)))
-        for p, mult in Counter(basket).items()
-    ]
+    columns = []
+    # the points are sorted, so the copies of a point are one run
+    for p, run in groupby(basket.points):
+        weight = q * sum(1 for _ in run) * (n_lcm // p.r)
+        columns.append((p.r, tuple(weight * t for t in local_terms(q, p.r, p.a))))
+    return columns
 
 
 def _vanishes(q: int, n: int, basket: Basket, columns: list[tuple[int, tuple[int, ...]]]) -> bool:
@@ -311,6 +334,27 @@ def _vanishes(q: int, n: int, basket: Basket, columns: list[tuple[int, tuple[int
         + sum(column[k % r] for r, column in columns)
         for k in range(1 - q, 0)
     )
+
+
+def _scan_stop(n_lcm: int) -> int:
+    """The ``k`` the scan of a degree stops before: ``min(3N, max(N, 17))``.
+
+    From there on ``T(k) > 0``, and integrality on ``[1, N)`` with
+    :func:`_one_period_suffices` settles the rest (module docstring).
+    """
+    return min(3 * n_lcm, max(n_lcm, 17))
+
+
+def _one_period_suffices(q: int, n_lcm: int, n: int, linear: int) -> bool:
+    """Whether ``T(k+N) - T(k)`` is a multiple of ``12qN`` at every ``k``.
+
+    ``linear`` is ``24N - N sigma``.  Then ``T`` is integral at every
+    ``k >= 0`` as soon as it is on ``[0, N)``: the two congruences of the
+    one-period lemma (module docstring).
+    """
+    return not n * (n_lcm + q + 1) % 2 and not (
+        q * n * (2 * n_lcm * n_lcm + 3 * q * n_lcm + q * q) + linear
+    ) % (12 * q)
 
 
 def _passing_numerators(
@@ -332,16 +376,21 @@ def _passing_numerators(
     built once per basket by the first degree that gets that far, and the
     rest of ``T(k)``, a cubic in ``k``, steps by forward differences (third
     difference ``12qn``).  A degree stops at the first ``k`` that fails, and
-    at ``3N`` (the 3N lemma, module docstring), which needs ``sigma < 24``:
-    the basket must be one :func:`enumerate_baskets` yields.
+    at ``min(3N, max(N, 17))``; :func:`_one_period_suffices`, checked
+    first, stands in for the rest of ``[N, 3N)`` (the one-period lemma,
+    module docstring).  The lemma needs ``sigma < 24``: the basket must be
+    one :func:`enumerate_baskets` yields.
     """
     n_lcm = basket.index_lcm
     modulus = 12 * q * n_lcm
     linear = 24 * n_lcm - basket.sigma_scaled
     columns = _columns(q, basket)
     nonnegativity = config.nonnegativity
+    stop = _scan_stop(n_lcm)
     period = None
     for n in numerators:
+        if not _one_period_suffices(q, n_lcm, n, linear):
+            continue
         if config.enforce_vanishing and not _vanishes(q, n, basket, columns):
             continue
         qn = q * n
@@ -353,7 +402,7 @@ def _passing_numerators(
         step = qn * (q + 2) * (q + 7) + linear
         step2 = 6 * qn * (q + 4)
         step3 = 12 * qn
-        for w in islice(cycle(period), 1, 3 * n_lcm):
+        for w in islice(cycle(period), 1, stop):
             total = value + w
             if total % modulus or (total < 0 and nonnegativity):
                 break
@@ -387,10 +436,8 @@ def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
     k = -1 if config.enforce_vanishing and q * (q - 1) * (q - 2) else 1
     coeff = q * k * (k + q) * (2 * k + q)
     base = 12 * q + 24 * k
-    # each point's share of T(k) in units of 1/_SIGMA_UNIT, by (r, a)
-    shares = {
-        (r, a): (_SIGMA_UNIT // r) * share for (r, a), share in _point_terms(q, k).items()
-    }
+    # each point's share of T(k) in units of 1/_SIGMA_UNIT, by point
+    shares = {p: (_SIGMA_UNIT // p.r) * share for p, share in _point_terms(q, k).items()}
     # the walk is a preorder, so a basket of d points is the last basket of
     # d - 1 points plus one: sums[d] is the running sum of its shares.
     # sigma(r) >= 3/2 holds a basket to 15 points.
@@ -400,8 +447,7 @@ def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
         points = basket.points
         depth = len(points)
         if depth:
-            last = points[-1]
-            sums[depth] = sums[depth - 1] + shares[last.r, last.a]
+            sums[depth] = sums[depth - 1] + shares[points[-1]]
         numerators = degree_candidates(q, basket, config)
         if not numerators:
             continue
@@ -511,6 +557,16 @@ def _scan_shares(
     return per_share
 
 
+def _canonical_order(c: Candidate) -> tuple:
+    """Index, then degree descending, then basket, as one tuple of integers.
+
+    An enumerated degree is ``n/N`` with ``N`` dividing :data:`_SIGMA_UNIT`,
+    so ``A^3 * _SIGMA_UNIT`` is an integer.
+    """
+    num, den = c.a3.as_integer_ratio()
+    return c.q, -num * (_SIGMA_UNIT // den), c.basket.points
+
+
 def enumerate_candidates(
     q: int | Iterable[int], config: FilterConfig = DEFAULT_CONFIG, jobs: int = 1
 ) -> list[Candidate]:
@@ -540,7 +596,7 @@ def enumerate_candidates(
     else:
         per_share = [_scan_share(indices, config)]
     found = [c for part in per_share for c in part]
-    found.sort(key=Candidate.sort_key)
+    found.sort(key=_canonical_order)
     return found
 
 

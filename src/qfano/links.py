@@ -14,9 +14,10 @@ optional genus transfer (``g(target) >= g(source)`` whenever alpha < 1).
 branch ``(qhat, alpha)`` at a time; an empty result eliminates the case.
 The database enters only through :func:`dims_lookup`, whose ``None`` ("no
 candidate qualifies") is itself an elimination.  :func:`audit` re-verifies
-any claimed solution independently of the search; a command builds one
-:func:`dims_table` and hands it to both, so no key is looked up twice.  The
-table groups the rows by index once, so each key scans only the rows of its
+any claimed solution independently of the search.  A command resolves the
+source candidate once, builds one :func:`dims_table` and hands the two to
+both, so neither the source nor any key is looked up twice.  The table
+groups the rows by index once, so each key scans only the rows of its
 target index.
 
 Expressions use ``+``, ``*``, non-negative integer literals, declared
@@ -544,16 +545,16 @@ def _branch(
 
 
 def solve(
-    case: LinkCase, db: Sequence[Candidate],
+    case: LinkCase, source: Candidate,
     lookup: Callable[[int, int, int], int | None],
 ) -> list[LinkSolution]:
     """Every in-bounds assignment satisfying all relations and constraints.
 
     Deterministic: results come back sorted by (qhat, unknown values in
     declaration order, alpha).  An empty list eliminates the case.
-    ``lookup`` is a :func:`dims_table` of ``db``.
+    ``source`` is ``case.source.resolve(db)`` and ``lookup`` a
+    :func:`dims_table` of the same ``db``.
     """
-    source = case.source.resolve(db)
     names = [u.name for u in case.unknowns]
     position = {name: i for i, name in enumerate(names)}
     solutions: list[LinkSolution] = []
@@ -569,7 +570,7 @@ def solve(
 
 
 def audit(
-    case: LinkCase, solution: LinkSolution, db: Sequence[Candidate],
+    case: LinkCase, solution: LinkSolution, source: Candidate,
     lookup: Callable[[int, int, int], int | None],
 ) -> bool:
     """Independently re-verify one claimed solution against case and database.
@@ -578,10 +579,9 @@ def audit(
     must be an ``int`` (a ``bool``, ``float`` or ``Fraction`` is refused),
     and each relation's parsed polynomial is evaluated at those integers and
     the ``Fraction`` alpha, exactly, with none of the search's scaling,
-    positions or pruning.  Only the database values come from ``lookup``, a
-    :func:`dims_table` of ``db``.
+    positions or pruning.  The database enters as in :func:`solve`: the
+    resolved ``source`` and ``lookup``, a :func:`dims_table` of its ``db``.
     """
-    source = case.source.resolve(db)
     if solution.qhat not in case.target_index_set:
         return False
     if solution.alpha not in case.alpha_options:

@@ -14,8 +14,8 @@ accepted by one string comparison.  Any other text (compact or re-indented
 JSON, or a wrong document) is compared with it as compact JSON: so a header
 key, value, type or key order, or a row value or spelling, that the writer
 would not produce is refused, and the first disagreeing row is named.
-Rows must also be in :meth:`Candidate.sort_key` order without repeats,
-checked in integers: ``(q, A^3, basket points)`` with the degrees of one
+Rows must also be in the enumeration's canonical order without repeats,
+checked in integers: ``(q, -A^3, basket points)`` with the degrees of one
 index compared by cross-multiplying, so no key is built per row.  A
 row whose basket has an index above ``MAX_POINT_INDEX`` is refused before it
 is recomputed.  Each row is rebuilt under a single decode guard: a missing
@@ -266,8 +266,8 @@ def loads_database(text: str) -> Database:
                 if json.dumps(row) != json.dumps(data):
                     raise StoreError(f"stored row for {c.id!r} disagrees with recomputation")
             raise StoreError("the header is not the one this version writes")
-    # the order of Candidate.sort_key, (q, -A^3, basket), read in integers:
-    # within one index the degrees n/d are compared by cross-multiplying
+    # the canonical order, (q, -A^3, basket), read in integers: within one
+    # index the degrees n/d are compared by cross-multiplying
     keys = [(c.q, *c.a3.as_integer_ratio(), c.basket.points) for c in db.candidates]
     for (q0, n0, d0, p0), (q1, n1, d1, p1), candidate in zip(keys, keys[1:], db.candidates[1:]):
         before, after = ((n1 * d0, p0), (n0 * d1, p1)) if q0 == q1 else (q0, q1)

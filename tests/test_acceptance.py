@@ -230,17 +230,18 @@ def test_criterion_7_link_eliminations(full_db):
     lookup = dims_table(full_db)
     started = time.perf_counter()
     case = load_case_file(case_path("q9_4A.case"))
-    solutions = solve(case, full_db, lookup)
+    source = case.source.resolve(full_db)
+    solutions = solve(case, source, lookup)
     assert solutions, "the q=9 case must stay alive"
     feasible = feasible_indices(solutions)
     assert feasible == [5, 6, 7, 8]
     assert max(feasible) <= 8
-    assert all(audit(case, s, full_db, lookup) for s in solutions)
+    assert all(audit(case, s, source, lookup) for s in solutions)
     assert time.perf_counter() - started < 5.0
 
     started = time.perf_counter()
     eliminated = load_case_file(case_path("q6_basket7.case"))
-    assert solve(eliminated, full_db, dims_table(full_db)) == []
+    assert solve(eliminated, eliminated.source.resolve(full_db), dims_table(full_db)) == []
     assert time.perf_counter() - started < 5.0
 
 
@@ -280,8 +281,9 @@ def test_criterion_9_max_genus_ladder(full_db):
     for entry in case_path("").iterdir():
         if entry.name.endswith(".case"):
             case = load_case_file(entry)
-            if solve(case, full_db, lookup) == []:
-                eliminated[entry.name] = case.source.resolve(full_db)
+            source = case.source.resolve(full_db)
+            if solve(case, source, lookup) == []:
+                eliminated[entry.name] = source
     assert sorted(eliminated) == sorted(name for name, _ in LADDER_CASES.values())
     for q in INDEX_SET:
         pool = [c for c in full_db if c.q == q and c.minus_k3 <= DEGREE_CAP]

@@ -25,7 +25,7 @@ from qfano.enumeration import (
 from qfano.riemann_roch import Basket
 from qfano.store import Database, load_database, save_database
 
-from test_enumeration import _recording_forks, _set_cpus, _workers
+from test_enumeration import _recording_forks, _set_cpus, _workers, sort_key
 from qfano.arith import Rational
 from qfano.links import LinkSolution
 from test_links import case_path, make_case_text
@@ -317,7 +317,7 @@ def test_link_solve_exits_4_when_the_audit_fails(db_path, tmp_path, monkeypatch,
     case_file.write_text(make_case_text(dim_constraints=[["s1", 1, 0]]), encoding="utf-8")
     # the relation holds, but dim|0*Theta| = 0 at qhat = 3 is below dim|A| = 1
     below_floor = LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1))
-    monkeypatch.setattr(links, "solve", lambda case, db, lookup: [below_floor])
+    monkeypatch.setattr(links, "solve", lambda case, source, lookup: [below_floor])
     assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out.endswith("solutions: 1\n  qhat=3 alpha=1 s1=0 e=3\n")
@@ -339,6 +339,21 @@ def test_link_solve_looks_up_each_key_once(db_path, monkeypatch, capsys, name):
     assert main(["link", "solve", f"{name}.case", "--db", str(db_path)]) == EXIT_OK
     assert keys and len(keys) == len(set(keys))
     capsys.readouterr()
+
+
+def test_link_solve_resolves_the_source_once(db_path, monkeypatch, capsys):
+    # the search and the audit of each of the 24 solutions share one source
+    sources = []
+    resolve = links.SourceRef.resolve
+
+    def counting(ref, db):
+        sources.append(resolve(ref, db))
+        return sources[-1]
+
+    monkeypatch.setattr(links.SourceRef, "resolve", counting)
+    assert main(["link", "solve", "q9_4A.case", "--db", str(db_path)]) == EXIT_OK
+    assert "solutions: 24\n" in capsys.readouterr().out
+    assert [c.id for c in sources] == ["q9-2.1_4.1_5.2-a1.20"]
 
 
 def test_link_solve_missing_case_file(tmp_path, monkeypatch, capsys):
@@ -677,7 +692,7 @@ def edited_paths(full_db, tmp_path_factory):
     assert forged.genus == 30 and forged.id not in {c.id for c in full_db}
     edits = {
         "dropped": [c for c in full_db if c.id != DROPPED_ROW],
-        "forged": sorted([*full_db, forged], key=Candidate.sort_key),
+        "forged": sorted([*full_db, forged], key=sort_key),
     }
     assert len(edits["dropped"]) == len(full_db) - 1
     base = tmp_path_factory.mktemp("edited")

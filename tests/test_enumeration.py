@@ -84,7 +84,7 @@ def test_walk_matches_the_public_constructor(q):
         assert basket.index_lcm == rebuilt.index_lcm
         assert basket.sigma_scaled == rebuilt.sigma_scaled
         assert basket.sigma_scaled == scaled_kawamata_sum(basket.points, basket.index_lcm)
-        # sigma < 24: the precondition of the sieve's 3N scan bound
+        # sigma < 24: the precondition of the sieve's one-period lemma
         assert basket.sigma_scaled < 24 * basket.index_lcm
         assert previous is None or previous < basket and previous < rebuilt
         for name in ("points", "index_lcm", "sigma_scaled"):
@@ -97,7 +97,7 @@ def test_candidate_survives_pickling():
     for c in enumerate_candidates(5)[:3]:
         copy = pickle.loads(pickle.dumps(c))
         assert copy == c and type(copy) is Candidate and type(copy.basket) is Basket
-        assert copy.basket.index_lcm == c.basket.index_lcm and copy.sort_key() == c.sort_key()
+        assert copy.basket.index_lcm == c.basket.index_lcm and sort_key(copy) == sort_key(c)
         assert repr(copy) == repr(c)
 
 
@@ -271,9 +271,10 @@ def _passes_integrality(fano, *, enforce_vanishing=True, nonnegativity=True):
     """The enumeration's sieve on one triple: ``_passing_numerators`` at ``A^3``.
 
     Decides ``chi(k) = 0`` on ``-q < k < 0``, and integrality (plus optional
-    non-negativity) for ``0 <= k < 3N``, which by the 3N lemma settles every
-    ``k >= 0`` when ``sigma < 24``.  Its oracle is ``_reference_passes``,
-    which runs ``_reference_chi`` over a whole period and past ``3N``.
+    non-negativity) for ``0 <= k < min(3N, max(N, 17))`` and two
+    congruences, which by the one-period lemma settles every ``k >= 0`` when
+    ``sigma < 24``.  Its oracle is ``_reference_passes``, which runs
+    ``_reference_chi`` over a whole period and past ``3N``.
     """
     n_lcm = fano.basket.index_lcm
     if n_lcm % fano.a3.denominator != 0:
@@ -284,7 +285,7 @@ def _passes_integrality(fano, *, enforce_vanishing=True, nonnegativity=True):
 
 
 def _reference_scan(q, basket, n, *, enforce_vanishing=True, nonnegativity=True):
-    """The sieve on ``A^3 = n/N`` as one ``_t_scaled`` call per ``k``."""
+    """The sieve on ``A^3 = n/N`` as one ``_t_scaled`` call per ``k < 3N``."""
     if enforce_vanishing:
         for k in range(1 - q, 0):
             if _t_scaled(q, basket, k, n) != 0:
@@ -334,8 +335,8 @@ def _reference_window(fano):
 
 def _reference_passes(fano, *, enforce_vanishing=True, nonnegativity=True):
     # pure rational-arithmetic re-statement of the sieve over a whole period
-    # and up to 3N, independent of the integer kernel the production scan
-    # uses; q = 1 can have a period below 3N
+    # and up to 3N, independent of the integer kernel and of the one-period
+    # lemma the production scan uses; q = 1 can have a period below 3N
     if enforce_vanishing:
         for k in range(1 - fano.q, 0):
             if _reference_chi(k, fano) != 0:
@@ -373,10 +374,13 @@ def test_scanner_agrees_with_rational_reference(q):
 
 
 def test_short_scan_agrees_with_rational_reference():
-    # the scan stops at 3N; the reference runs the whole period and up to
-    # 3N, so random triples with periods on both sides of 3N must agree
+    # the scan stops at min(3N, max(N, 17)); the reference runs the whole
+    # period and up to 3N, so random triples with periods on both sides of
+    # 3N, and with N on both sides of 17, must agree
     rng = random.Random(2010)
-    small = {q: [b for b in enumerate_baskets(q) if b.index_lcm <= 12] for q in (3, 4, 5)}
+    walked = {q: list(enumerate_baskets(q)) for q in (3, 4, 5)}
+    small = {q: [b for b in baskets if b.index_lcm <= 12] for q, baskets in walked.items()}
+    large = {q: [b for b in baskets if 17 <= b.index_lcm <= 36] for q, baskets in walked.items()}
     triples = []
     for _ in range(40):
         q = rng.choice(sorted(small))
@@ -384,6 +388,18 @@ def test_short_scan_agrees_with_rational_reference():
         n_lcm = basket.index_lcm
         a3 = Rational(rng.randint(1, 3 * n_lcm), n_lcm)
         triples.append(FanoInput(q=q, basket=basket, a3=a3))
+    # N >= 17, where the scan covers one period: numerators of the chi(1)
+    # residue class, so that most get past k = 1
+    while sum(f.basket.index_lcm >= 17 for f in triples) < 12:
+        q = rng.choice(sorted(large))
+        basket = rng.choice(large[q])
+        n_lcm = basket.index_lcm
+        solved = enumeration._residue_class(
+            range(1, 3 * n_lcm + 1), _t_scaled(q, basket, 1, 0), q * (q + 1) * (q + 2),
+            12 * q * n_lcm,
+        )
+        if solved:
+            triples.append(FanoInput(q=q, basket=basket, a3=Rational(rng.choice(solved), n_lcm)))
     # sigma = 23 is whole, so for q = 1 and A^3 in Z/2 the period (12 or 24)
     # is below 3N = 36
     short = Basket.from_pairs([(3, 1)] * 3 + [(4, 1)] * 4)
@@ -397,7 +413,7 @@ def test_short_scan_agrees_with_rational_reference():
     assert not _passes_integrality(negative)
     spans = {_reference_window(f) > 3 * f.basket.index_lcm for f in triples}
     assert spans == {True, False}
-    passed = 0
+    passed = set()
     for fano in triples:
         for vanish, nonneg in itertools.product((True, False), repeat=2):
             verdict = _passes_integrality(
@@ -406,16 +422,20 @@ def test_short_scan_agrees_with_rational_reference():
             assert verdict == _reference_passes(
                 fano, enforce_vanishing=vanish, nonnegativity=nonneg
             )
-            passed += verdict
-    assert passed
+            if verdict:
+                passed.add(fano.basket.index_lcm >= 17)
+    assert passed == {True, False}
 
 
-@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 11, 13])
 def test_scan_matches_the_per_k_loop(q):
-    # every basket with a degree range, at its chi(1) residue class and a
-    # few numerators outside it, all through one generator call per flag
-    # pair so that the basket's period table is shared between them
+    # every basket with a degree range, at its closed-form degree (the
+    # enumeration's path with vanishing on), its chi(1) residue class (the
+    # walk with vanishing off) and a few numerators outside both, against
+    # one T(k) per k < 3N; all through one generator call per flag pair so
+    # that the basket's period table is shared between them
     verdicts = set()
+    closed_forms = 0
     for basket in enumerate_baskets(q):
         numerators = degree_candidates(q, basket)
         if not numerators:
@@ -426,8 +446,158 @@ def test_scan_matches_the_per_k_loop(q):
             q * (q + 1) * (q + 2),
             12 * q * basket.index_lcm,
         )
-        _scan_agrees(q, basket, sorted({*solved, *numerators[:2], numerators[-1]}), verdicts)
+        # T(-1) = T(-1)|_{n=0} - q(q-1)(q-2) n
+        closed, rest = divmod(_t_scaled(q, basket, -1, 0), q * (q - 1) * (q - 2))
+        closed = [closed] if not rest and closed in numerators else []
+        closed_forms += len(closed)
+        extra = {*numerators[:2], numerators[-1]}
+        _scan_agrees(q, basket, sorted({*solved, *closed, *extra}), verdicts)
+    assert closed_forms
     assert len(verdicts) == 8
+
+
+def _t_cubic(q, n_lcm, n, linear, k):
+    """``P(k)``, the part of ``T(k)`` outside ``q W(k)``, with ``linear = 24N - N sigma``."""
+    return 12 * q * n_lcm + q * n * k * (k + q) * (2 * k + q) + k * linear
+
+
+def _differences_vanish(q, n_lcm, n, linear):
+    """``P(k+N) - P(k)`` and ``P(k+2N) - 2P(k+N) + P(k)`` are multiples of ``12qN`` on ``[0, N)``."""
+    modulus = 12 * q * n_lcm
+    p = functools.partial(_t_cubic, q, n_lcm, n, linear)
+    return all(
+        (p(k + n_lcm) - p(k)) % modulus == 0
+        and (p(k + 2 * n_lcm) - 2 * p(k + n_lcm) + p(k)) % modulus == 0
+        for k in range(n_lcm)
+    )
+
+
+def test_one_period_congruences_match_the_differences():
+    # random integers, and walked baskets at small numerators; each of the
+    # two Newton coefficients that can fail, D1(0) and D1(1) - D1(0), fails
+    # alone somewhere, so neither congruence can be dropped
+    rng = random.Random(25)
+    cases = [
+        (rng.randint(1, 25), rng.randint(1, 40), rng.randint(1, 300), rng.randint(-9999, 9999))
+        for _ in range(4000)
+    ]
+    cases += [
+        (q, b.index_lcm, n, 24 * b.index_lcm - b.sigma_scaled)
+        for q in (3, 4, 7)
+        for b in itertools.islice(enumerate_baskets(q), 400)
+        for n in range(1, 5)
+    ]
+    failing = set()
+    for q, n_lcm, n, linear in cases:
+        expected = _differences_vanish(q, n_lcm, n, linear)
+        assert enumeration._one_period_suffices(q, n_lcm, n, linear) == expected
+        p = functools.partial(_t_cubic, q, n_lcm, n, linear)
+        modulus = 12 * q * n_lcm
+        d1_0 = (p(n_lcm) - p(0)) % modulus
+        d1_1 = (p(n_lcm + 1) - p(1)) % modulus
+        if not expected:
+            failing.add((d1_0 == 0, (d1_1 - d1_0) % modulus == 0))
+    assert failing == {(True, False), (False, True), (False, False)}
+
+
+#: A triple integral on ``[1, N)`` that fails at ``k = 1 + N``: q = 3,
+#: basket six points 1/2(1, 1, 1), ``A^3 = 4/2`` (inside the BM range).
+ONE_PERIOD_WITNESS = (3, Basket.from_pairs([(2, 1)] * 6), 4)
+
+
+def test_congruences_reject_what_one_period_passes(monkeypatch):
+    q, basket, n = ONE_PERIOD_WITNESS
+    n_lcm = basket.index_lcm
+    modulus = 12 * q * n_lcm
+    assert n_lcm == 2 and n in degree_candidates(q, basket)
+    assert all(_t_scaled(q, basket, k, n) % modulus == 0 for k in range(1, n_lcm))
+    assert _t_scaled(q, basket, 1 + n_lcm, n) % modulus
+    linear = 24 * n_lcm - basket.sigma_scaled
+    assert not enumeration._one_period_suffices(q, n_lcm, n, linear)
+    config = _config(enforce_vanishing=False, nonnegativity=False)
+    assert list(enumeration._passing_numerators(q, basket, (n,), config)) == []
+    # a scan of one period alone needs the congruences to refuse it
+    monkeypatch.setattr(enumeration, "_scan_stop", lambda n_lcm: n_lcm)
+    assert list(enumeration._passing_numerators(q, basket, (n,), config)) == []
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_one_period_and_the_congruences_decide_integrality(q, monkeypatch):
+    # the scan cut to [1, N), so that only the congruences see [N, 3N):
+    # with non-negativity off it still agrees with the per-k loop, at
+    # degrees that pass [1, N) and fail later too
+    monkeypatch.setattr(enumeration, "_scan_stop", lambda n_lcm: n_lcm)
+    config = _config(enforce_vanishing=False, nonnegativity=False)
+    passed = decided = 0
+    for basket in enumerate_baskets(q):
+        n_lcm = basket.index_lcm
+        numerators = degree_candidates(q, basket)[:12]
+        got = list(enumeration._passing_numerators(q, basket, numerators, config))
+        expected = [
+            n for n in numerators
+            if _reference_scan(q, basket, n, enforce_vanishing=False, nonnegativity=False)
+        ]
+        assert got == expected
+        passed += len(got)
+        decided += sum(
+            all(_t_scaled(q, basket, k, n) % (12 * q * n_lcm) == 0 for k in range(1, n_lcm))
+            for n in numerators
+            if n not in got
+        )
+    assert passed and decided
+
+
+@pytest.mark.parametrize("stop", [2, 4])
+def test_scan_reads_every_k_below_its_stop(stop, monkeypatch):
+    # on the walk's inputs the last k of a scan is often redundant (by
+    # Serre symmetry T(N - 1) = -T(N + 1 - q) mod 12qN), so the stop is
+    # forced low here: a degree passes exactly when T(k) is a non-negative
+    # multiple of 12qN for 1 <= k < stop and the congruences hold
+    monkeypatch.setattr(enumeration, "_scan_stop", lambda n_lcm: stop)
+    q = 5
+    config = _config(enforce_vanishing=False)
+    decided_last = 0
+    for basket in itertools.islice(enumerate_baskets(q), 0, None, 3):
+        n_lcm = basket.index_lcm
+        modulus = 12 * q * n_lcm
+        linear = 24 * n_lcm - basket.sigma_scaled
+        numerators = degree_candidates(q, basket)[:12]
+        expected = []
+        for n in numerators:
+            ok = [
+                value % modulus == 0 and value >= 0
+                for value in (_t_scaled(q, basket, k, n) for k in range(1, stop))
+            ]
+            if _differences_vanish(q, n_lcm, n, linear):
+                expected += [n] * all(ok)
+                decided_last += all(ok[:-1]) and not ok[-1]
+        assert list(enumeration._passing_numerators(q, basket, numerators, config)) == expected
+    assert decided_last
+
+
+def test_scan_stop_is_one_the_lemma_proves():
+    # never past 3N; at least N, so that the congruences cover the rest of
+    # the integrality check; and from the stop on T(k) > 0 by one of the
+    # lemma's bounds: k >= 3N, or k^3 > 282N
+    for n_lcm in range(1, 2000):
+        stop = enumeration._scan_stop(n_lcm)
+        assert n_lcm <= stop <= 3 * n_lcm
+        assert stop == 3 * n_lcm or stop**3 > 282 * n_lcm
+    assert [enumeration._scan_stop(n) for n in (1, 5, 6, 17, 18, 840)] == [3, 15, 17, 17, 18, 840]
+
+
+def test_lemma_premises_hold_over_the_walk():
+    # sum r^2 <= 576 and <= 32N on every walked basket, and every point
+    # term 12 r c_p above -r^3 on every point the walk can add
+    largest = 0
+    for q in INDEX_SET:
+        for p in point_domain(q):
+            assert min(local_terms(q, p.r, p.a)) > -p.r**3
+        for basket in enumerate_baskets(q):
+            squares = sum(p.r * p.r for p in basket.points)
+            assert squares <= 576 and squares <= 32 * basket.index_lcm
+            largest = max(largest, squares)
+    assert largest == 576
 
 
 def _walked_ids(q, config):
@@ -553,8 +723,34 @@ def test_enumerate_candidates_q6_frozen():
     assert seven.dim(7) == chi_integer(7, seven.fano) - 1
 
 
+def sort_key(c):
+    """The canonical order, the oracle of the enumeration's integer key.
+
+    Index, then degree descending, then basket; the degree as a ``Fraction``.
+    """
+    return (c.q, -c.a3, c.basket)
+
+
 def sorted_ids_by_key(found):
-    return [c.id for c in sorted(found, key=Candidate.sort_key)]
+    return [c.id for c in sorted(found, key=sort_key)]
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SETS))
+def test_canonical_order_is_the_sort_key_order(name, full_db):
+    # the enumeration sorts by an integer key; the oracle compares the
+    # degrees as Fractions and the baskets as Baskets
+    config = FILTER_SETS[name]
+    found = full_db if config == DEFAULT_CONFIG else enumerate_candidates(INDEX_SET, config)
+    shuffled = list(found)
+    random.Random(name).shuffle(shuffled)
+    assert shuffled != list(found)
+    assert sorted(shuffled, key=sort_key) == list(found)
+    # pairs with equal (q, A^3) are ordered by basket alone
+    ties = [(a, b) for a, b in zip(found, found[1:]) if (a.q, a.a3) == (b.q, b.a3)]
+    assert ties
+    for a, b in ties[:5]:
+        assert a.basket < b.basket
+        assert sorted([b, a], key=enumeration._canonical_order) == [a, b]
 
 
 def test_enumerate_candidates_jobs_equivalence():
@@ -634,7 +830,7 @@ def test_shares_cover_every_index_once(monkeypatch):
     serial = enumerate_candidates(qs)
     assert serial == sorted(
         enumerate_candidates(6) + enumerate_candidates(8) + enumerate_candidates(10),
-        key=Candidate.sort_key,
+        key=sort_key,
     )
     calls, scanned = [], []
     real = enumeration._scan_baskets

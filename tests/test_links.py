@@ -300,63 +300,68 @@ def test_case_q9_feasible_indices(full_db):
     lookup = dims_table(full_db)
     case = load_case_file(case_path("q9_4A.case"))
     assert case.target_index_set == INDEX_SET
-    solutions = solve(case, full_db, lookup)
+    source = case.source.resolve(full_db)
+    solutions = solve(case, source, lookup)
     assert solutions
     assert feasible_indices(solutions) == [5, 6, 7, 8]
-    assert all(audit(case, s, full_db, lookup) for s in solutions)
+    assert all(audit(case, s, source, lookup) for s in solutions)
     assert solutions == sorted(solutions, key=LinkSolution.sort_key)
 
 
 def test_case_q6_eliminated(full_db):
     lookup = dims_table(full_db)
     case = load_case_file(case_path("q6_basket7.case"))
-    assert solve(case, full_db, lookup) == []
+    assert solve(case, case.source.resolve(full_db), lookup) == []
 
 
 def test_case_q8_eliminated(full_db):
     lookup = dims_table(full_db)
     case = load_case_file(case_path("q8_basket_3_9.case"))
-    assert solve(case, full_db, lookup) == []
+    assert solve(case, case.source.resolve(full_db), lookup) == []
 
 
 def test_audit_rejects_perturbations(full_db):
     lookup = dims_table(full_db)
     case = load_case_file(case_path("q9_4A.case"))
-    good = solve(case, full_db, lookup)[0]
-    assert audit(case, good, full_db, lookup)
+    source = case.source.resolve(full_db)
+    good = solve(case, source, lookup)[0]
+    assert audit(case, good, source, lookup)
 
     alien_alpha = LinkSolution(good.qhat, good.assignment, Rational(3, 7))
-    assert not audit(case, alien_alpha, full_db, lookup)
+    assert not audit(case, alien_alpha, source, lookup)
 
     alien_qhat = LinkSolution(23, good.assignment, good.alpha)
-    assert not audit(case, alien_qhat, full_db, lookup)
+    assert not audit(case, alien_qhat, source, lookup)
 
     # bumping s1 shifts the first relation by 9, so it cannot balance
     tampered = tuple(
         (n, v + 1 if n == "s1" else v) for n, v in good.assignment
     )
-    assert not audit(case, LinkSolution(good.qhat, tampered, good.alpha), full_db, lookup)
+    assert not audit(case, LinkSolution(good.qhat, tampered, good.alpha), source, lookup)
 
     incomplete = LinkSolution(good.qhat, good.assignment[:-1], good.alpha)
-    assert not audit(case, incomplete, full_db, lookup)
+    assert not audit(case, incomplete, source, lookup)
+
+    # the toy cases below share one source
+    toy = load_case(make_case_text()).source.resolve(full_db)
 
     # alpha's monomials count: s1 + alpha*e is 1 + 2*2 = 5 only at alpha = 2
     scaled = load_case(make_case_text(alpha=["1/2", "2"], relations=["qhat = s1 + alpha*e"]))
-    assert audit(scaled, LinkSolution(5, (("s1", 1), ("e", 2)), Rational(2)), full_db, lookup)
-    assert not audit(scaled, LinkSolution(5, (("s1", 1), ("e", 2)), Rational(1, 2)), full_db, lookup)
+    assert audit(scaled, LinkSolution(5, (("s1", 1), ("e", 2)), Rational(2)), toy, lookup)
+    assert not audit(scaled, LinkSolution(5, (("s1", 1), ("e", 2)), Rational(1, 2)), toy, lookup)
 
     # below a dimension floor: dim|0*Theta| = 0 at qhat = 3, against dim|A| = 1
     floored = load_case(make_case_text(dim_constraints=[["s1", 1, 0]]))
-    assert audit(floored, LinkSolution(3, (("s1", 1), ("e", 2)), Rational(1)), full_db, lookup)
-    assert not audit(floored, LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1)), full_db, lookup)
+    assert audit(floored, LinkSolution(3, (("s1", 1), ("e", 2)), Rational(1)), toy, lookup)
+    assert not audit(floored, LinkSolution(3, (("s1", 0), ("e", 3)), Rational(1)), toy, lookup)
 
     # a genus-transfer target with no candidate of the source genus: 31 is
     # above the genus ceiling 18 at index 13, and only alpha < 1 transfers it
     transfer = load_case(make_case_text(alpha=["1/2", "1"], genus_transfer=True,
                                         index_set=[13], unknowns=WIDE))
     values = (("s1", 12), ("e", 1))
-    assert audit(transfer, LinkSolution(13, values, Rational(1)), full_db, lookup)
-    assert not audit(transfer, LinkSolution(13, values, Rational(1, 2)), full_db, lookup)
+    assert audit(transfer, LinkSolution(13, values, Rational(1)), toy, lookup)
+    assert not audit(transfer, LinkSolution(13, values, Rational(1, 2)), toy, lookup)
 
 
 def _with_value(solution, name, value):
@@ -368,14 +373,15 @@ def _with_value(solution, name, value):
 def test_audit_refuses_an_unknown_that_is_not_an_int(full_db):
     lookup = dims_table(full_db)
     case = load_case_file(case_path("q9_4A.case"))
+    source = case.source.resolve(full_db)
     stand_ins = {1: [True], 2: [2.0, Rational(2)]}
     tried = 0
-    for good in solve(case, full_db, lookup):
-        assert audit(case, good, full_db, lookup)
+    for good in solve(case, source, lookup):
+        assert audit(case, good, source, lookup)
         for name, value in good.assignment:
             # each stand-in equals the value, so only its type is refused
             for other in stand_ins.get(value, []):
-                assert not audit(case, _with_value(good, name, other), full_db, lookup)
+                assert not audit(case, _with_value(good, name, other), source, lookup)
                 tried += 1
     assert tried
 
@@ -395,7 +401,8 @@ MOVED_CASES = {
 def test_audit_passes_a_moved_solution_exactly_when_solve_finds_it(full_db, name):
     lookup = dims_table(full_db)
     case = MOVED_CASES[name]()
-    solutions = solve(case, full_db, lookup)
+    source = case.source.resolve(full_db)
+    solutions = solve(case, source, lookup)
     found = set(solutions)
     bounds = {u.name: (u.lo, u.hi) for u in case.unknowns}
     moved = set()
@@ -408,7 +415,7 @@ def test_audit_passes_a_moved_solution_exactly_when_solve_finds_it(full_db, name
     assert moved - found
     assert bool(moved & found) == (name == "free-unknown")
     for candidate in moved:
-        assert audit(case, candidate, full_db, lookup) == (candidate in found)
+        assert audit(case, candidate, source, lookup) == (candidate in found)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +424,15 @@ def test_audit_passes_a_moved_solution_exactly_when_solve_finds_it(full_db, name
 
 def test_solve_toy_case_counts(full_db):
     lookup = dims_table(full_db)
-    plain = solve(load_case(make_case_text()), full_db, lookup)
+    toy = load_case(make_case_text()).source.resolve(full_db)
+    plain = solve(load_case(make_case_text()), toy, lookup)
     # qhat in {3,4,5}, e in 1..3, s1 = qhat - e >= 0: three each
     assert len(plain) == 9
     assert feasible_indices(plain) == [3, 4, 5]
-    assert all(audit(load_case(make_case_text()), s, full_db, lookup) for s in plain)
+    assert all(audit(load_case(make_case_text()), s, toy, lookup) for s in plain)
 
     constrained = solve(
-        load_case(make_case_text(dim_constraints=[["s1", 1, 0]])), full_db, lookup
+        load_case(make_case_text(dim_constraints=[["s1", 1, 0]])), toy, lookup
     )
     # requiring dim|s1*Theta| >= dim|A| = 1 kills exactly the s1 = 0 solution
     keys = {(s.qhat, s.assignment, s.alpha) for s in constrained}
@@ -436,22 +444,24 @@ def test_solve_toy_case_counts(full_db):
 
 def test_solve_respects_index_set(full_db):
     lookup = dims_table(full_db)
-    only_five = solve(load_case(make_case_text(index_set=[5])), full_db, lookup)
+    toy = load_case(make_case_text()).source.resolve(full_db)
+    only_five = solve(load_case(make_case_text(index_set=[5])), toy, lookup)
     assert feasible_indices(only_five) == [5]
     assert len(only_five) == 3
 
 
 def test_genus_transfer_prunes_targets(full_db):
     lookup = dims_table(full_db)
+    toy = load_case(make_case_text()).source.resolve(full_db)
     # source genus 31 exceeds the genus ceiling 18 at index 13, so with
     # transfer on and alpha < 1 the target index dies outright
     text = make_case_text(alpha=["1/2"], genus_transfer=True,
                           index_set=[13], unknowns=WIDE)
-    assert solve(load_case(text), full_db, lookup) == []
+    assert solve(load_case(text), toy, lookup) == []
     # alpha >= 1 carries no genus down and the arithmetic solutions survive
     relaxed = make_case_text(alpha=["1"], genus_transfer=True,
                              index_set=[13], unknowns=WIDE)
-    assert len(solve(load_case(relaxed), full_db, lookup)) == 3
+    assert len(solve(load_case(relaxed), toy, lookup)) == 3
 
 
 def test_zero_coefficients_keep_their_names(full_db):
@@ -461,11 +471,12 @@ def test_zero_coefficients_keep_their_names(full_db):
     # a declared one with a zero coefficient constrains nothing
     lookup = dims_table(full_db)
     zeroed = load_case(make_case_text(relations=["qhat = 0*e + 3"]))
-    solutions = solve(zeroed, full_db, lookup)
-    assert solutions == solve(load_case(make_case_text(relations=["qhat = 3"])), full_db, lookup)
+    toy = zeroed.source.resolve(full_db)
+    solutions = solve(zeroed, toy, lookup)
+    assert solutions == solve(load_case(make_case_text(relations=["qhat = 3"])), toy, lookup)
     # s1 in 0..5 and e in 1..3, all at qhat = 3
     assert len(solutions) == 18
-    assert all(audit(zeroed, s, full_db, lookup) for s in solutions)
+    assert all(audit(zeroed, s, toy, lookup) for s in solutions)
 
 
 def test_recheck_drops_a_dip_above_the_floor(full_db):
@@ -474,13 +485,14 @@ def test_recheck_drops_a_dip_above_the_floor(full_db):
     # refuses s1 = 1
     assert [dims_lookup(full_db, 10, s) for s in range(3)] == [0, -1, 0]
     lookup = dims_table(full_db)
+    toy = load_case(make_case_text()).source.resolve(full_db)
     free = make_case_text(relations=["qhat = 9*s1 + e"], index_set=[10])
-    assert [s.assignment for s in solve(load_case(free), full_db, lookup)] == [
+    assert [s.assignment for s in solve(load_case(free), toy, lookup)] == [
         (("s1", 1), ("e", 1))
     ]
     floored = make_case_text(relations=["qhat = 9*s1 + e"], index_set=[10],
                              dim_constraints=[["s1", 0, 0]])
-    assert solve(load_case(floored), full_db, lookup) == []
+    assert solve(load_case(floored), toy, lookup) == []
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +639,8 @@ def test_search_work_on_shipped_cases(name, full_db, monkeypatch):
         return evaluate(terms, values)
 
     monkeypatch.setattr(links, "_evaluate", counting)
-    solve(load_case_file(case_path(name)), full_db, dims_table(full_db))
+    case = load_case_file(case_path(name))
+    solve(case, case.source.resolve(full_db), dims_table(full_db))
     assert calls == EVALUATIONS[name]
 
 
@@ -636,7 +649,8 @@ def test_solutions_at_a_bound_and_below_a_break(full_db):
     # is the last value before the low corner 2*3 + 1 passes 5 and the loop
     # stops; TOY_OVERRIDES checks the case against the reference search
     case = load_case(make_case_text(**AT_A_BREAK))
-    assert [s.assignment for s in solve(case, full_db, dims_table(full_db))] == [
+    source = case.source.resolve(full_db)
+    assert [s.assignment for s in solve(case, source, dims_table(full_db))] == [
         (("s1", 1), ("e", 3)), (("s1", 2), ("e", 1))
     ]
 
@@ -645,14 +659,14 @@ def test_solutions_at_a_bound_and_below_a_break(full_db):
 def test_solve_matches_reference_on_shipped_cases(name, full_db):
     lookup = dims_table(full_db)
     case = load_case_file(case_path(name))
-    assert solve(case, full_db, lookup) == _reference_solve(case, full_db)
+    assert solve(case, case.source.resolve(full_db), lookup) == _reference_solve(case, full_db)
 
 
 @pytest.mark.parametrize("overrides", TOY_OVERRIDES)
 def test_solve_matches_reference_on_toy_cases(overrides, full_db):
     lookup = dims_table(full_db)
     case = load_case(make_case_text(**overrides))
-    assert solve(case, full_db, lookup) == _reference_solve(case, full_db)
+    assert solve(case, case.source.resolve(full_db), lookup) == _reference_solve(case, full_db)
 
 
 def _case_doc(name):
@@ -727,7 +741,7 @@ def _random_cases(draw):
 @given(case=_random_cases())
 def test_solve_matches_reference_on_random_cases(case, full_db):
     lookup = dims_table(full_db)
-    assert solve(case, full_db, lookup) == _reference_solve(case, full_db)
+    assert solve(case, case.source.resolve(full_db), lookup) == _reference_solve(case, full_db)
 
 
 @settings(max_examples=200, deadline=None)

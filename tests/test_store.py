@@ -24,6 +24,8 @@ from qfano.store import (
     save_database,
 )
 
+from test_enumeration import sort_key
+
 #: Two spellings of one document.  A load compares a text in the tool's own
 #: layout with the text it would write, and any other text as compact JSON,
 #: so each refusal is checked on a text of each kind.
@@ -198,8 +200,8 @@ def test_duplicate_rows_are_rejected(small_db):
 
 
 def _order_refusal(rows):
-    """The message the parent's ``sort_key`` check gives ``rows``, or None."""
-    keys = [c.sort_key() for c in rows]
+    """The message a check of ``rows`` by the ``sort_key`` oracle gives, or None."""
+    keys = [sort_key(c) for c in rows]
     for before, after, candidate in zip(keys, keys[1:], rows[1:]):
         if before == after:
             return f"duplicate candidate {candidate.id!r}"
