@@ -27,6 +27,7 @@ from .enumeration import (
     enumerate_candidates,
     facts,
     filter_diff,
+    indices_text,
 )
 from .store import Database, dumps_database, load_database, save_database
 from .surveys import SURVEYS, survey_rows
@@ -99,14 +100,10 @@ def render_survey_table(key: str, candidates: Sequence[Candidate]) -> str:
     survey = SURVEYS[key]
     rows = survey_rows(survey, candidates)
     header = ["basket", "A^3"] + [f"|{k}A|" for k in range(1, survey.q + 1)]
-    table = [header] + [row.cells() for row in rows]
-    lines = [
-        f"index {survey.q} survey ({survey.description}): {len(rows)} rows",
-        _align(table),
+    table = [header] + [
+        [indices_text(c.basket), format_rational(c.a3), *map(str, c.dims)] for c in rows
     ]
-    if any(row.multiplicity > 1 for row in rows):
-        lines.append("rows marked xN collapse N orientation decorations with equal data")
-    return "\n".join(lines)
+    return f"index {survey.q} survey ({survey.description}): {len(rows)} rows\n" + _align(table)
 
 
 def render_counts(db: Database) -> str:

@@ -93,6 +93,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+import threading
 from collections import namedtuple
 from itertools import cycle, groupby, islice
 from typing import Iterable, Iterator, Sequence
@@ -119,7 +120,10 @@ MAX_POINT_INDEX = 24
 #: ``lcm(2..24)``: every ``r - 1/r`` is a whole number of ``1/_SIGMA_UNIT``.
 _SIGMA_UNIT = math.lcm(*range(2, MAX_POINT_INDEX + 1))
 
-#: Known bound on ``-K^3 = q^3 A^3``, attained only by the quadric cone.
+#: Prokhorov's bound on ``-K^3 = q^3 A^3`` for non-Gorenstein Q-Fano
+#: threefolds, attained only by the quadric cone.  The numerics alone do not
+#: enforce it: the default set keeps 8 candidates above it, P^3
+#: (``q4-smooth-a1.1``, empty basket) among them.
 DEGREE_CAP = Rational(125, 2)
 
 #: The one triple ``(q, basket, A^3)`` kept at the cap with equality.
@@ -218,6 +222,11 @@ def candidate_id(q: int, basket: Basket, a3: Rational) -> str:
     points = basket.points
     pts = "_".join(f"{p.r}.{p.a}" for p in points) if points else "smooth"
     return f"q{q}-{pts}-a{a3.numerator}.{a3.denominator}"
+
+
+def indices_text(basket: Basket) -> str:
+    """The basket's indices as the tables print them, e.g. ``(2,3)``."""
+    return "(" + ",".join(str(r) for r in basket.indices) + ")"
 
 
 def point_domain(q: int) -> list[SingularPoint]:
@@ -480,7 +489,7 @@ def _fork_scan(share: Sequence[int], config: FilterConfig, cpu: int) -> tuple[in
     and ``None``, or the exception the scan raised and its traceback text.
     It leaves only through ``os._exit``: it never returns into its caller's
     code.  The caller gets the read end.  Like any fork, this expects a
-    caller with no other threads.
+    caller with no other threads (:func:`enumerate_candidates` checks).
     """
     import pickle
 
@@ -581,12 +590,13 @@ def enumerate_candidates(
     the split does not pay.  So where the OS has no ``sched_setaffinity``,
     and for one CPU or one index, the scan runs here alone.  (An index is
     not split: every part would walk the whole basket tree of the index.)
-    The result is merged and sorted, so it is byte-for-byte independent of
-    ``jobs``.
+    A caller with a live thread also scans here alone: a fork beside it
+    could copy a lock that thread holds.  The result is merged and sorted,
+    so it is byte-for-byte independent of ``jobs``.
     """
     indices = (q,) if isinstance(q, int) else tuple(q)
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    workers = min(jobs, len(cpus), len(indices))
+    workers = min(jobs, len(cpus), len(indices)) if threading.active_count() == 1 else 1
     if workers > 1:
         size = len(indices)
         shares = [
@@ -604,25 +614,8 @@ def enumerate_candidates(
 Fact = namedtuple("Fact", "name statement value holds")
 
 
-def series_class(candidate: Candidate) -> tuple:
-    """Everything a survey-table row shows: orientations collapse here.
-
-    Two candidates with the same index, basket index-multiset, degree and
-    dimension table are indistinguishable at the level the tables print.
-    """
-    return (candidate.q, candidate.basket.indices, candidate.a3, candidate.dims)
-
-
-def _series_classes(candidates: Sequence[Candidate]) -> dict[tuple, list[Candidate]]:
-    groups: dict[tuple, list[Candidate]] = {}
-    for cand in candidates:
-        groups.setdefault(series_class(cand), []).append(cand)
-    return groups
-
-
-def _class_label(key: tuple) -> str:
-    indices = "(" + ",".join(str(r) for r in key[1]) + ")"
-    return f"q={key[0]} {indices} A3={format_rational(key[2])}"
+def _label(c: Candidate) -> str:
+    return f"q={c.q} {indices_text(c.basket)} A3={format_rational(c.a3)}"
 
 
 def facts(candidates: Sequence[Candidate]) -> list[Fact]:
@@ -649,12 +642,13 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
         )
     )
 
-    seven = _series_classes([c for c in candidates if c.q == 7 and c.dim(1) >= 1])
+    # a "series class" is what a table row shows; each is one candidate
+    seven = [c for c in candidates if c.q == 7 and c.dim(1) >= 1]
     out.append(
         Fact(
             name="index-seven-moving-A",
             statement="exactly one series class with q = 7 in the survey degree range has dim|A| >= 1",
-            value=", ".join(sorted(_class_label(k) for k in seven)) or "none",
+            value=", ".join(sorted(map(_label, seven))) or "none",
             holds=len(seven) == 1,
         )
     )
@@ -670,12 +664,12 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
         )
     )
 
-    big = _series_classes([c for c in candidates if c.q >= 5 and c.dim(1) >= 2])
+    big = [c for c in candidates if c.q >= 5 and c.dim(1) >= 2]
     out.append(
         Fact(
             name="very-moving-A-boundary",
             statement="exactly one series class with q >= 5 in the survey degree range has dim|A| >= 2",
-            value=", ".join(sorted(_class_label(k) for k in big)) or "none",
+            value=", ".join(sorted(map(_label, big))) or "none",
             holds=len(big) == 1,
         )
     )

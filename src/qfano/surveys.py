@@ -3,8 +3,9 @@
 Each survey restricts the full candidate list of one Fano index to the range
 a particular case analysis needs — a genus floor, sometimes a degree or
 basket condition — always within the ambient degree bound ``-K^3 <= 125/2``
-(equality admitted).  Orientation decorations that produce identical rows
-are collapsed, keeping a multiplicity count.
+(equality admitted).  A table row is a candidate: no two candidates the tool
+enumerates share a basket's indices, degree and dimension table, so
+orientation decorations never print as equal rows.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Sequence
 
-from .arith import Rational, format_rational
-from .enumeration import DEGREE_CAP, Candidate, series_class
+from .arith import Rational
+from .enumeration import DEGREE_CAP, Candidate
 
 
 class Survey(namedtuple("Survey", "key q description extra")):
@@ -56,39 +57,8 @@ SURVEYS: dict[str, Survey] = {
 }
 
 
-class SurveyRow(namedtuple("SurveyRow", "indices a3 dims multiplicity")):
-    """One printed table row: orientation decorations already collapsed.
-
-    ``indices`` are the basket indices and ``a3`` the degree.  ``dims`` runs
-    over k = 1..q, so the last entry is ``dim |-K|``.  ``multiplicity``
-    counts the collapsed decorations (1 for most rows).
-    """
-
-    __slots__ = ()
-
-    @property
-    def basket_text(self) -> str:
-        return "(" + ",".join(str(r) for r in self.indices) + ")" if self.indices else "()"
-
-    def cells(self) -> list[str]:
-        row = [self.basket_text, format_rational(self.a3)]
-        row.extend(str(d) for d in self.dims)
-        if self.multiplicity > 1:
-            row.append(f"x{self.multiplicity}")
-        return row
-
-
-def survey_rows(survey: Survey, candidates: Sequence[Candidate]) -> list[SurveyRow]:
-    """Select, collapse and sort the table rows for one survey."""
-    groups: dict[tuple, int] = {}
-    for cand in candidates:
-        if not survey.admits(cand):
-            continue
-        key = series_class(cand)
-        groups[key] = groups.get(key, 0) + 1
-    rows = [
-        SurveyRow(indices=key[1], a3=key[2], dims=key[3], multiplicity=mult)
-        for key, mult in groups.items()
-    ]
-    rows.sort(key=lambda r: (-r.a3, r.indices, r.dims))
+def survey_rows(survey: Survey, candidates: Sequence[Candidate]) -> list[Candidate]:
+    """The candidates one survey admits, in table order."""
+    rows = [c for c in candidates if survey.admits(c)]
+    rows.sort(key=lambda c: (-c.a3, c.basket.indices, c.dims))
     return rows

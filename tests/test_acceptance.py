@@ -37,7 +37,7 @@ from test_wps import EXPECTED_H0, _model
 F = Rational
 
 # the reference per-index survey tables: (basket indices, A^3, dims of
-# |A| .. |qA|) per row, after collapsing orientation decorations
+# |A| .. |qA|) per row, one row per candidate
 GOLD = {
     "q6": [
         ((7,), F(2, 7), (1, 4, 8, 14, 22, 32)),
@@ -115,7 +115,7 @@ def test_criterion_1_survey_tables_exact():
     for key, rows_expected in GOLD.items():
         survey = SURVEYS[key]
         rows = survey_rows(survey, fresh[survey.q])
-        got = Counter((r.indices, r.a3, r.dims) for r in rows)
+        got = Counter((c.basket.indices, c.a3, c.dims) for c in rows)
         assert got == Counter(rows_expected), f"survey {key} differs"
         assert len(rows) == len(rows_expected)
     elapsed = time.perf_counter() - started

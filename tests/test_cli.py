@@ -28,7 +28,7 @@ from qfano.store import Database, load_database, save_database
 from test_enumeration import _recording_forks, _set_cpus, _workers, sort_key
 from qfano.arith import Rational
 from qfano.links import LinkSolution
-from test_links import case_path, make_case_text
+from test_links import case_path, make_case_text, twins_case_text
 
 
 def test_exit_codes_are_distinct():
@@ -224,7 +224,7 @@ def test_table_from_stored_database(db_path, capsys):
     assert main(["table", "--case", "q5", "--db", str(db_path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "index 5 survey" in out
-    assert "(2)" in out  # orientation decorations are collapsed in surveys
+    assert "(2)" in out  # a row shows the basket's indices, not its orientations
     assert "(2,2,3,6)" in out
     assert "1/2" in out
 
@@ -257,6 +257,15 @@ def test_wps_check_finds_the_match(db_path, capsys):
     out = capsys.readouterr().out
     assert "fano index q = 5" in out
     assert "match: q5-2.1-a1.2" in out
+
+
+@pytest.mark.parametrize("weights, verdict", [
+    ("1,1,1,3", "candidate match: none (no enumerated candidate has this index and degree)"),
+    ("1,1,3,3", "candidate match: none (index and degree agree, plurigenera do not)"),
+])
+def test_wps_check_reports_no_match(db_path, capsys, weights, verdict):
+    assert main(["wps", "check", "--weights", weights, "--db", str(db_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == verdict
 
 
 def test_wps_check_hypersurface(db_path, capsys):
@@ -324,6 +333,19 @@ def test_link_solve_exits_4_when_the_audit_fails(db_path, tmp_path, monkeypatch,
     assert captured.err == "audit failed for the solution above\n"
 
 
+def test_link_solve_refuses_a_bare_source_with_twins(db_path, tmp_path, capsys):
+    case_file = tmp_path / "twins.case"
+    case_file.write_text(twins_case_text([5, 15]), encoding="utf-8")
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_MISSING_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qfano: bad input: ambiguous source candidate reference")
+    # the decorated form names one twin, and the case is solved from it
+    case_file.write_text(twins_case_text([[5, 1], [15, 2]]), encoding="utf-8")
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_OK
+    assert "solutions:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", ["q9_4A", "q6_basket7", "q8_basket_3_9"])
 def test_link_solve_looks_up_each_key_once(db_path, monkeypatch, capsys, name):
     # solve and audit share one table: the audit of each solution reads the
@@ -389,6 +411,15 @@ def test_diff_reports_filter_effects(capsys):
     out = capsys.readouterr().out
     assert "enforce_vanishing" in out
     assert "removes" in out and "adds" in out
+
+
+def test_diff_lists_twenty_changes_and_counts_the_rest(capsys):
+    assert main(["diff", "--q", "3", "--flag", "enforce_vanishing"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "enforce_vanishing: True -> False: removes 0, adds 28"
+    assert len(lines) == 22
+    assert all(line.startswith("  + q3-") for line in lines[1:21])
+    assert lines[-1] == "  + ... 8 more"
 
 
 @pytest.mark.parametrize("command", [

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,6 @@ from qfano.enumeration import (
     facts,
     filter_diff,
     point_domain,
-    series_class,
 )
 from qfano.riemann_roch import (
     Basket,
@@ -753,6 +753,7 @@ def test_canonical_order_is_the_sort_key_order(name, full_db):
         assert sorted([b, a], key=enumeration._canonical_order) == [a, b]
 
 
+@pytest.mark.usefixtures("lone_thread")
 def test_enumerate_candidates_jobs_equivalence():
     assert enumerate_candidates((6, 8), jobs=2) == enumerate_candidates((6, 8))
     assert enumerate_candidates((8, 9, 10), jobs=3) == enumerate_candidates((8, 9, 10))
@@ -865,7 +866,35 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def lone_thread():
+    """A test that forks for real runs with no other thread, or it would not fork."""
+    assert threading.active_count() == 1
+
+
+def test_a_live_thread_keeps_the_scan_serial(monkeypatch):
+    qs = (6, 8, 9, 10)
+    serial = enumerate_candidates(qs)
+    _set_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked beside a live thread")
+
+    monkeypatch.setattr(enumeration.os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert threading.active_count() > 1
+        assert enumerate_candidates(qs, jobs=2) == serial
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 @needs_two_cpus
+@pytest.mark.usefixtures("lone_thread")
 def test_forked_scan_restores_the_mask():
     mask = os.sched_getaffinity(0)
     qs = (6, 8, 9, 10)
@@ -875,6 +904,7 @@ def test_forked_scan_restores_the_mask():
 
 
 @needs_two_cpus
+@pytest.mark.usefixtures("lone_thread")
 def test_forked_scan_pins_each_share(monkeypatch):
     cpus = sorted(os.sched_getaffinity(0))
     masks = {}
@@ -896,6 +926,7 @@ def test_forked_scan_pins_each_share(monkeypatch):
 
 
 @needs_two_cpus
+@pytest.mark.usefixtures("lone_thread")
 @pytest.mark.parametrize("failing", [10, 6], ids=["in-child", "in-caller"])
 def test_forked_scan_failure_reaches_the_caller(failing, monkeypatch):
     # (6, 8) is scanned here and (9, 10) in the child; a failure in either
@@ -918,6 +949,7 @@ def test_forked_scan_failure_reaches_the_caller(failing, monkeypatch):
 
 
 @needs_two_cpus
+@pytest.mark.usefixtures("lone_thread")
 def test_forked_scan_reports_a_child_that_sent_nothing(monkeypatch):
     real = enumeration._scan_baskets
     caller = os.getpid()
@@ -933,7 +965,7 @@ def test_forked_scan_reports_a_child_that_sent_nothing(monkeypatch):
     _assert_no_child_left()
 
 
-def test_series_class_collapses_orientations():
+def test_decorations_multiply_candidates():
     found = enumerate_candidates(4)
     groups: dict = {}
     for c in found:
@@ -943,11 +975,29 @@ def test_series_class_collapses_orientations():
     assert multi
     for group in multi:
         assert len({c.basket for c in group}) == len(group)
-    # candidates with identical plurigenus tables share a class, and classes
-    # never merge across distinct (indices, a3) pairs
-    assert len({series_class(c) for c in found}) == len(
-        {(c.basket.indices, c.a3, c.dims) for c in found}
-    )
+
+
+@pytest.mark.parametrize("name", ["default", "capped"])
+def test_no_two_candidates_share_a_table_row(name, full_db):
+    # a survey-table row shows (q, basket indices, A^3, dims): one row is
+    # one candidate, with no orientation decorations left to collapse
+    config = FILTER_SETS[name]
+    found = full_db if config == DEFAULT_CONFIG else enumerate_candidates(INDEX_SET, config)
+    assert len(found) == {"default": 472, "capped": 463}[name]
+    rows = {(c.q, c.basket.indices, c.a3, c.dims) for c in found}
+    assert len(rows) == len(found)
+
+
+def test_the_472_candidates_have_472_hilbert_series(full_db):
+    # A^3 and every h^0(kA) = dim|kA| + 1 can be read off the Hilbert
+    # series, so distinct tuples mean distinct series, even with q ignored;
+    # k <= 5 leaves one pair together
+    def series(c, top):
+        return c.a3, tuple(c.dim(k) for k in range(1, top + 1))
+
+    assert len(full_db) == 472
+    assert len({series(c, 6) for c in full_db}) == 472
+    assert len({series(c, 5) for c in full_db}) == 471
 
 
 def test_filter_diff_degree_cap():

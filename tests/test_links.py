@@ -254,6 +254,29 @@ def test_source_resolve_errors(full_db):
         missing.resolve(full_db)
 
 
+#: The default set's one pair of orientation twins: equal q, indices and A^3.
+TWINS = ["q4-5.1_15.2-a2.15", "q4-5.1_15.7-a2.15"]
+
+
+def twins_case_text(basket):
+    return make_case_text(q=4, source={"q": 4, "basket": basket, "a3": "2/15"})
+
+
+def test_decorated_source_picks_one_orientation_twin(full_db):
+    same = [c.id for c in full_db if (c.q, c.basket.indices, c.a3) == (4, (5, 15), Rational(2, 15))]
+    assert same == TWINS
+    decorated = load_case(twins_case_text([[5, 1], [15, 2]])).source
+    assert decorated.pairs == ((5, 1), (15, 2)) and decorated.indices == (5, 15)
+    assert decorated.resolve(full_db).id == TWINS[0]
+    # the pairs may come in any order, and a pair no twin has matches nothing
+    assert load_case(twins_case_text([[15, 7], [5, 1]])).source.resolve(full_db).id == TWINS[1]
+    with pytest.raises(LinkCaseError, match="not in database"):
+        load_case(twins_case_text([[5, 2], [15, 2]])).source.resolve(full_db)
+    # the bare indices name both twins
+    with pytest.raises(LinkCaseError, match="ambiguous source candidate reference"):
+        load_case(twins_case_text([5, 15])).source.resolve(full_db)
+
+
 # ---------------------------------------------------------------------------
 # database lookups
 

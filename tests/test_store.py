@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfano
+from qfano import store
 from qfano.arith import format_rational
 from qfano.enumeration import DEFAULT_CONFIG, FILTER_SETS, INDEX_SET, Candidate, enumerate_candidates
 from qfano.store import (
@@ -117,6 +119,39 @@ def test_file_round_trip(small_db, tmp_path):
     loaded = load_database(path)
     assert loaded.candidates == small_db.candidates
     assert dumps_database(loaded) == path.read_text(encoding="utf-8")
+
+
+def test_failed_save_leaves_the_old_file_and_no_temporary(small_db, tmp_path, monkeypatch):
+    path = tmp_path / "db.json"
+    path.write_text("the old database\n", encoding="utf-8")
+    real_fdopen = os.fdopen
+    written = []
+
+    class HalfWrite:
+        """A file that takes half of what it is given, then reports a full disk."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            written.extend(p.stat().st_size for p in tmp_path.glob(".qfano-db-*"))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(store.os, "fdopen", lambda fd, *a, **k: HalfWrite(real_fdopen(fd, *a, **k)))
+    with pytest.raises(OSError, match="No space left"):
+        save_database(small_db, path)
+    # the write got part of the way into a temporary file
+    assert len(written) == 1 and written[0] > 0
+    assert path.read_text(encoding="utf-8") == "the old database\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.json"]
 
 
 def test_tampered_genus_is_rejected(small_db):
