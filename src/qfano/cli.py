@@ -47,8 +47,6 @@ EXIT_INTERNAL = 4
 
 
 def _align(rows: list[list[str]]) -> str:
-    if not rows:
-        return ""
     widths = [0] * max(len(r) for r in rows)
     for row in rows:
         for i, cell in enumerate(row):
@@ -157,9 +155,8 @@ def _render_db(db: Database, fmt: str) -> str:
 
 
 def _build_database(filter_set: str, qs: Sequence[int], jobs: int) -> Database:
-    config = FILTER_SETS[filter_set]
-    candidates = enumerate_candidates(qs, config, jobs=jobs)
-    return Database(config=config, candidates=tuple(candidates), filter_set=filter_set)
+    candidates = enumerate_candidates(qs, FILTER_SETS[filter_set], jobs=jobs)
+    return Database(filter_set, tuple(candidates))
 
 
 def _load_or_build(args) -> Database:
@@ -254,9 +251,6 @@ def cmd_link_solve(args) -> int:
     case = load_case_file(_resolve_case_path(args.case))
     db = _load_or_build(args)
     db.require_indices((*case.target_index_set, case.source.q), "link solve")
-    if db.filter_set is None:
-        print("qfano: the database names no filter set, so whether it holds "
-              "every candidate of the indices searched was not checked", file=sys.stderr)
     lookup = dims_table(db.candidates)
     source = case.source.resolve(db.candidates)
     solutions = solve(case, source, lookup)

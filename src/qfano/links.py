@@ -53,6 +53,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .arith import InputError, Rational, format_rational, parse_rational
 from .enumeration import INDEX_SET, Candidate
+from .riemann_roch import SingularPoint
 
 
 class LinkCaseError(InputError):
@@ -205,7 +206,9 @@ class SourceRef(namedtuple("SourceRef", "q indices a3 pairs", defaults=(None,)))
 
     The basket may be given as bare indices ``[2, 4, 5]`` or, when
     orientation twins share the same indices and degree, as decorated
-    pairs ``[[2, 1], [4, 1], [5, 2]]``.
+    pairs ``[[2, 1], [4, 1], [5, 2]]``.  Each pair is kept as a
+    :class:`~qfano.riemann_roch.SingularPoint`, so the mirror spelling
+    ``[r, r - a]`` names the same point.
     """
 
     __slots__ = ()
@@ -315,8 +318,10 @@ def load_case(text: str) -> LinkCase:
         src = _fields(raw["source"], _SOURCE_KEYS, "source")
         basket_raw = list(src["basket"])
         if basket_raw and isinstance(basket_raw[0], (list, tuple)):
+            # a pair that is not a point (a multiplier not coprime to its
+            # index) is a malformed value, not a point missing from the database
             pairs = tuple(sorted(
-                (_integer(r, "basket index"), _integer(a, "basket orientation"))
+                SingularPoint(_integer(r, "basket index"), _integer(a, "basket orientation"))
                 for r, a in basket_raw
             ))
             indices = tuple(r for r, _ in pairs)

@@ -6,9 +6,10 @@ must not leak in).  :func:`dumps_database` is the one statement of that
 layout: the header goes through ``json.dumps(indent=2)`` and each row is one
 fixed template, so that the text is ``json.dumps(document, indent=2)`` and a
 newline, byte for byte, without ``json``'s pure-Python indenting encoder.
-A load recomputes every row from its ``(q, basket, A^3)``, takes the filter
-config from the named filter set (or, for ``"filter_set": null``, from the
-snapshot's flags), and accepts the file only if it is the document this
+Every database names one of :data:`~qfano.enumeration.FILTER_SETS`; a load
+refuses any other ``filter_set``, ``null`` included.  A load recomputes
+every row from its ``(q, basket, A^3)``, takes the filter config from the
+named filter set, and accepts the file only if it is the document this
 version would write for the result.  A file that is that text exactly is
 accepted by one string comparison.  Any other text (compact or re-indented
 JSON, or a wrong document) is compared with it as compact JSON: so a header
@@ -22,15 +23,13 @@ is recomputed.  Each row is rebuilt under a single decode guard: a missing
 field, a value of the wrong shape, or data the formula refuses (a degree
 that is not positive, a non-integral ``chi``) is reported as a malformed
 row, while the index refusal passes through that guard with its own
-message.  Last, the rows of a named-filter-set database at each index it
-holds must be exactly that set's enumeration: their count and the sha256 of
-their ids must be the ones in :data:`ID_DIGESTS`, so a dropped or a forged
-row is refused.  So a named-filter-set database can be trusted as input
-without re-running the enumeration.  A ``"filter_set": null`` database is
-not compared with the enumeration: each of its rows is checked on its own.
-A consumer that quantifies over some indices calls
-:meth:`Database.require_indices`, which refuses a named-filter-set database
-with no rows at one of them.
+message.  Last, the rows at each index the database holds must be exactly
+its filter set's enumeration: their count and the sha256 of their ids must
+be the ones in :data:`ID_DIGESTS`, so a dropped or a forged row is refused.
+So a loaded database can be trusted as input without re-running the
+enumeration.  A consumer that quantifies over some indices calls
+:meth:`Database.require_indices`, which refuses a database with no rows at
+one of them.
 """
 
 from __future__ import annotations
@@ -139,12 +138,12 @@ def _rebuild_row(
         raise StoreError(f"malformed candidate row: {exc!r}") from exc
 
 
-class Database(namedtuple("Database", "config candidates filter_set", defaults=(None,))):
+class Database(namedtuple("Database", "filter_set candidates")):
     """An enumeration result: the filters used and what survived them.
 
-    ``config`` is a :class:`FilterConfig`, ``candidates`` a tuple of
-    :class:`Candidate` and ``filter_set`` the name of the filter set the
-    config came from, or ``None``.
+    ``filter_set`` is the name of the filter set in
+    :data:`~qfano.enumeration.FILTER_SETS` the enumeration ran under, and
+    ``candidates`` a tuple of :class:`Candidate`.
     """
 
     __slots__ = ()
@@ -157,15 +156,12 @@ class Database(namedtuple("Database", "config candidates filter_set", defaults=(
 
     def require_indices(self, indices: Iterable[int], consumer: str) -> None:
         """Refuse to serve ``consumer``, which quantifies over ``indices``, if
-        this named-filter-set database has no rows at one of them.
+        this database has no rows at one of them.
 
-        Every named filter set has rows at every index of ``INDEX_SET``, so
-        such a database is incomplete, and "no candidate qualifies" read off
-        it could be false.  Indices outside ``INDEX_SET`` never have rows.  A
-        database without a filter set name is not checked.
+        Every filter set has rows at every index of ``INDEX_SET``, so such a
+        database is incomplete, and "no candidate qualifies" read off it
+        could be false.  Indices outside ``INDEX_SET`` never have rows.
         """
-        if self.filter_set is None:
-            return
         present = self.counts()
         missing = sorted(q for q in set(indices) if q in INDEX_SET and q not in present)
         if missing:
@@ -224,7 +220,7 @@ def dumps_database(db: Database) -> str:
         {
             "format_version": FORMAT_VERSION,
             "filter_set": db.filter_set,
-            "config": config_to_json(db.config),
+            "config": config_to_json(FILTER_SETS[db.filter_set]),
             "count": len(db.candidates),
         },
         indent=2,
@@ -244,16 +240,13 @@ def loads_database(text: str) -> Database:
     with _decoding("database"):
         filter_set = doc["filter_set"]
         rows = list(doc["candidates"])
-        if filter_set is None:
-            config = FilterConfig(**{flag: doc["config"][flag] is True for flag in FILTER_FLAGS})
-        else:
-            config = FILTER_SETS.get(filter_set)
-    if config is None:
+        known = filter_set in FILTER_SETS
+    if not known:
         raise StoreError(f"unknown filter set {filter_set!r}")
     # one point per distinct (r, a), built and oriented once for this load:
     # the full database has 38 across its 472 rows
     point = functools.cache(SingularPoint)
-    db = Database(config, tuple(_rebuild_row(data, point) for data in rows), filter_set)
+    db = Database(filter_set, tuple(_rebuild_row(data, point) for data in rows))
     written = dumps_database(db)
     # the tool's own file is this text exactly, accepted by one comparison;
     # any other text is compared as compact JSON, which tells every value,
@@ -276,19 +269,16 @@ def loads_database(text: str) -> Database:
             if before == after:
                 raise StoreError(f"duplicate candidate {candidate.id!r}")
             raise StoreError(f"candidate {candidate.id!r} is out of canonical order")
-    if filter_set is not None:
-        # imported here, not at the top: hashlib loads OpenSSL, a cost every
-        # command would pay at start-up, whether it loads a database or not
-        import hashlib
+    # imported here, not at the top: hashlib loads OpenSSL, a cost every
+    # command would pay at start-up, whether it loads a database or not
+    import hashlib
 
-        # the rows are in canonical order, so each index's rows are one run
-        for q, rows_at_q in itertools.groupby(db.candidates, key=lambda c: c.q):
-            found = [c.id for c in rows_at_q]
-            digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
-            if (len(found), digest) != ID_DIGESTS[filter_set].get(q):
-                raise StoreError(
-                    f"the rows at index {q} are not the {filter_set!r} enumeration"
-                )
+    # the rows are in canonical order, so each index's rows are one run
+    for q, rows_at_q in itertools.groupby(db.candidates, key=lambda c: c.q):
+        found = [c.id for c in rows_at_q]
+        digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
+        if (len(found), digest) != ID_DIGESTS[filter_set].get(q):
+            raise StoreError(f"the rows at index {q} are not the {filter_set!r} enumeration")
     return db
 
 

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from qfano.enumeration import DEFAULT_CONFIG, INDEX_SET, enumerate_candidates
+from qfano.enumeration import INDEX_SET, enumerate_candidates
 from qfano.store import Database, save_database
 
 #: Wall-clock seconds spent building the session database, keyed by name.
@@ -25,11 +25,7 @@ def db_path(full_db, tmp_path_factory):
     """The same database, saved once for commands that want a file."""
     path = tmp_path_factory.mktemp("db") / "candidates.json"
     save_database(
-        Database(
-            config=DEFAULT_CONFIG,
-            candidates=tuple(full_db),
-            filter_set="default",
-        ),
+        Database("default", tuple(full_db)),
         path,
     )
     return path

@@ -4,14 +4,17 @@ Each test here is one acceptance criterion for the package: the reference
 survey tables reproduced as exact row multisets, the per-index candidate
 counts, the hypersurface oracle agreement, the degree anchors, the always-on
 chi identities, the surface dimension counts, the link-case eliminations,
-byte-identical parallel enumeration, and the max-genus ladder.  Run with ``pytest -v`` to get one
-pass/fail line per criterion.
+byte-identical parallel enumeration, the max-genus ladder, and the README's
+library example.  Run with ``pytest -v`` to get one pass/fail line per
+criterion.
 """
 
 import math
 import random
+import re
 import time
 from collections import Counter
+from pathlib import Path
 
 from qfano.arith import Rational
 from qfano.cli import main
@@ -301,3 +304,14 @@ def test_criterion_9_max_genus_ladder(full_db):
         else:
             name, source_id = LADDER_CASES[q]
             assert covering == [name] and best[0].id == source_id
+
+
+def test_readme_library_example_prints_what_it_quotes(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    # the values the block's comments quote for its first and last print
+    quoted = re.findall(r"^print\(.*\)\s+# (\[.*?\]|\d+)", block.group(1), re.M)
+    assert quoted == ["[1, 4, 8, 14, 22, 32]", "827"]
+    assert [out[0], out[-1]] == quoted

@@ -16,7 +16,6 @@ from qfano.cli import (
 import qfano
 from qfano import cli, enumeration, links
 from qfano.enumeration import (
-    DEFAULT_CONFIG,
     FILTER_FLAGS,
     INDEX_SET,
     Candidate,
@@ -104,6 +103,15 @@ def test_export_to_unwritable_path_is_usage_error(db_path, tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     assert main(["export", "--db", str(db_path), "--out", str(target)]) == EXIT_USAGE
     assert "cannot write output" in capsys.readouterr().err
+
+
+def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    # a directory passes the check made before enumerating, and opening it
+    # for writing fails after: that too is an unwritable output
+    assert main(["enumerate", "--q", "6", "--out", str(tmp_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"qfano: cannot write output: {tmp_path}\n"
+    assert captured.out == "11 candidates (q=6: 11)\n"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -343,7 +351,12 @@ def test_link_solve_refuses_a_bare_source_with_twins(db_path, tmp_path, capsys):
     # the decorated form names one twin, and the case is solved from it
     case_file.write_text(twins_case_text([[5, 1], [15, 2]]), encoding="utf-8")
     assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_OK
-    assert "solutions:" in capsys.readouterr().out
+    solved = capsys.readouterr().out
+    assert "solutions:" in solved
+    # 15:13 is 15:2 spelled with the mirror multiplier
+    case_file.write_text(twins_case_text([[5, 1], [15, 13]]), encoding="utf-8")
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_OK
+    assert capsys.readouterr().out == solved
 
 
 @pytest.mark.parametrize("name", ["q9_4A", "q6_basket7", "q8_basket_3_9"])
@@ -444,7 +457,7 @@ def test_diff_has_no_jobs_option(capsys):
 def q8_doc(tmp_path_factory):
     """A small stored database (index 8 only), as a parsed JSON document."""
     path = tmp_path_factory.mktemp("q8") / "q8.json"
-    db = Database(DEFAULT_CONFIG, tuple(enumerate_candidates(8)), filter_set="default")
+    db = Database("default", tuple(enumerate_candidates(8)))
     save_database(db, path)
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -675,15 +688,20 @@ def test_diff_walks_the_baskets_once_per_flag(monkeypatch, capsys):
     assert forks == []
 
 
+def _null_the_name(path, to):
+    """Copy the saved database at ``path`` to ``to`` with ``"filter_set": null``."""
+    text = path.read_text(encoding="utf-8")
+    to.write_text(text.replace('"filter_set": "default"', '"filter_set": null', 1), encoding="utf-8")
+    return to
+
+
 @pytest.fixture(scope="module")
 def no_q5_paths(full_db, tmp_path_factory):
-    """The full database without its index-5 rows, named and unnamed."""
-    rows = tuple(c for c in full_db if c.q != 5)
+    """The full database without its index-5 rows, and that file with its name nulled."""
     base = tmp_path_factory.mktemp("no_q5")
-    paths = {}
-    for name in ("default", None):
-        paths[name] = base / f"{name}.json"
-        save_database(Database(DEFAULT_CONFIG, rows, filter_set=name), paths[name])
+    paths = {"default": base / "default.json"}
+    save_database(Database("default", tuple(c for c in full_db if c.q != 5)), paths["default"])
+    paths[None] = _null_the_name(paths["default"], base / "unnamed.json")
     return paths
 
 
@@ -730,7 +748,7 @@ def edited_paths(full_db, tmp_path_factory):
     paths = {}
     for name, rows in edits.items():
         paths[name] = base / f"{name}.json"
-        save_database(Database(DEFAULT_CONFIG, tuple(rows), filter_set="default"), paths[name])
+        save_database(Database("default", tuple(rows)), paths[name])
     return paths
 
 
@@ -758,10 +776,19 @@ def test_named_databases_of_whole_indices_load(db_path, q8_doc, no_q5_paths, tmp
         assert load_database(path).filter_set == "default"
 
 
-def test_unnamed_database_is_served_with_a_warning(no_q5_paths, db_path, capsys):
-    assert main(["link", "solve", "q9_4A.case", "--db", str(db_path)]) == EXIT_OK
-    assert capsys.readouterr().err == ""
-    path = no_q5_paths[None]
-    assert main(["link", "solve", "q9_4A.case", "--db", str(path)]) == EXIT_OK
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "was not checked" in err
+@pytest.mark.parametrize("command", [
+    ["link", "solve", "q9_4A.case"],
+    ["facts"],
+    ["table", "--case", "q8"],
+    ["wps", "check", "--weights", "1,1,1,2"],
+    ["export"],
+])
+def test_unnamed_database_is_refused(no_q5_paths, edited_paths, tmp_path, command, capsys):
+    # a null name would skip the completeness checks: with the dropped row,
+    # link solve would print {5, 6, 7} for q9_4A, whose feasible set is {5, 6, 7, 8}
+    dropped = _null_the_name(edited_paths["dropped"], tmp_path / "dropped.json")
+    for path in (no_q5_paths[None], dropped):
+        assert main(command + ["--db", str(path)]) == EXIT_MISSING_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qfano: bad input: unknown filter set None\n"

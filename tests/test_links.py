@@ -161,6 +161,11 @@ def test_relation_parse():
         Relation.parse("x = s1 + e")
     with pytest.raises(LinkCaseError):
         Relation.parse("qhat + s1")
+    with pytest.raises(LinkCaseError) as refused:
+        Relation.parse("qhat = (a b")
+    assert str(refused.value) == "missing ')' in ' (a b'"
+    # blanks after the last token end the text; they are not a bad token
+    assert Relation.parse("qhat = a + b  ") == ("qhat = a + b", {("a",): 1, ("b",): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +246,18 @@ def test_load_case_validation_errors(overrides):
         load_case(make_case_text(**overrides))
 
 
+def test_load_case_refuses_a_negative_dim_constraint_power():
+    unknowns = [*WIDE, {"name": "s2", "min": 0, "max": 5}]
+    with pytest.raises(LinkCaseError) as refused:
+        load_case(make_case_text(unknowns=unknowns, dim_constraints=[["s2", -1, 0]]))
+    assert str(refused.value) == "dim constraint source power must be >= 0"
+
+
+def test_load_case_file_of_a_missing_path(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_case_file(tmp_path / "missing.case")
+
+
 def test_load_case_rejects_bad_json():
     with pytest.raises(LinkCaseError):
         load_case("not json at all {")
@@ -275,6 +292,17 @@ def test_decorated_source_picks_one_orientation_twin(full_db):
     # the bare indices name both twins
     with pytest.raises(LinkCaseError, match="ambiguous source candidate reference"):
         load_case(twins_case_text([5, 15])).source.resolve(full_db)
+    # a mirror multiplier r - a names the point r:a
+    mirrored = load_case(twins_case_text([[5, 1], [15, 13]])).source
+    assert mirrored.pairs == ((5, 1), (15, 2))
+    assert mirrored.resolve(full_db).id == TWINS[0]
+    assert load_case(twins_case_text([[15, 8], [5, 4]])).source.resolve(full_db).id == TWINS[1]
+    # a pair that is no point is a malformed value, not a missing candidate
+    with pytest.raises(LinkCaseError) as refused:
+        load_case(twins_case_text([[5, 1], [15, 3]]))
+    assert str(refused.value) == (
+        "case file has a malformed value: multiplier 3 is not coprime to index 15"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,16 @@ def test_singular_point_canonicalization():
         SingularPoint(9, 6)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2:1", "not a basket literal: '2:1'"),
+    ("[2]", "malformed basket entry '2' in '[2]'"),
+])
+def test_basket_from_text_refusals(text, message):
+    with pytest.raises(ValueError) as refused:
+        Basket.from_text(text)
+    assert str(refused.value) == message
+
+
 def test_basket_is_sorted_multiset():
     b = Basket.from_pairs([(5, 2), (2, 1), (5, 1), (2, 1)])
     assert b.indices == (2, 2, 5, 5)

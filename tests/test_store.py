@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import qfano
 from qfano import store
 from qfano.arith import format_rational
-from qfano.enumeration import DEFAULT_CONFIG, FILTER_SETS, INDEX_SET, Candidate, enumerate_candidates
+from qfano.enumeration import FILTER_SETS, INDEX_SET, Candidate, enumerate_candidates
 from qfano.store import (
     FORMAT_VERSION,
     Database,
@@ -42,7 +42,7 @@ def _document(db):
     return {
         "format_version": FORMAT_VERSION,
         "filter_set": db.filter_set,
-        "config": config_to_json(db.config),
+        "config": config_to_json(FILTER_SETS[db.filter_set]),
         "count": len(db.candidates),
         "candidates": [
             {
@@ -64,16 +64,14 @@ def _document(db):
 @pytest.fixture(scope="module")
 def small_db():
     candidates = enumerate_candidates(6) + enumerate_candidates(8)
-    return Database(DEFAULT_CONFIG, tuple(candidates), filter_set="default")
+    return Database("default", tuple(candidates))
 
 
 def test_round_trip_is_byte_exact(small_db):
     text = dumps_database(small_db)
     assert text.endswith("\n")
     again = loads_database(text)
-    assert again.config == small_db.config
-    assert again.candidates == small_db.candidates
-    assert again.filter_set == "default"
+    assert again == small_db
     assert json.loads(text)["format_version"] == FORMAT_VERSION
     assert dumps_database(again) == text
     # other spellings of the same document load as the same database
@@ -91,12 +89,12 @@ def test_full_database_round_trips_byte_for_byte(db_path):
 
 
 def _pinned_databases(full_db):
-    capped = FILTER_SETS["capped"]
-    yield Database(DEFAULT_CONFIG, tuple(full_db), "default")
-    yield Database(capped, tuple(enumerate_candidates(INDEX_SET, capped)), "capped")
-    yield Database(DEFAULT_CONFIG, tuple(c for c in full_db if c.q == 5), "default")
-    yield Database(DEFAULT_CONFIG, (), "default")
-    yield Database(capped, tuple(full_db[::7]), None)
+    capped = enumerate_candidates(INDEX_SET, FILTER_SETS["capped"])
+    yield Database("default", tuple(full_db))
+    yield Database("capped", tuple(capped))
+    yield Database("default", tuple(c for c in full_db if c.q == 5))
+    yield Database("default", ())
+    yield Database("capped", tuple(c for c in capped if c.q in (8, 9)))
 
 
 def test_text_is_the_indented_json_of_the_document(full_db):
@@ -203,16 +201,19 @@ def test_named_filter_set_must_match_config(small_db):
         loads_database(json.dumps(doc))
 
 
-def test_unnamed_filter_set_roundtrips(small_db):
-    bare = Database(FILTER_SETS["capped"], small_db.candidates[:3], filter_set=None)
-    again = loads_database(dumps_database(bare))
-    assert again.filter_set is None
-    assert again.config == FILTER_SETS["capped"]
+def test_unnamed_filter_set_is_refused(small_db):
+    # every database names its filter set: null is not a name
+    doc = json.loads(dumps_database(small_db))
+    doc["filter_set"] = None
+    for encode in ENCODINGS.values():
+        with pytest.raises(StoreError) as refused:
+            loads_database(encode(doc))
+        assert str(refused.value) == "unknown filter set None"
 
 
 def test_unknown_filter_set_is_rejected(small_db):
     doc = json.loads(dumps_database(small_db))
-    for name in ("no-such-set", "Default", "", 5, True):
+    for name in ("no-such-set", "Default", "", 5, True, ["default"], {}):
         doc["filter_set"] = name
         with pytest.raises(StoreError):
             loads_database(json.dumps(doc))
@@ -245,17 +246,28 @@ def _order_refusal(rows):
     return None
 
 
+def _digest_refusal(rows, full_db):
+    """The message the digest check gives for in-order default-set ``rows``, or None."""
+    for q in dict.fromkeys(c.q for c in rows):
+        if [c for c in rows if c.q == q] != [c for c in full_db if c.q == q]:
+            return f"the rows at index {q} are not the 'default' enumeration"
+    return None
+
+
 def test_order_check_agrees_with_sort_key(full_db):
     # each adjacent pair of the full database as a two-row database, in
-    # order, swapped and doubled; no filter set, so nothing but the order
-    # check can refuse it
+    # order, swapped and doubled.  The order check runs before the digest
+    # check, so a swapped or doubled pair gets its message; a pair in order
+    # is refused by the digest check unless it holds whole indices
     first_of_kind = {}
+    loaded = []
     for i, (a, b) in enumerate(zip(full_db, full_db[1:])):
         for rows in ((a, b), (b, a), (a, a)):
-            text = dumps_database(Database(DEFAULT_CONFIG, rows, None))
-            expected = _order_refusal(rows)
+            text = dumps_database(Database("default", rows))
+            expected = _order_refusal(rows) or _digest_refusal(rows, full_db)
             if expected is None:
                 assert loads_database(text).candidates == rows
+                loaded.append(sorted({c.q for c in rows}))
             else:
                 with pytest.raises(StoreError) as refused:
                     loads_database(text)
@@ -263,6 +275,9 @@ def test_order_check_agrees_with_sort_key(full_db):
         kind = "q falls" if a.q != b.q else "basket only" if a.a3 == b.a3 else "degree"
         first_of_kind.setdefault(kind, i)
     assert sorted(first_of_kind) == ["basket only", "degree", "q falls"]
+    # the pairs that hold whole indices: the two rows of q = 9 and of q = 13,
+    # and the one row of q = 17 with that of q = 19
+    assert loaded == [[9], [13], [17, 19]]
     # the same refusals in a whole stored database
     for i in first_of_kind.values():
         swapped = list(full_db)
@@ -271,7 +286,7 @@ def test_order_check_agrees_with_sort_key(full_db):
         doubled.insert(i, doubled[i])
         for rows in (swapped, doubled):
             with pytest.raises(StoreError) as refused:
-                loads_database(dumps_database(Database(DEFAULT_CONFIG, tuple(rows), "default")))
+                loads_database(dumps_database(Database("default", tuple(rows))))
             assert str(refused.value) == _order_refusal(rows)
 
 
@@ -317,9 +332,9 @@ def test_tampered_row_is_refused_under_optimize():
     # python -O strips assert statements; the re-verification must not be one
     script = (
         "import json\n"
-        "from qfano.enumeration import DEFAULT_CONFIG, enumerate_candidates\n"
+        "from qfano.enumeration import enumerate_candidates\n"
         "from qfano.store import Database, StoreError, dumps_database, loads_database\n"
-        "db = Database(DEFAULT_CONFIG, tuple(enumerate_candidates(8)), 'default')\n"
+        "db = Database('default', tuple(enumerate_candidates(8)))\n"
         "doc = json.loads(dumps_database(db))\n"
         "doc['candidates'][1]['genus'] -= 1\n"
         "for text in (json.dumps(doc, indent=2) + '\\n', json.dumps(doc)):\n"
@@ -446,7 +461,7 @@ def _edited_documents(draw, doc):
 
 @pytest.fixture(scope="module")
 def q8_db():
-    return Database(DEFAULT_CONFIG, tuple(enumerate_candidates(8)), filter_set="default")
+    return Database("default", tuple(enumerate_candidates(8)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -457,7 +472,5 @@ def test_edited_document_loads_unchanged_or_is_refused(q8_db, data):
         loaded = loads_database(text)
     except StoreError:
         return
-    # the one edit that leaves a valid database is filter_set swapped to null:
-    # then it must be exactly the database the edited text describes
-    assert json.loads(text)["filter_set"] is None
-    assert text in [encode(json.loads(dumps_database(loaded))) for encode in ENCODINGS.values()]
+    # no edit leaves a valid database that differs from the one edited
+    assert loaded == q8_db

@@ -116,6 +116,12 @@ def test_hilbert_coeffs_frozen(key):
     assert hilbert_coeffs(model, len(expected) - 1) == expected
 
 
+def test_hilbert_coeffs_refuses_a_negative_kmax():
+    with pytest.raises(ValueError) as refused:
+        hilbert_coeffs(WpsModel(weights=(1, 1, 1, 1), degree=None), -1)
+    assert str(refused.value) == "kmax must be >= 0, got -1"
+
+
 @pytest.mark.parametrize(
     "key", list(dict.fromkeys([*EXPECTED_H0, *QUERY_MODELS])), ids=lambda k: str(_model(k))
 )
