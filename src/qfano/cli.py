@@ -1,8 +1,9 @@
 """The ``qfano`` command line tool.
 
 Exit codes: 0 success, 2 usage error (including an output path that cannot
-be written), 3 missing or unreadable input, 4 internal consistency failure
-(a check the tool makes about itself).
+be written, and a standard output whose reader has gone away), 3 missing or
+unreadable input, 4 internal consistency failure (a check the tool makes
+about itself).
 """
 
 from __future__ import annotations
@@ -390,7 +391,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a reader gone away is reported below, not
+        # at exit (print is a no-op when stdout is None)
+        print(end="", flush=True)
+        return code
+    except BrokenPipeError:
+        # the unwritten rest stays buffered: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("qfano: cannot write output: stdout", file=sys.stderr)
+        return EXIT_USAGE
     except OutputError as exc:
         print(f"qfano: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -653,7 +653,7 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
         )
     )
 
-    singular = [c for c in candidates if c.q >= 4 and c.basket]
+    singular = [c for c in candidates if c.q >= 4 and c.basket.points]
     max_dim_singular = max((c.dim(1) for c in singular), default=None)
     out.append(
         Fact(

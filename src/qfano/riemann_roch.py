@@ -43,7 +43,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .arith import Rational, canonical_orientation, format_rational
 
@@ -84,39 +84,36 @@ class SingularPoint(namedtuple("SingularPoint", "r a")):
 _point_order = attrgetter("r", "a")
 
 
-class Basket:
+class Basket(namedtuple("Basket", "points index_lcm sigma_scaled")):
     """A multiset of terminal quotient points, kept in sorted order.
 
-    ``index_lcm`` (``N``, the lcm of the point indices, 1 for no points) and
-    ``sigma_scaled`` (``N sigma``, see :func:`scaled_kawamata_sum`) are
-    computed once, on construction.  Equality, hashing, ordering and repr
-    look at ``points`` only, and no field can be assigned.
+    ``points`` is the multiset.  ``index_lcm`` (``N``, the lcm of the point
+    indices, 1 for no points) and ``sigma_scaled`` (``N sigma``, see
+    :func:`scaled_kawamata_sum`) are functions of the points, computed once
+    on construction, so equality, order and hash agree with the points'.
+    ``_replace`` and unpickling build through the constructor too.
     """
 
-    __slots__ = ("points", "index_lcm", "sigma_scaled")
+    __slots__ = ()
+    # so that _replace, which builds through _make, derives N and N sigma
+    # too: it takes the points alone, and refuses the other two fields
+    _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
 
     def __new__(cls, points: Iterable[SingularPoint] = ()) -> "Basket":
         points = tuple(sorted(points, key=_point_order))
         n_lcm = math.lcm(*(p.r for p in points))
-        return cls._from_sorted(points, n_lcm, scaled_kawamata_sum(points, n_lcm))
+        return tuple.__new__(cls, (points, n_lcm, scaled_kawamata_sum(points, n_lcm)))
 
     @classmethod
     def _from_sorted(
         cls, points: tuple[SingularPoint, ...], index_lcm: int, sigma_scaled: int
     ) -> "Basket":
         """Trust the caller: ``points`` already sorted, ``index_lcm`` their
-        lcm and ``sigma_scaled`` their ``N sigma``.  Neither sorts nor sums.
+        lcm and ``sigma_scaled`` their ``N sigma``.  Neither sorts nor sums."""
+        return tuple.__new__(cls, (points, index_lcm, sigma_scaled))
 
-        The basket walk builds one basket per node, so the three slots are
-        written through the class's own slot descriptors, bound once below.
-        They bypass only ``__setattr__``, which stays in place, so an
-        assignment to the instance still raises.
-        """
-        basket = object.__new__(cls)
-        _set_points(basket, points)
-        _set_index_lcm(basket, index_lcm)
-        _set_sigma_scaled(basket, sigma_scaled)
-        return basket
+    def __getnewargs__(self) -> tuple[tuple[SingularPoint, ...]]:
+        return (self.points,)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Basket":
@@ -139,61 +136,12 @@ class Basket:
             pairs.append((int(r_text.strip()), int(a_text.strip())))
         return cls.from_pairs(pairs)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    # pickled as its points and rebuilt by the constructor: the default
-    # would assign the slots, which __setattr__ refuses
-    def __reduce__(self):
-        return type(self), (self.points,)
-
-    # hash((points,)), as a record with the one compared field ``points``
-    # hashes, so sets and dicts of baskets keep their iteration order
-    def __hash__(self) -> int:
-        return hash((self.points,))
-
-    def __eq__(self, other):
-        return self.points == other.points if isinstance(other, Basket) else NotImplemented
-
-    def __lt__(self, other):
-        return self.points < other.points if isinstance(other, Basket) else NotImplemented
-
-    def __le__(self, other):
-        return self.points <= other.points if isinstance(other, Basket) else NotImplemented
-
-    def __gt__(self, other):
-        return self.points > other.points if isinstance(other, Basket) else NotImplemented
-
-    def __ge__(self, other):
-        return self.points >= other.points if isinstance(other, Basket) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Basket(points={self.points!r})"
-
-    def __iter__(self) -> Iterator[SingularPoint]:
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __bool__(self) -> bool:
-        return bool(self.points)
-
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(p.r for p in self.points)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.points) + "]"
-
-
-# the slot writers of Basket._from_sorted
-_set_points = Basket.points.__set__
-_set_index_lcm = Basket.index_lcm.__set__
-_set_sigma_scaled = Basket.sigma_scaled.__set__
 
 
 def scaled_kawamata_sum(points: Iterable[SingularPoint], n_lcm: int) -> int:

@@ -37,8 +37,8 @@ class Survey(namedtuple("Survey", "key q description extra")):
 SURVEYS: dict[str, Survey] = {
     s.key: s
     for s in (
-        Survey("q3", 3, "g >= 21, basket nonempty", lambda c: c.genus >= 21 and bool(c.basket)),
-        Survey("q4", 4, "g >= 22, basket nonempty", lambda c: c.genus >= 22 and bool(c.basket)),
+        Survey("q3", 3, "g >= 21, basket nonempty", lambda c: c.genus >= 21 and bool(c.basket.points)),
+        Survey("q4", 4, "g >= 22, basket nonempty", lambda c: c.genus >= 22 and bool(c.basket.points)),
         Survey("q5", 5, "g >= 19", lambda c: c.genus >= 19),
         Survey("q6", 6, "g > 15", lambda c: c.genus > 15),
         Survey(

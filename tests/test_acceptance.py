@@ -208,7 +208,7 @@ def test_criterion_5_chi_property_suites(full_db):
             assert chi(k, fano) + chi(-q - k, fano) == 0
         # the reference window is a period of chi's fractional part
         assert (chi(1 + _reference_window(fano), fano) - chi(1, fano)).denominator == 1
-        for p in fano.basket:
+        for p in fano.basket.points:
             assert local_index(q, q, p) == p.r - 1
             k = rng.randint(-30, 30)
             assert point_contribution(k, q, p) == point_contribution(k + p.r, q, p)
@@ -257,9 +257,12 @@ def test_criterion_8_parallel_determinism(tmp_path):
 
 
 # the paper's corollary, numerically: at each index the one candidate of
-# maximal genus with -K^3 <= 125/2 is a weighted projective model, or the
-# source of a shipped case that eliminates it
+# maximal genus is a weighted projective model, or the source of a shipped
+# case that eliminates it.  The pool is the candidates with -K^3 <= 125/2
+# and those with an empty basket: the cap is Prokhorov's bound for
+# non-Gorenstein threefolds only, and P^3 (q = 4, -K^3 = 64) lies above it
 LADDER_MODELS = {
+    4: WpsModel(weights=(1, 1, 1, 1)),
     5: WpsModel(weights=(1, 1, 1, 2)),
     7: WpsModel(weights=(1, 1, 2, 3)),
     9: WpsModel(weights=(1, 2, 3, 4, 5), degree=6),
@@ -273,7 +276,7 @@ LADDER_CASES = {
     8: ("q8_basket_3_9.case", "q8-3.1_9.4-a1.9"),
 }
 #: Indices whose top genus matches no model and no shipped case.
-NO_RUNG = frozenset({3, 4, 10})
+NO_RUNG = frozenset({3, 10})
 
 
 def test_criterion_9_max_genus_ladder(full_db):
@@ -289,7 +292,10 @@ def test_criterion_9_max_genus_ladder(full_db):
                 eliminated[entry.name] = source
     assert sorted(eliminated) == sorted(name for name, _ in LADDER_CASES.values())
     for q in INDEX_SET:
-        pool = [c for c in full_db if c.q == q and c.minus_k3 <= DEGREE_CAP]
+        pool = [
+            c for c in full_db
+            if c.q == q and (c.minus_k3 <= DEGREE_CAP or not c.basket.points)
+        ]
         top = max(c.genus for c in pool)
         best = [c for c in pool if c.genus == top]
         covering = sorted(name for name, source in eliminated.items() if source in best)

@@ -176,13 +176,15 @@ def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
     assert scanned == list(INDEX_SET)
 
 
-def _fresh_interpreter(script: str, *args: str) -> subprocess.CompletedProcess:
+def _fresh_interpreter(
+    script: str, *args: str, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """Run ``script`` in a new interpreter that imports qfano from this checkout."""
     src = str(Path(qfano.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
     )
 
 
@@ -226,6 +228,23 @@ def test_bad_case_file_on_a_fresh_interpreter_is_bad_input(db_path, tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith("qfano: bad input: case file is not valid JSON")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["export", "--format", "table"], ["facts"]])
+def test_stdout_with_no_reader_is_a_usage_error(db_path, command):
+    # stdout is a pipe whose read end is closed before the tool starts, so
+    # export's one large write fails, and so does the flush of the few lines
+    # facts leaves buffered: exit 2 with one line, no traceback, and nothing
+    # reported again at exit
+    read, write = os.pipe()
+    os.close(read)
+    script = "import sys\nfrom qfano.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    try:
+        result = _fresh_interpreter(script, *command, "--db", str(db_path), stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == "qfano: cannot write output: stdout\n"
 
 
 def test_table_from_stored_database(db_path, capsys):

@@ -256,7 +256,7 @@ def _t_scaled(q, basket, k, n):
         + q * n * k * (k + q) * (2 * k + q)
         + k * (24 * n_lcm - basket.sigma_scaled)
     )
-    for p in basket:
+    for p in basket.points:
         value += q * (n_lcm // p.r) * local_terms(q, p.r, p.a)[k % p.r]
     return value
 
@@ -360,7 +360,7 @@ def test_scanner_agrees_with_rational_reference(q):
         Basket.from_pairs([(4, 1), (4, 1)]) if q != 8 else Basket.from_pairs([(9, 2)]),
     ]
     for basket in baskets:
-        if any(math.gcd(p.r, q) != 1 for p in basket):
+        if any(math.gcd(p.r, q) != 1 for p in basket.points):
             continue
         n_lcm = basket.index_lcm
         for n in range(1, 3 * n_lcm + 1):
@@ -640,7 +640,7 @@ def test_residue_class_matches_brute_force(q, full_db):
         modulus = 12 * q * n_lcm
         for k in (-1, 1):  # T(k) at n = 0, from the per-point shares
             assert (12 * q + 24 * k) * n_lcm + sum(
-                (n_lcm // p.r) * shares[k][p.r, p.a] for p in basket
+                (n_lcm // p.r) * shares[k][p.r, p.a] for p in basket.points
             ) == _t_scaled(q, basket, k, 0)
         # T(1) = T(1)|_{n=0} + q(q+1)(q+2) n
         const, coeff = _t_scaled(q, basket, 1, 0), q * (q + 1) * (q + 2)
