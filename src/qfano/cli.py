@@ -1,9 +1,9 @@
 """The ``qfano`` command line tool.
 
 Exit codes: 0 success, 2 usage error (including an output path that cannot
-be written, and a standard output whose reader has gone away), 3 missing or
-unreadable input, 4 internal consistency failure (a check the tool makes
-about itself).
+be written, and a standard output that is closed or cannot be written), 3
+missing or unreadable input, 4 internal consistency failure (a check the
+tool makes about itself).
 """
 
 from __future__ import annotations
@@ -59,39 +59,23 @@ def _align(rows: list[list[str]]) -> str:
 
 
 def render_candidate_table(candidates: Sequence[Candidate]) -> str:
-    rows = [["id", "q", "-K^3", "A^3", "basket", "genus", "dims |A|..|-K|"]]
-    for c in candidates:
-        rows.append(
-            [
-                c.id,
-                str(c.q),
-                format_rational(c.minus_k3),
-                format_rational(c.a3),
-                str(c.basket),
-                str(c.genus),
-                " ".join(str(d) for d in c.dims),
-            ]
-        )
-    return _align(rows)
+    header = ["id", "q", "-K^3", "A^3", "basket", "genus", "dims |A|..|-K|"]
+    return _align([header] + [
+        [c.id, str(c.q), format_rational(c.minus_k3), format_rational(c.a3), str(c.basket),
+         str(c.genus), " ".join(map(str, c.dims))]
+        for c in candidates
+    ])
 
 
 def render_candidate_csv(candidates: Sequence[Candidate]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "q", "minus_k3", "a3", "sigma", "basket", "genus", "dims"])
-    for c in candidates:
-        writer.writerow(
-            [
-                c.id,
-                c.q,
-                format_rational(c.minus_k3),
-                format_rational(c.a3),
-                format_rational(c.sigma),
-                " ".join(f"{p.r}:{p.a}" for p in c.basket.points),
-                c.genus,
-                " ".join(str(d) for d in c.dims),
-            ]
-        )
+    writer.writerows(
+        [c.id, c.q, format_rational(c.minus_k3), format_rational(c.a3), format_rational(c.sigma),
+         " ".join(map(str, c.basket.points)), c.genus, " ".join(map(str, c.dims))]
+        for c in candidates
+    )
     return buffer.getvalue().rstrip("\n")
 
 
@@ -122,6 +106,29 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise OutputError(path) from exc
+
+
+class _Stdout:
+    """``sys.stdout`` while a command runs.  A write or flush that fails
+    raises ``OutputError("stdout")``, so it is told apart from any other
+    ``OSError``, after pointing fd 1 at ``os.devnull``: the unwritten rest
+    stays buffered, and the flush at exit drops it there."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        return self._guarded(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._guarded(self.stream.flush)
+
+    def _guarded(self, method, *args):
+        try:
+            return method(*args)
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
+            raise OutputError("stdout") from exc
 
 
 def _refuse_unwritable(*paths: str | None) -> None:
@@ -385,22 +392,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if sys.stdout is None:
+        # started with fd 1 closed: print would drop every line unread
+        print("qfano: cannot write output: stdout", file=sys.stderr)
+        return EXIT_USAGE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
         code = args.func(args)
-        # flushed here, so that a reader gone away is reported below, not
-        # at exit (print is a no-op when stdout is None)
-        print(end="", flush=True)
+        # flushed here, so that a failed write is reported below, not at exit
+        sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the unwritten rest stays buffered: the flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("qfano: cannot write output: stdout", file=sys.stderr)
-        return EXIT_USAGE
     except OutputError as exc:
         print(f"qfano: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -411,6 +417,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:  # a StoreError or a LinkCaseError
         print(f"qfano: bad input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

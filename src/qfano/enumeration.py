@@ -188,21 +188,16 @@ class Candidate(
 
     @classmethod
     def from_parts(cls, q: int, basket: Basket, a3: Rational) -> "Candidate":
-        fano = FanoInput(q=q, basket=basket, a3=a3)
-        n_lcm = basket.index_lcm
-        # genus repeats chi(q), which dims already holds: the benchmark's
-        # self-tests pin chi at q + 1 calls per candidate
-        return cls(
-            q=q,
-            basket=basket,
-            a3=a3,
-            sigma=kawamata_sum(basket),
-            minus_k3=Rational(q**3 * a3.numerator, a3.denominator),
-            minus_k_c2=Rational(24 * n_lcm - basket.sigma_scaled, n_lcm),
-            dims=tuple(dims(fano, q)),
-            genus=genus(fano),
-            id=candidate_id(q, basket, a3),
-        )
+        fano = FanoInput(q, basket, a3)
+        _, n_lcm, sigma_scaled = basket
+        a3_num, a3_den = a3.as_integer_ratio()
+        # built in field order; genus repeats chi(q), which dims already
+        # holds: the benchmark's self-tests pin chi at q + 1 calls per candidate
+        return tuple.__new__(cls, (
+            q, basket, a3, kawamata_sum(basket),
+            Rational(q**3 * a3_num, a3_den), Rational(24 * n_lcm - sigma_scaled, n_lcm),
+            tuple(dims(fano, q)), genus(fano), candidate_id(q, basket, a3),
+        ))
 
     @property
     def fano(self) -> FanoInput:
@@ -220,8 +215,8 @@ class Candidate(
 def candidate_id(q: int, basket: Basket, a3: Rational) -> str:
     """Stable text id derived from the candidate content only."""
     points = basket.points
-    pts = "_".join(f"{p.r}.{p.a}" for p in points) if points else "smooth"
-    return f"q{q}-{pts}-a{a3.numerator}.{a3.denominator}"
+    pts = "_".join(["%d.%d" % p for p in points]) if points else "smooth"
+    return "q%d-%s-a%d.%d" % (q, pts, *a3.as_integer_ratio())
 
 
 def indices_text(basket: Basket) -> str:

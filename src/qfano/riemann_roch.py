@@ -21,12 +21,13 @@ the basket indices, :func:`scaled_kawamata_sum` is ``N sigma``, and
 :func:`local_terms` is the one statement of the local term: the table of
 ``12 r c_p(k)`` by ``k mod r``, built once per ``(q, r, a)`` and cached.
 So ``12qN chi(k)`` less its degree term is the integer
-``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r c_p(k)``.  :func:`chi` adds
-the degree term over the common denominator ``12qN den(A^3)`` and divides
-once: an integral value (every value :func:`dims` and :func:`genus` read) is
-returned as ``Fraction(quotient)``, which needs no gcd, and any other value
-as the ``Fraction`` of numerator and denominator, reduced.  Both are plain
-``Fraction`` objects.  The sieve in :mod:`qfano.enumeration` is built from
+``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r c_p(k)``.  :func:`chi` reads
+``q``, the basket's points, ``N`` and ``N sigma`` and the integer ratio of
+``A^3`` once, and each point's table at ``k mod r``; it adds the degree term
+over ``12qN den(A^3)`` and divides once: an integral value (every value
+:func:`dims` and :func:`genus` read) is returned as ``Fraction(quotient)``,
+which needs no gcd, and any other value as the reduced ``Fraction`` of its
+numerator and denominator.  :mod:`qfano.enumeration` builds its sieve from
 the same two functions.
 
 For an actual Fano threefold ``chi(k) = h^0(kA)`` for ``k >= 0`` (vanishing)
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable
 
 from .arith import Rational, canonical_orientation, format_rational
@@ -80,10 +80,6 @@ class SingularPoint(namedtuple("SingularPoint", "r a")):
         return f"{self.r}:{self.a}"
 
 
-# the order of points, as a key: sorting by it calls no Python code
-_point_order = attrgetter("r", "a")
-
-
 class Basket(namedtuple("Basket", "points index_lcm sigma_scaled")):
     """A multiset of terminal quotient points, kept in sorted order.
 
@@ -100,7 +96,7 @@ class Basket(namedtuple("Basket", "points index_lcm sigma_scaled")):
     _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
 
     def __new__(cls, points: Iterable[SingularPoint] = ()) -> "Basket":
-        points = tuple(sorted(points, key=_point_order))
+        points = tuple(sorted(points))
         n_lcm = math.lcm(*(p.r for p in points))
         return tuple.__new__(cls, (points, n_lcm, scaled_kawamata_sum(points, n_lcm)))
 
@@ -216,16 +212,15 @@ def chi(k: int, fano: FanoInput) -> Rational:
     Satisfies ``chi(0) = 1`` and the Serre symmetry
     ``chi(k) + chi(-q-k) = 0`` identically in the input data.
     """
-    q, basket, a3 = fano.q, fano.basket, fano.a3
-    n_lcm = basket.index_lcm
-    a3_num, a3_den = a3.numerator, a3.denominator
+    q, (points, n_lcm, sigma_scaled), a3 = fano
+    a3_num, a3_den = a3.as_integer_ratio()
+    qn = q * n_lcm
     # 12qN chi(k) less its degree term, in integers (module docstring)
-    rest = 12 * q * n_lcm + k * (24 * n_lcm - basket.sigma_scaled)
-    for p in basket.points:
-        r = p.r
-        rest += q * (n_lcm // r) * local_terms(q, r, p.a)[k % r]
-    top = rest * a3_den + q * n_lcm * k * (k + q) * (2 * k + q) * a3_num
-    bottom = 12 * q * n_lcm * a3_den
+    rest = 12 * qn + k * (24 * n_lcm - sigma_scaled)
+    for r, a in points:
+        rest += q * (n_lcm // r) * local_terms(q, r, a)[k % r]
+    top = rest * a3_den + qn * k * (k + q) * (2 * k + q) * a3_num
+    bottom = 12 * qn * a3_den
     whole, remainder = divmod(top, bottom)
     if remainder == 0:
         return Rational(whole)
@@ -234,10 +229,10 @@ def chi(k: int, fano: FanoInput) -> Rational:
 
 def chi_integer(k: int, fano: FanoInput) -> int:
     """``chi(k)`` as an integer; raises :class:`NonIntegralChiError` if not."""
-    value = chi(k, fano)
-    if value.denominator != 1:
-        raise NonIntegralChiError(k, value)
-    return value.numerator
+    whole, den = chi(k, fano).as_integer_ratio()
+    if den != 1:
+        raise NonIntegralChiError(k, Rational(whole, den))
+    return whole
 
 
 def dims(fano: FanoInput, kmax: int) -> list[int]:

@@ -130,8 +130,8 @@ def _rebuild_row(
             # no enumerated basket has such a point, and recomputing the row
             # would cost time linear in its index
             raise StoreError(f"basket index above {MAX_POINT_INDEX} in a stored row")
-        basket = Basket(tuple(point(r, a) for r, a in pairs))
-        return Candidate.from_parts(q=int(data["q"]), basket=basket, a3=parse_rational(data["a3"]))
+        basket = Basket([point(r, a) for r, a in pairs])
+        return Candidate.from_parts(int(data["q"]), basket, parse_rational(data["a3"]))
     except StoreError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -196,20 +196,20 @@ def _quoted_rational(x: Rational) -> str:
 
 
 def _row_text(c: Candidate) -> str:
-    points = c.basket.points
-    basket = "[\n" + ",\n".join([_PAIR % (p.r, p.a) for p in points]) + "\n      ]"
-    dims = "[\n        " + ",\n        ".join(map(str, c.dims)) + "\n      ]"
+    q, (points, _, _), a3, sigma, minus_k3, minus_k_c2, dims, genus, id_ = c
+    basket = "[\n" + ",\n".join([_PAIR % p for p in points]) + "\n      ]"
+    dims_text = "[\n        " + ",\n        ".join(map(str, dims)) + "\n      ]"
     return _ROW % (
-        c.q,
+        q,
         basket if points else "[]",
-        _quoted_rational(c.a3),
-        _quoted_rational(c.sigma),
-        _quoted_rational(c.minus_k3),
-        _quoted_rational(c.minus_k_c2),
-        dims if c.dims else "[]",
-        c.genus,
+        _quoted_rational(a3),
+        _quoted_rational(sigma),
+        _quoted_rational(minus_k3),
+        _quoted_rational(minus_k_c2),
+        dims_text if dims else "[]",
+        genus,
         # an id holds only [a-z0-9._-], which json leaves as it is
-        '"' + c.id + '"',
+        '"' + id_ + '"',
     )
 
 
@@ -246,7 +246,7 @@ def loads_database(text: str) -> Database:
     # one point per distinct (r, a), built and oriented once for this load:
     # the full database has 38 across its 472 rows
     point = functools.cache(SingularPoint)
-    db = Database(filter_set, tuple(_rebuild_row(data, point) for data in rows))
+    db = Database(filter_set, tuple([_rebuild_row(data, point) for data in rows]))
     written = dumps_database(db)
     # the tool's own file is this text exactly, accepted by one comparison;
     # any other text is compared as compact JSON, which tells every value,

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -177,14 +178,15 @@ def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
 
 
 def _fresh_interpreter(
-    script: str, *args: str, stdout=subprocess.PIPE
+    script: str, *args: str, stdout=subprocess.PIPE, **options
 ) -> subprocess.CompletedProcess:
-    """Run ``script`` in a new interpreter that imports qfano from this checkout."""
+    """Run ``script`` in a new interpreter that imports qfano from this checkout;
+    ``options`` go to :func:`subprocess.run`."""
     src = str(Path(qfano.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, **options,
     )
 
 
@@ -230,6 +232,9 @@ def test_bad_case_file_on_a_fresh_interpreter_is_bad_input(db_path, tmp_path):
     assert result.stderr.count("\n") == 1
 
 
+MAIN_SCRIPT = "import sys\nfrom qfano.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
 @pytest.mark.parametrize("command", [["export", "--format", "table"], ["facts"]])
 def test_stdout_with_no_reader_is_a_usage_error(db_path, command):
     # stdout is a pipe whose read end is closed before the tool starts, so
@@ -238,13 +243,52 @@ def test_stdout_with_no_reader_is_a_usage_error(db_path, command):
     # reported again at exit
     read, write = os.pipe()
     os.close(read)
-    script = "import sys\nfrom qfano.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     try:
-        result = _fresh_interpreter(script, *command, "--db", str(db_path), stdout=write)
+        result = _fresh_interpreter(MAIN_SCRIPT, *command, "--db", str(db_path), stdout=write)
     finally:
         os.close(write)
     assert result.returncode == EXIT_USAGE
     assert result.stderr == "qfano: cannot write output: stdout\n"
+
+
+@pytest.mark.parametrize("command", [["export", "--format", "table"], ["facts"]])
+def test_stdout_on_a_full_device_is_a_usage_error(db_path, command):
+    # every write to /dev/full fails with ENOSPC: export's one large write
+    # and the flush of facts' few buffered lines end like a reader gone away,
+    # with one line, no traceback and nothing reported again at exit
+    with open("/dev/full", "w") as full:
+        result = _fresh_interpreter(MAIN_SCRIPT, *command, "--db", str(db_path), stdout=full)
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == "qfano: cannot write output: stdout\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["facts", "--db", "{db}"], ["enumerate", "--q", "6", "--db", "{new}"]]
+)
+def test_closed_stdout_is_refused_before_any_work(db_path, tmp_path, command):
+    # started with fd 1 closed, Python sets sys.stdout to None and print
+    # drops every line: the tool refuses at once, and writes no database
+    new = tmp_path / "new.json"
+    argv = [arg.format(db=db_path, new=new) for arg in command]
+    result = _fresh_interpreter(MAIN_SCRIPT, *argv, stdout=None, preexec_fn=lambda: os.close(1))
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == "qfano: cannot write output: stdout\n"
+    assert not new.exists()
+
+
+def test_other_os_errors_are_not_reported_as_stdout(db_path, monkeypatch, capsys):
+    # only a failed write or flush of stdout is a stdout error; any other
+    # OSError propagates as it is, and stdout is given back either way
+    def unreadable(path):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    stdout = sys.stdout
+    monkeypatch.setattr(cli, "load_database", unreadable)
+    with pytest.raises(OSError) as raised:
+        main(["facts", "--db", str(db_path)])
+    assert raised.value.errno == errno.EIO
+    assert sys.stdout is stdout
+    assert capsys.readouterr().err == ""
 
 
 def test_table_from_stored_database(db_path, capsys):

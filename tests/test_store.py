@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,21 @@ def test_text_is_the_indented_json_of_the_document(full_db):
         text = dumps_database(db)
         assert text == json.dumps(_document(db), indent=2) + "\n"
         assert loads_database(text) == db
+
+
+def test_built_and_loaded_candidates_keep_their_field_types(full_db):
+    # an int where a Fraction belongs writes the same text, since both have
+    # as_integer_ratio, so the load's text comparison cannot catch it
+    capped = enumerate_candidates(INDEX_SET, FILTER_SETS["capped"])
+    for name, built in (("default", tuple(full_db)), ("capped", tuple(capped))):
+        loaded = loads_database(dumps_database(Database(name, built))).candidates
+        assert len(loaded) == len(built)
+        for c in built + loaded:
+            for value in (c.sigma, c.minus_k3, c.minus_k_c2, c.a3):
+                assert type(value) is Fraction, c.id
+            assert type(c.dims) is tuple and len(c.dims) == c.q, c.id
+            assert all(type(d) is int for d in c.dims), c.id
+            assert type(c.genus) is int, c.id
 
 
 def test_counts(small_db):
@@ -375,6 +391,12 @@ ROW_REFUSALS = [
     ("basket", [[2, 2]], "malformed candidate row: NotCoprimeError('multiplier 0 is not coprime to index 2')"),
     ("a3", "-1/2", "malformed candidate row: ValueError('degree A^3 must be positive, got -1/2')"),
     ("basket", [[25, 1]], "basket index above 24 in a stored row"),
+    # two faults in one basket: every pair is read as integers, then the
+    # index bound is checked, then the points are built, so the first check
+    # a fault fails names the row, wherever in the basket the fault sits
+    ("basket", [[4, 2], [30, 1]], "basket index above 24 in a stored row"),
+    ("basket", [[30, 1], ["x", 1]],
+     "malformed candidate row: ValueError(\"invalid literal for int() with base 10: 'x'\")"),
 ]
 
 
