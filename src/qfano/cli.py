@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage error (including an output path that cannot
 be written, and a standard output that is closed or cannot be written), 3
 missing or unreadable input, 4 internal consistency failure (a check the
-tool makes about itself).
+tool makes about itself).  Standard output, ``--help`` included, is written
+once, when the command ends.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import errno
 import io
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from functools import lru_cache
 from importlib import resources
 from typing import Sequence
@@ -106,29 +107,6 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise OutputError(path) from exc
-
-
-class _Stdout:
-    """``sys.stdout`` while a command runs.  A write or flush that fails
-    raises ``OutputError("stdout")``, so it is told apart from any other
-    ``OSError``, after pointing fd 1 at ``os.devnull``: the unwritten rest
-    stays buffered, and the flush at exit drops it there."""
-
-    def __init__(self, stream) -> None:
-        self.stream = stream
-
-    def write(self, text: str) -> int:
-        return self._guarded(self.stream.write, text)
-
-    def flush(self) -> None:
-        self._guarded(self.stream.flush)
-
-    def _guarded(self, method, *args):
-        try:
-            return method(*args)
-        except OSError as exc:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
-            raise OutputError("stdout") from exc
 
 
 def _refuse_unwritable(*paths: str | None) -> None:
@@ -226,16 +204,15 @@ def cmd_wps_check(args) -> int:
     if not pool:
         print("candidate match: none (no enumerated candidate has this index and degree)")
         return EXIT_OK
+    kmax = 2 * q + 5
     matched = 0
     for c in pool:
-        report = match_candidate(model, c)
-        if report.is_match:
+        first_mismatch = match_candidate(model, c, kmax)
+        if first_mismatch is None:
             matched += 1
-            print(f"candidate match: {c.id} "
-                  f"(h^0 agrees with chi for k = 0..{report.checked_up_to})")
+            print(f"candidate match: {c.id} (h^0 agrees with chi for k = 0..{kmax})")
         else:
-            print(f"candidate {c.id}: h^0 diverges from chi first at "
-                  f"k = {report.first_mismatch}")
+            print(f"candidate {c.id}: h^0 diverges from chi first at k = {first_mismatch}")
     if matched == 0:
         print("candidate match: none (index and degree agree, plurigenera do not)")
     return EXIT_OK
@@ -266,9 +243,11 @@ def cmd_link_solve(args) -> int:
     print(f"solutions: {len(solutions)}")
     for sol in solutions:
         assigned = " ".join(f"{name}={value}" for name, value in sol.assignment)
-        print(f"  qhat={sol.qhat} alpha={format_rational(sol.alpha)} {assigned}")
+        text = f"qhat={sol.qhat} alpha={format_rational(sol.alpha)} {assigned}"
+        print(f"  {text}")
         if not audit(case, sol, source, lookup):
-            print("audit failed for the solution above", file=sys.stderr)
+            # stdout is written after stderr, so the line names its solution
+            print(f"audit failed for {text}", file=sys.stderr)
             return EXIT_INTERNAL
     feasible = feasible_indices(solutions)
     if feasible:
@@ -391,22 +370,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    if sys.stdout is None:
-        # started with fd 1 closed: print would drop every line unread
-        print("qfano: cannot write output: stdout", file=sys.stderr)
-        return EXIT_USAGE
-    parser = _build_parser()
+def _run(argv: Sequence[str] | None) -> int:
+    """Parse ``argv`` and run its command; a reported error becomes its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
-        code = args.func(args)
-        # flushed here, so that a failed write is reported below, not at exit
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except OutputError as exc:
         print(f"qfano: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -417,8 +388,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:  # a StoreError or a LinkCaseError
         print(f"qfano: bad input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    finally:
-        sys.stdout = stdout
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if sys.stdout is None:
+        # started with fd 1 closed: print would drop every line unread
+        print("qfano: cannot write output: stdout", file=sys.stderr)
+        return EXIT_USAGE
+    # the command's stdout, --help included, is written once, at the end, so
+    # that a stdout which cannot be written fails at that one write
+    text = io.StringIO()
+    with redirect_stdout(text):
+        code = _run(argv)
+    try:
+        sys.stdout.write(text.getvalue())
+        sys.stdout.flush()
+    except OSError:
+        # the unwritten rest stays buffered: the flush at exit drops it here
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("qfano: cannot write output: stdout", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -96,59 +96,14 @@ def hilbert_coeffs(model: WpsModel, kmax: int) -> list[int]:
     return [ambient[k] - (ambient[k - d] if k >= d else 0) for k in range(kmax + 1)]
 
 
-class MatchReport(
-    namedtuple(
-        "MatchReport",
-        "model candidate_id index_match degree_match coeffs_match first_mismatch "
-        "checked_up_to",
-    )
-):
-    """Outcome of checking a model against an enumerated candidate.
-
-    The coefficients are compared only when the index and the degree both
-    agree.  Otherwise ``coeffs_match`` is false and ``first_mismatch`` is
-    ``None``, as it is on a match; on a compared mismatch it is the first
-    ``k`` at which ``h^0`` and ``chi`` differ.  ``checked_up_to`` is the
-    last ``k`` compared.
-    """
-
-    __slots__ = ()
-
-    @property
-    def is_match(self) -> bool:
-        return self.index_match and self.degree_match and self.coeffs_match
-
-
-def match_candidate(
-    model: WpsModel, candidate: "Candidate", kmax: int | None = None
-) -> MatchReport:
-    """Compare a model's ``h^0`` sequence against a candidate's ``chi``.
+def match_candidate(model: WpsModel, candidate: "Candidate", kmax: int) -> int | None:
+    """Return the first ``k <= kmax`` at which the model's ``h^0`` and the
+    candidate's ``chi`` differ, or ``None`` if they agree on ``0..kmax``.
 
     The series side comes from :func:`hilbert_coeffs` alone; the candidate
-    side is the Riemann-Roch evaluation, so agreement here is the two-route
-    consistency check.  ``kmax`` defaults to ``2q + 5``.  The series is
-    computed only once the index and the degree agree.
+    side is the Riemann-Roch evaluation.  The caller compares only a
+    candidate whose index and degree are the model's.
     """
-    q = fano_index(model)
-    if kmax is None:
-        kmax = 2 * q + 5
-    index_match = q == candidate.q
-    degree_match = degree_a3(model) == candidate.a3
-    first_mismatch = None
-    coeffs_match = False
-    if index_match and degree_match:
-        coeffs = hilbert_coeffs(model, kmax)
-        fano = candidate.fano
-        first_mismatch = next(
-            (k for k in range(kmax + 1) if chi(k, fano) != coeffs[k]), None
-        )
-        coeffs_match = first_mismatch is None
-    return MatchReport(
-        model=model,
-        candidate_id=candidate.id,
-        index_match=index_match,
-        degree_match=degree_match,
-        coeffs_match=coeffs_match,
-        first_mismatch=first_mismatch,
-        checked_up_to=kmax,
-    )
+    coeffs = hilbert_coeffs(model, kmax)
+    fano = candidate.fano
+    return next((k for k in range(kmax + 1) if chi(k, fano) != coeffs[k]), None)

@@ -262,6 +262,18 @@ def test_stdout_on_a_full_device_is_a_usage_error(db_path, command):
     assert result.stderr == "qfano: cannot write output: stdout\n"
 
 
+@pytest.mark.parametrize("command", [["--help"], ["enumerate", "--help"]])
+def test_help_on_a_full_device_is_a_usage_error(command, capsys):
+    # argparse drops a failed write of the help text, so the help is written
+    # with the rest of stdout, after parsing: exit 2 with one line
+    assert main(command) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: qfano")
+    with open("/dev/full", "w") as full:
+        result = _fresh_interpreter(MAIN_SCRIPT, *command, stdout=full)
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == "qfano: cannot write output: stdout\n"
+
+
 @pytest.mark.parametrize(
     "command", [["facts", "--db", "{db}"], ["enumerate", "--q", "6", "--db", "{new}"]]
 )
@@ -401,7 +413,7 @@ def test_link_solve_exits_4_when_the_audit_fails(db_path, tmp_path, monkeypatch,
     assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out.endswith("solutions: 1\n  qhat=3 alpha=1 s1=0 e=3\n")
-    assert captured.err == "audit failed for the solution above\n"
+    assert captured.err == "audit failed for qhat=3 alpha=1 s1=0 e=3\n"
 
 
 def test_link_solve_refuses_a_bare_source_with_twins(db_path, tmp_path, capsys):

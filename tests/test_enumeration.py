@@ -626,6 +626,29 @@ def test_closed_form_degree_matches_the_walk(q, name):
         assert sorted(c.id for c in found) == _walked_ids(q, config)
 
 
+@pytest.mark.parametrize("name", sorted(FILTER_SETS))
+def test_every_row_follows_from_the_definition(name, full_db):
+    # every walked basket, every degree of the reference range and one
+    # _t_scaled per k: no closed-form degree, no residue class and no
+    # one-period lemma, at every index
+    config = FILTER_SETS[name]
+    assert config.enforce_vanishing
+    expected, got = {}, {}
+    for q in INDEX_SET:
+        expected[q] = sorted(
+            candidate_id(q, basket, Rational(n, basket.index_lcm))
+            for basket in enumerate_baskets(q)
+            for n in _reference_degree_range(q, basket, config)
+            if _reference_scan(q, basket, n, nonnegativity=config.nonnegativity)
+        )
+        if config == DEFAULT_CONFIG:
+            found = [c for c in full_db if c.q == q]
+        else:
+            found = enumerate_candidates(q, config)
+        got[q] = sorted(c.id for c in found)
+    assert got == expected
+
+
 @pytest.mark.parametrize("q", INDEX_SET)
 def test_residue_class_matches_brute_force(q, full_db):
     # chi(1) integral, solved for n, against a check of every numerator
