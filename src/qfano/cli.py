@@ -13,11 +13,13 @@ import argparse
 import csv
 import errno
 import io
+import math
 import os
 import sys
 from contextlib import contextmanager, redirect_stdout
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 from typing import Sequence
 
 from .arith import InputError, format_rational
@@ -137,22 +139,12 @@ def _render_db(db: Database, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# database acquisition
+# commands
 
 
 def _build_database(filter_set: str, qs: Sequence[int], jobs: int) -> Database:
     candidates = enumerate_candidates(qs, FILTER_SETS[filter_set], jobs=jobs)
     return Database(filter_set, tuple(candidates))
-
-
-def _load_or_build(args) -> Database:
-    if args.db is not None:
-        return load_database(args.db)
-    return _build_database("default", INDEX_SET, getattr(args, "jobs", 1))
-
-
-# ---------------------------------------------------------------------------
-# commands
 
 
 def cmd_enumerate(args) -> int:
@@ -173,7 +165,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_table(args) -> int:
     _refuse_unwritable(args.out)
-    db = _load_or_build(args)
+    db = load_database(args.db)
     db.require_indices((SURVEYS[args.case].q,), f"table --case {args.case}")
     _emit(render_survey_table(args.case, db.candidates), args.out)
     return EXIT_OK
@@ -190,12 +182,23 @@ def cmd_wps_check(args) -> int:
             raise ValueError(
                 f"{model} has dimension {dimension}; candidates are threefolds"
             )
+        # the index sum(w) - d and the degree d/prod(w) hold only on a
+        # well-formed model (Iano-Fletcher, section 6): every n of the n+1
+        # weights are coprime, and the gcd of every n-1 divides the degree
+        n = len(model.weights) - 1
+        for rest in combinations(model.weights, n):
+            if math.gcd(*rest) > 1:
+                raise ValueError(f"{model} is not well-formed: gcd{rest} = {math.gcd(*rest)}")
+        for rest in combinations(model.weights, n - 1) if model.degree else ():
+            if model.degree % math.gcd(*rest):
+                raise ValueError(f"{model} is not well-formed: "
+                                 f"gcd{rest} does not divide {model.degree}")
     except ValueError as exc:
         print(f"qfano wps check: {exc}", file=sys.stderr)
         return EXIT_USAGE
     q = fano_index(model)
     a3 = degree_a3(model)
-    db = _load_or_build(args)
+    db = load_database(args.db)
     db.require_indices((q,), "wps check")
     print(f"model: {model}")
     print(f"fano index q = {q}, A^3 = {format_rational(a3)}, "
@@ -234,7 +237,7 @@ def cmd_link_solve(args) -> int:
     from .links import audit, describe_case, dims_table, feasible_indices, load_case_file, solve
 
     case = load_case_file(_resolve_case_path(args.case))
-    db = _load_or_build(args)
+    db = load_database(args.db)
     db.require_indices((*case.target_index_set, case.source.q), "link solve")
     lookup = dims_table(db.candidates)
     source = case.source.resolve(db.candidates)
@@ -258,7 +261,7 @@ def cmd_link_solve(args) -> int:
 
 
 def cmd_facts(args) -> int:
-    db = _load_or_build(args)
+    db = load_database(args.db)
     db.require_indices(INDEX_SET, "facts")
     all_hold = True
     for fact in facts(db.candidates):
@@ -323,40 +326,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write formatted output here")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("table", help="render one survey table")
+    # every read takes the one stored database that enumerate --db writes
+    read = argparse.ArgumentParser(add_help=False)
+    read.add_argument("--db", metavar="PATH", required=True, help="candidate database")
+
+    p = sub.add_parser("table", parents=[read], help="render one survey table")
     p.add_argument("--case", choices=sorted(SURVEYS), required=True)
-    p.add_argument("--db", metavar="PATH", help="candidate database (else re-enumerate)")
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("wps", help="weighted projective space oracles")
     wps_sub = p.add_subparsers(dest="wps_command", required=True)
-    pc = wps_sub.add_parser("check", help="match a (hypersurface in a) weighted "
-                                          "projective space against the database")
+    pc = wps_sub.add_parser("check", parents=[read],
+                            help="match a (hypersurface in a) weighted "
+                                 "projective space against the database")
     pc.add_argument("--weights", required=True, metavar="W1,W2,...")
     pc.add_argument("--degree", type=int, default=None,
                     help="hypersurface degree (omit for the whole space)")
-    pc.add_argument("--db", metavar="PATH")
-    pc.add_argument("--jobs", type=positive_int, default=1)
     pc.set_defaults(func=cmd_wps_check)
 
     p = sub.add_parser("link", help="two-ray link numerology")
     link_sub = p.add_subparsers(dest="link_command", required=True)
-    ps = link_sub.add_parser("solve", help="enumerate feasible link targets for a case file")
+    ps = link_sub.add_parser("solve", parents=[read],
+                             help="enumerate feasible link targets for a case file")
     ps.add_argument("case", metavar="CASEFILE",
                     help="path to a case file, or the name of a packaged one")
-    ps.add_argument("--db", metavar="PATH")
-    ps.add_argument("--jobs", type=positive_int, default=1)
     ps.set_defaults(func=cmd_link_solve)
 
-    p = sub.add_parser("facts", help="check the classification-shaped facts")
-    p.add_argument("--db", metavar="PATH")
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p = sub.add_parser("facts", parents=[read], help="check the classification-shaped facts")
     p.set_defaults(func=cmd_facts)
 
-    p = sub.add_parser("export", help="re-render a stored database")
-    p.add_argument("--db", metavar="PATH", required=True)
+    p = sub.add_parser("export", parents=[read], help="re-render a stored database")
     p.add_argument("--format", choices=("table", "json", "csv"), default="csv")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_export)

@@ -243,6 +243,8 @@ class LinkCase(
 
     def __new__(cls, *args, **kwargs) -> "LinkCase":
         self = super().__new__(cls, *args, **kwargs)
+        if self.threshold_floor is not None and self.threshold_floor < 1:
+            raise LinkCaseError(f"threshold_floor must be positive, got {self.threshold_floor}")
         names = [u.name for u in self.unknowns]
         if len(set(names)) != len(names):
             raise LinkCaseError(f"duplicate unknown names in case {self.name!r}")
@@ -278,6 +280,8 @@ class LinkCase(
         if outside:
             # the tool enumerates no candidate there: an elimination would be vacuous
             raise LinkCaseError(f"index_set entries {outside} are not in {INDEX_SET}")
+        if self.source.q != self.q:
+            raise LinkCaseError("source candidate index differs from case index")
         return self
 
 
@@ -353,10 +357,7 @@ def load_case(text: str) -> LinkCase:
             raise LinkCaseError(
                 f"genus_transfer must be a JSON boolean, got {genus_transfer!r}"
             )
-        threshold_floor = raw.get("threshold_floor")
-        if "threshold_floor" in raw and _integer(threshold_floor, "threshold_floor") < 1:
-            raise LinkCaseError(f"threshold_floor must be positive, got {threshold_floor}")
-        case = LinkCase(
+        return LinkCase(
             name=str(raw.get("name", "unnamed case")),
             q=_integer(raw["q"], "q"),
             source=source,
@@ -375,7 +376,8 @@ def load_case(text: str) -> LinkCase:
                        for q in raw.get("index_set", INDEX_SET))
             ),
             genus_transfer=genus_transfer,
-            threshold_floor=threshold_floor,
+            threshold_floor=(_integer(raw["threshold_floor"], "threshold_floor")
+                             if "threshold_floor" in raw else None),
             notes=str(raw.get("notes", "")),
         )
     except LinkCaseError:
@@ -384,9 +386,6 @@ def load_case(text: str) -> LinkCase:
         raise LinkCaseError(f"case file missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise LinkCaseError(f"case file has a malformed value: {exc}") from exc
-    if case.source.q != case.q:
-        raise LinkCaseError("source candidate index differs from case index")
-    return case
 
 
 def load_case_file(path) -> LinkCase:

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -59,14 +60,14 @@ def test_missing_database_file(capsys):
     ["export", "--db", "{dir}"],
     ["wps", "check", "--weights", "1,1,2,3", "--db", "{dir}"],
     ["link", "solve", "q9_4A.case", "--db", "{dir}"],
-    ["link", "solve", "{dir}"],
-    ["link", "solve", "{utf16}"],
+    ["link", "solve", "{dir}", "--db", "{db}"],
+    ["link", "solve", "{utf16}", "--db", "{db}"],
 ])
-def test_unreadable_input_is_bad_input(argv, tmp_path, capsys):
+def test_unreadable_input_is_bad_input(argv, db_path, tmp_path, capsys):
     # a directory where a file belongs, or a case file that is not UTF-8
     utf16 = tmp_path / "utf16.case"
     utf16.write_bytes(b"\xff\xfe" + "[case]\n".encode("utf-16-le"))
-    argv = [arg.format(dir=tmp_path, utf16=utf16) for arg in argv]
+    argv = [arg.format(dir=tmp_path, utf16=utf16, db=db_path) for arg in argv]
     assert main(argv) == EXIT_MISSING_INPUT  # any exception escaping fails the test
     err = capsys.readouterr().err
     assert err.startswith("qfano: bad input: ") and err.count("\n") == 1
@@ -125,7 +126,8 @@ def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
     (["export", "--db", ""], EXIT_MISSING_INPUT, "input not found: ''"),
     (["enumerate", "--q", "19", "--db", ""], EXIT_USAGE, "cannot write output: ''"),
     (["enumerate", "--q", "19", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
-    (["table", "--case", "q3", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
+    (["table", "--case", "q3", "--db", "{db}", "--out", ""], EXIT_USAGE,
+     "cannot write output: ''"),
     (["export", "--db", "{db}", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
 ])
 def test_empty_path_is_a_path(argv, code, message, db_path, monkeypatch, capsys):
@@ -366,13 +368,14 @@ def test_wps_check_hypersurface(db_path, capsys):
     assert "match: q9-2.1_4.1_5.2-a1.20" in out
 
 
-def test_wps_check_rejects_bad_weights(capsys):
-    assert main(["wps", "check", "--weights", "1,zero,3"]) == EXIT_USAGE
-    capsys.readouterr()
-    assert main(["wps", "check", "--weights", "1,2,3,4", "--degree", "99"]) == (
+def test_wps_check_rejects_bad_weights(db_path, capsys):
+    db = ["--db", str(db_path)]
+    assert main(["wps", "check", "--weights", "1,zero,3", *db]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("qfano wps check: invalid literal")
+    assert main(["wps", "check", "--weights", "1,2,3,4", "--degree", "99", *db]) == (
         EXIT_USAGE
     )
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("qfano wps check: degree 99 leaves")
 
 
 @pytest.mark.parametrize(
@@ -388,6 +391,19 @@ def test_wps_check_rejects_non_threefolds(db_path, capsys, command):
     captured = capsys.readouterr()
     assert "candidates are threefolds" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, fault", [
+    # P(2,2,2,2) is P^3, with q = 4 and -K^3 = 64, not q = 8 and -K^3 = 32
+    (["--weights", "2,2,2,2"], "P(2,2,2,2) is not well-formed: gcd(2, 2, 2) = 2"),
+    (["--weights", "1,3,3,3"], "P(1,3,3,3) is not well-formed: gcd(3, 3, 3) = 3"),
+    (["--weights", "1,1,2,2,2", "--degree", "3"],
+     "X3 in P(1,1,2,2,2) is not well-formed: gcd(2, 2, 2) does not divide 3"),
+])
+def test_wps_check_rejects_models_that_are_not_well_formed(db_path, capsys, command, fault):
+    # index and degree are sum(w) - d and d/prod(w) only on a well-formed model
+    assert main(["wps", "check", *command, "--db", str(db_path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"qfano wps check: {fault}\n")
 
 
 def test_link_solve_packaged_case(db_path, capsys):
@@ -466,19 +482,19 @@ def test_link_solve_resolves_the_source_once(db_path, monkeypatch, capsys):
     assert [c.id for c in sources] == ["q9-2.1_4.1_5.2-a1.20"]
 
 
-def test_link_solve_missing_case_file(tmp_path, monkeypatch, capsys):
+def test_link_solve_missing_case_file(db_path, tmp_path, monkeypatch, capsys):
     # a path with a directory part names that file; only a bare name falls
     # back to the shipped case of that name
     monkeypatch.chdir(tmp_path)
     for name in ("/nonexistent/foo.case", "/no/such/dir/q9_4A.case", "./q9_4A.case"):
-        assert main(["link", "solve", name]) == EXIT_MISSING_INPUT
+        assert main(["link", "solve", name, "--db", str(db_path)]) == EXIT_MISSING_INPUT
         assert capsys.readouterr() == ("", f"qfano: input not found: {name!r}\n")
 
 
 @pytest.mark.parametrize("name", ["", " "])
-def test_link_solve_blank_case_name(name, capsys):
+def test_link_solve_blank_case_name(name, db_path, capsys):
     # the message still names the input when it is empty or blank
-    assert main(["link", "solve", name]) == EXIT_MISSING_INPUT
+    assert main(["link", "solve", name, "--db", str(db_path)]) == EXIT_MISSING_INPUT
     assert capsys.readouterr().err == f"qfano: input not found: {name!r}\n"
 
 
@@ -510,22 +526,79 @@ def test_diff_lists_twenty_changes_and_counts_the_rest(capsys):
     assert lines[-1] == "  + ... 8 more"
 
 
-@pytest.mark.parametrize("command", [
-    ["enumerate", "--q", "6"],
-    ["table", "--case", "q5"],
-    ["facts"],
-    ["link", "solve", "q9_4A.case"],
-])
+@pytest.mark.parametrize("command", [["enumerate", "--q", "6"]])
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_bad_jobs_is_usage_error(command, jobs, capsys):
     assert main(command + ["--jobs", jobs]) == EXIT_USAGE
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_diff_has_no_jobs_option(capsys):
-    # diff runs on one index, and one index never forks
-    assert main(["diff", "--q", "5", "--jobs", "2"]) == EXIT_USAGE
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+def test_diff_has_no_jobs_option(db_path, monkeypatch, capsys):
+    # diff runs on one index, and one index never forks; a read builds nothing
+    builds = []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
+    db = ["--db", str(db_path)]
+    for command in (["diff", "--q", "5"], ["table", "--case", "q5", *db], ["facts", *db],
+                    ["wps", "check", "--weights", "1,1,1,2", *db],
+                    ["link", "solve", "q9_4A.case", *db], ["export", *db]):
+        assert main(command + ["--jobs", "2"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: unrecognized arguments: --jobs 2\n")
+    assert builds == []
+
+
+@pytest.mark.parametrize("command", [
+    ["table", "--case", "q5"],
+    ["facts"],
+    ["wps", "check", "--weights", "1,1,1,2"],
+    ["link", "solve", "q9_4A.case"],
+    ["export"],
+])
+def test_read_without_a_database_is_a_usage_error(command, monkeypatch, capsys):
+    # a read takes the stored database enumerate --db writes, and builds none
+    builds, loads = [], []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
+    monkeypatch.setattr(cli, "load_database", lambda path: loads.append(path))
+    assert main(command) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: the following arguments are required: --db\n")
+    assert builds == [] and loads == []
+
+
+#: Every command's options, each mapped to whether it is required (a
+#: positional by its name, a mutually exclusive group as "A | B").
+PARSER_INVENTORY = {
+    "enumerate": {"--all | --q": True, "--all": False, "--q": False, "--filter-set": False,
+                  "--jobs": False, "--db": False, "--format": False, "--out": False},
+    "table": {"--db": True, "--case": True, "--out": False},
+    "wps check": {"--db": True, "--weights": True, "--degree": False},
+    "link solve": {"--db": True, "case": True},
+    "facts": {"--db": True},
+    "export": {"--db": True, "--format": False, "--out": False},
+    "diff": {"--q": True, "--flag": False, "--filter-set": False},
+}
+
+
+def _inventory(parser, path=()):
+    """``{command: {option: required}}`` for every command below ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            found = {}
+            for name, sub in action.choices.items():
+                found.update(_inventory(sub, (*path, name)))
+            return found
+    options = {" | ".join(a.option_strings[0] for a in group._group_actions): group.required
+               for group in parser._mutually_exclusive_groups}
+    options.update((a.option_strings[0] if a.option_strings else a.dest, a.required)
+                   for a in parser._actions if not isinstance(a, argparse._HelpAction))
+    return {" ".join(path): options}
+
+
+def test_parser_inventory():
+    # a new option, or one that becomes required or optional, is a test edit;
+    # --jobs is enumerate's alone, and every read requires --db
+    assert _inventory(cli._build_parser()) == PARSER_INVENTORY
 
 
 @pytest.fixture(scope="module")
@@ -621,19 +694,21 @@ def test_database_nested_too_deeply(tmp_path, capsys):
     assert _bad_input_exit(["facts", "--db", str(path)], capsys) == EXIT_MISSING_INPUT
 
 
-def test_case_file_nested_too_deeply(tmp_path, capsys):
+def test_case_file_nested_too_deeply(db_path, tmp_path, capsys):
     case_file = tmp_path / "deep.case"
     case_file.write_text("[" * 100_000, encoding="utf-8")
-    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
+    argv = ["link", "solve", str(case_file), "--db", str(db_path)]
+    assert _bad_input_exit(argv, capsys) == EXIT_MISSING_INPUT
 
 
-def test_relation_nested_too_deeply(tmp_path, capsys):
+def test_relation_nested_too_deeply(db_path, tmp_path, capsys):
     doc = _case_doc()
     lhs, _, rhs = doc["relations"][0].partition("=")
     doc["relations"][0] = f"{lhs}= {'(' * 3000}{rhs}{')' * 3000}"
     case_file = tmp_path / "deep.case"
     case_file.write_text(json.dumps(doc), encoding="utf-8")
-    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
+    argv = ["link", "solve", str(case_file), "--db", str(db_path)]
+    assert _bad_input_exit(argv, capsys) == EXIT_MISSING_INPUT
 
 
 def _case_doc():
@@ -655,7 +730,7 @@ def _case_doc():
     (("index_set",), ["all"]),
     (("threshold_floor",), "high"),
 ])
-def test_case_file_bad_value(path, value, tmp_path, capsys):
+def test_case_file_bad_value(path, value, db_path, tmp_path, capsys):
     doc = _case_doc()
     target = doc
     for step in path[:-1]:
@@ -663,17 +738,18 @@ def test_case_file_bad_value(path, value, tmp_path, capsys):
     target[path[-1]] = value
     case_file = tmp_path / "bad.case"
     case_file.write_text(json.dumps(doc), encoding="utf-8")
-    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
+    argv = ["link", "solve", str(case_file), "--db", str(db_path)]
+    assert _bad_input_exit(argv, capsys) == EXIT_MISSING_INPUT
 
 
 @pytest.mark.parametrize("index_set", [[2, 12], [20], [3, 12]])
-def test_case_index_outside_index_set_is_refused(index_set, tmp_path, capsys):
+def test_case_index_outside_index_set_is_refused(index_set, db_path, tmp_path, capsys):
     # no candidate is enumerated there, so "case eliminated" would be vacuous
     doc = _case_doc()
     doc["index_set"] = index_set
     case_file = tmp_path / "outside.case"
     case_file.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["link", "solve", str(case_file)]) == EXIT_MISSING_INPUT
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_MISSING_INPUT
     captured = capsys.readouterr()
     assert "bad input: index_set entries" in captured.err
     assert captured.out == ""
@@ -683,25 +759,26 @@ def test_case_index_outside_index_set_is_refused(index_set, tmp_path, capsys):
     {"index_set": [5, 5]},
     {"alpha": ["1/2", "2/4"], "index_set": [5]},
 ])
-def test_case_repeated_branch_is_refused(overrides, tmp_path, capsys):
+def test_case_repeated_branch_is_refused(overrides, db_path, tmp_path, capsys):
     # each solution of a repeated branch would be printed twice
     doc = _case_doc()
     doc.update(overrides)
     case_file = tmp_path / "repeated.case"
     case_file.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["link", "solve", str(case_file)]) == EXIT_MISSING_INPUT
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_MISSING_INPUT
     captured = capsys.readouterr()
     assert "bad input: " in captured.err and "repeat" in captured.err
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("field", ["q", "source", "alpha", "unknowns", "relations"])
-def test_case_file_missing_field(field, tmp_path, capsys):
+def test_case_file_missing_field(field, db_path, tmp_path, capsys):
     doc = _case_doc()
     del doc[field]
     case_file = tmp_path / "bad.case"
     case_file.write_text(json.dumps(doc), encoding="utf-8")
-    assert _bad_input_exit(["link", "solve", str(case_file)], capsys) == EXIT_MISSING_INPUT
+    argv = ["link", "solve", str(case_file), "--db", str(db_path)]
+    assert _bad_input_exit(argv, capsys) == EXIT_MISSING_INPUT
 
 
 def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):

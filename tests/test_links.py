@@ -185,6 +185,16 @@ def test_load_case_roundtrip():
         case._replace(unknowns=(*case.unknowns, case.unknowns[0]._replace(name="qhat")))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("q", 8, "source candidate index differs from case index"),
+    ("threshold_floor", -3, "threshold_floor must be positive, got -3"),
+])
+def test_replace_checks_the_case_level_fields(field, value, message):
+    case = load_case_file(case_path("q9_4A.case"))
+    with pytest.raises(LinkCaseError, match=message):
+        case._replace(**{field: value})
+
+
 def test_load_case_missing_bounds_is_unbounded():
     text = make_case_text(unknowns=[{"name": "s1", "min": 0}])
     with pytest.raises(UnboundedCaseError):
