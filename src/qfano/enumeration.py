@@ -73,13 +73,13 @@ the work small:
 
 Two more keep the per-basket work flat:
 
-* **A sum carried down the walk.**  :func:`enumerate_baskets` yields in
-  depth-first preorder, so a basket of ``d`` points is the last basket of
-  ``d - 1`` points plus one point.  :func:`_scan_baskets` keeps one running
-  sum per depth, ``S = sum_p (L/r) share_p`` in units of ``1/L``
-  (``L`` = :data:`_SIGMA_UNIT`), and reads the constant of ``T(k)`` as
-  ``(12q + 24k) N + S / (L/N)``: one table lookup per basket, not one per
-  point.
+* **One walk, a sum carried down it.**  :func:`enumerate_baskets` walks
+  several indices' basket trees as one, each index's baskets in depth-first
+  preorder: a basket of ``d`` points is that index's last basket of
+  ``d - 1`` points plus one.  :func:`_scan_share` keeps per index one sum
+  per depth, ``S = sum_p (L/r) share_p`` in units of ``1/L`` (``L`` =
+  :data:`_SIGMA_UNIT`), and reads the constant of ``T(k)`` as ``(12q + 24k)
+  N + S / (L/N)``: one table lookup per ``(q, basket)``, not one per point.
 * **Forward differences.**  Past the vanishing window,
   :func:`_passing_numerators` reads ``q W(k)`` from one table of a period
   ``N``, built once per basket and cycled to the end of the scan, and
@@ -236,35 +236,41 @@ def point_domain(q: int) -> list[SingularPoint]:
     return sorted(points)
 
 
-def enumerate_baskets(q: int) -> Iterator[Basket]:
-    """Yield every basket with indices coprime to ``q`` and ``sigma < 24``.
+def enumerate_baskets(indices: Sequence[int]) -> Iterator[tuple[int, Basket]]:
+    """Yield ``(q, basket)`` for each ``q`` in ``indices`` and basket of ``q``.
 
-    Baskets come out exactly once each, in canonical (lexicographic) order,
-    starting with the empty basket.  The walk carries each basket's points,
-    lcm ``N`` and remaining sigma budget (in units of ``1/L``, ``L`` =
-    :data:`_SIGMA_UNIT`), so a yielded basket gets its ``index_lcm`` and
-    ``sigma_scaled = N sigma = (24L - budget) / (L/N)`` without a sort or a
-    sum over its points.
+    A basket of ``q`` has indices coprime to ``q`` and ``sigma < 24``.  One
+    walk of the union of the indices' point domains builds each basket once;
+    each ``q`` gets its baskets once each in canonical order, from the empty
+    one.  A node carries its points, lcm ``N`` and sigma budget ``b`` in
+    units of ``1/L`` (:data:`_SIGMA_UNIT`): ``N sigma = (24L - b) / (L/N)``.
     """
-    domain = point_domain(q)
-    sigmas = [scaled_kawamata_sum((p,), _SIGMA_UNIT) for p in domain]
-    indices = [p.r for p in domain]
+    domain = sorted({p for q in indices for p in point_domain(q)})
     full = 24 * _SIGMA_UNIT
-    make = Basket._from_sorted
-    lcm, fits = math.lcm, bisect.bisect_left
+    # the sentinel ends every search: no budget exceeds it
+    sigmas = [scaled_kawamata_sum((p,), _SIGMA_UNIT) for p in domain] + [full]
+    admitted: dict[int, tuple[int, ...]] = {}  # N -> the indices coprime to it
+    make, gcd, lcm, fits = Basket._from_sorted, math.gcd, math.lcm, bisect.bisect_left
     # depth-first, children pushed last-first so they pop in order; a node
     # is (first domain index it may add, points, N, budget)
     stack = [(0, (), 1, full)]
     pop, push = stack.pop, stack.append
     while stack:
         start, points, n_lcm, budget = pop()
-        yield make(points, n_lcm, (full - budget) // (_SIGMA_UNIT // n_lcm))
+        qs = admitted.get(n_lcm)
+        if qs is None:
+            qs = admitted[n_lcm] = tuple(q for q in indices if gcd(q, n_lcm) == 1)
+        if not qs:  # nor to any multiple of N: nothing below is admitted
+            continue
+        basket = make(points, n_lcm, (full - budget) // (_SIGMA_UNIT // n_lcm))
+        for q in qs:
+            yield q, basket
         # sigma is non-decreasing along the domain, so the points that still
-        # fit are a prefix of domain[start:]
-        for idx in range(fits(sigmas, budget, start) - 1, start - 1, -1):
-            push(
-                (idx, points + (domain[idx],), lcm(n_lcm, indices[idx]), budget - sigmas[idx])
-            )
+        # fit are a prefix of domain[start:]; at most nodes, a leaf, none does
+        if sigmas[start] < budget:
+            for idx in range(fits(sigmas, budget, start) - 1, start - 1, -1):
+                p = domain[idx]
+                push((idx, points + (p,), lcm(n_lcm, p.r), budget - sigmas[idx]))
 
 
 def degree_candidates(
@@ -383,7 +389,7 @@ def _passing_numerators(
     at ``min(3N, max(N, 17))``; :func:`_one_period_suffices`, checked
     first, stands in for the rest of ``[N, 3N)`` (the one-period lemma,
     module docstring).  The lemma needs ``sigma < 24``: the basket must be
-    one :func:`enumerate_baskets` yields.
+    one that :func:`enumerate_baskets` yields for ``q``.
     """
     n_lcm = basket.index_lcm
     modulus = 12 * q * n_lcm
@@ -432,22 +438,23 @@ def _residue_class(numerators: range, const: int, coeff: int, modulus: int) -> r
     return range(start + (n0 - start) % step, numerators.stop, step)
 
 
-def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
-    """Every candidate of index ``q``: one walk of its baskets."""
-    # with vanishing on, chi(-1) = 0 fixes the degree when its coefficient
-    # q(q-1)(q-2) is nonzero; otherwise chi(1) integral confines the walk to
-    # one residue class (module docstring)
-    k = -1 if config.enforce_vanishing and q * (q - 1) * (q - 2) else 1
-    coeff = q * k * (k + q) * (2 * k + q)
-    base = 12 * q + 24 * k
-    # each point's share of T(k) in units of 1/_SIGMA_UNIT, by point
-    shares = {p: (_SIGMA_UNIT // p.r) * share for p, share in _point_terms(q, k).items()}
-    # the walk is a preorder, so a basket of d points is the last basket of
-    # d - 1 points plus one: sums[d] is the running sum of its shares.
-    # sigma(r) >= 3/2 holds a basket to 15 points.
-    sums = [0] * 16
-    found = []
-    for basket in enumerate_baskets(q):
+def _scan_share(share: Sequence[int], config: FilterConfig) -> list[Candidate]:
+    """Every candidate of the indices in ``share``: one walk of their baskets."""
+    setups = {}
+    for q in share:
+        # with vanishing on, chi(-1) = 0 fixes the degree when its coefficient
+        # q(q-1)(q-2) is nonzero; otherwise chi(1) integral confines the walk
+        # to one residue class (module docstring)
+        k = -1 if config.enforce_vanishing and q * (q - 1) * (q - 2) else 1
+        # each point's share of T(k) in units of 1/_SIGMA_UNIT; sums[d] sums
+        # those of q's last basket of d points (at most 15: sigma(r) >= 3/2)
+        shares = {p: (_SIGMA_UNIT // p.r) * term for p, term in _point_terms(q, k).items()}
+        setups[q] = (k, q * k * (k + q) * (2 * k + q), 12 * q + 24 * k, shares, [0] * 16)
+    found, last = [], None
+    for q, basket in enumerate_baskets(share):
+        if q != last:
+            k, coeff, base, shares, sums = setups[q]
+            last = q
         points = basket.points
         depth = len(points)
         if depth:
@@ -470,11 +477,6 @@ def _scan_baskets(q: int, config: FilterConfig) -> list[Candidate]:
         for n in _passing_numerators(q, basket, numerators, config):
             found.append(Candidate.from_parts(q, basket, Rational(n, n_lcm)))
     return found
-
-
-def _scan_share(share: Sequence[int], config: FilterConfig) -> list[Candidate]:
-    """Every candidate of the indices in ``share``, index by index."""
-    return [c for q in share for c in _scan_baskets(q, config)]
 
 
 def _fork_scan(share: Sequence[int], config: FilterConfig, cpu: int) -> tuple[int, int]:
@@ -584,7 +586,7 @@ def enumerate_candidates(
     Unpinned, two processes often share one CPU while the other idles, and
     the split does not pay.  So where the OS has no ``sched_setaffinity``,
     and for one CPU or one index, the scan runs here alone.  (An index is
-    not split: every part would walk the whole basket tree of the index.)
+    not split: every part would walk the index's whole basket tree again.)
     A caller with a live thread also scans here alone: a fork beside it
     could copy a lock that thread holds.  The result is merged and sorted,
     so it is byte-for-byte independent of ``jobs``.
@@ -600,9 +602,7 @@ def enumerate_candidates(
         per_share = _scan_shares(shares, config, cpus[:workers])
     else:
         per_share = [_scan_share(indices, config)]
-    found = [c for part in per_share for c in part]
-    found.sort(key=_canonical_order)
-    return found
+    return sorted((c for part in per_share for c in part), key=_canonical_order)
 
 
 #: A machine-checked statement about the candidate database.

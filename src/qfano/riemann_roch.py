@@ -185,9 +185,9 @@ def local_index(k: int, q: int, point: SingularPoint) -> int:
     return (-k * pow(q, -1, point.r)) % point.r
 
 
-# room for the largest index's domain (84 points) beside the 125 tables a
-# load of the full database reads: an index's scan and a load each build a
-# table once.  A table of index r holds r integers.
+# room for the largest index's domain (84 points) beside the 125 tables a full
+# load reads.  A scan sets up all its indices first, so its survivors rebuild
+# evicted tables: 995 builds of 827 for all twelve.  A table holds r integers.
 @lru_cache(maxsize=256)
 def local_terms(q: int, r: int, a: int) -> tuple[int, ...]:
     """``12 r c_p(k)`` for the point ``1/r(a, -a, 1)`` of index-``q`` data, by ``k mod r``.

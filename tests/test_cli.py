@@ -162,13 +162,13 @@ def test_enumerate_writes_database_with_summary(tmp_path, capsys):
 
 def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
     calls, scanned = [], []
-    real = enumeration._scan_baskets
+    real = enumeration._scan_share
 
-    def counting(q, config):
-        scanned.append(q)
-        return real(q, config)
+    def counting(share, config):
+        scanned.append(tuple(share))
+        return real(share, config)
 
-    monkeypatch.setattr(enumeration, "_scan_baskets", counting)
+    monkeypatch.setattr(enumeration, "_scan_share", counting)
     monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     _set_cpus(monkeypatch, 2)
     db = tmp_path / "db.json"
@@ -176,7 +176,8 @@ def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
     assert "472 candidates" in capsys.readouterr().out
     # this process scans q = 3..8, one child the rest; every index once
     assert calls == [([INDEX_SET[:6], INDEX_SET[6:]], [0, 1])]
-    assert scanned == list(INDEX_SET)
+    assert scanned == [INDEX_SET[:6], INDEX_SET[6:]]
+    assert sorted(q for share in scanned for q in share) == sorted(INDEX_SET)
 
 
 def _fresh_interpreter(

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import hashlib
 import itertools
@@ -53,8 +54,58 @@ def test_point_domain_respects_coprimality():
     assert point_domain(3) == point_domain(9)
 
 
+def _reference_walk(q):
+    """Every basket of index ``q`` in canonical order: one walk of ``q``'s own tree.
+
+    The oracle of :func:`enumerate_baskets`, which walks the union of several
+    indices' trees once.
+    """
+    domain = point_domain(q)
+    unit = enumeration._SIGMA_UNIT
+    sigmas = [scaled_kawamata_sum((p,), unit) for p in domain]
+    full = 24 * unit
+    # depth-first, children pushed last-first so they pop in order; a node
+    # is (first domain index it may add, points, N, budget)
+    stack = [(0, (), 1, full)]
+    while stack:
+        start, points, n_lcm, budget = stack.pop()
+        yield Basket._from_sorted(points, n_lcm, (full - budget) // (unit // n_lcm))
+        for idx in range(bisect.bisect_left(sigmas, budget, start) - 1, start - 1, -1):
+            stack.append((
+                idx, points + (domain[idx],), math.lcm(n_lcm, domain[idx].r),
+                budget - sigmas[idx],
+            ))
+
+
+def _walk(q):
+    """The baskets of index ``q`` alone, in the order the walk yields them."""
+    for index, basket in enumerate_baskets((q,)):
+        assert index == q
+        yield basket
+
+
+#: Shares the one walk is checked on: the ``--jobs 2`` halves, indices with
+#: one tree between them, and (2, 3), whose basket (2, 3) neither admits.
+WALK_SHARES = [
+    INDEX_SET, INDEX_SET[:6], INDEX_SET[6:], (3, 9), (4, 8), (2, 3),
+    *((q,) for q in INDEX_SET),
+]
+
+
+@pytest.mark.parametrize("share", WALK_SHARES, ids=str)
+def test_one_walk_yields_each_index_walk(share):
+    pairs = list(enumerate_baskets(share))
+    for q in share:
+        assert [basket for index, basket in pairs if index == q] == list(_reference_walk(q))
+    assert {index for index, _ in pairs} == set(share)
+    if share == INDEX_SET:
+        # each node is built once and shared by every index that admits it
+        assert len(pairs) == 49587
+        assert len({id(basket) for _, basket in pairs}) == 8314
+
+
 def test_enumerate_baskets_basics():
-    baskets = list(enumerate_baskets(5))
+    baskets = list(_walk(5))
     assert baskets[0] == Basket()
     assert len(set(baskets)) == len(baskets)
     # sigma < 24 throughout
@@ -65,9 +116,9 @@ def test_enumerate_baskets_basics():
 
 
 def test_enumerate_baskets_count_frozen():
-    count3 = sum(1 for _ in enumerate_baskets(3))
+    count3 = sum(1 for _ in _walk(3))
     assert count3 == 2813
-    assert sum(1 for _ in enumerate_baskets(9)) == count3
+    assert sum(1 for _ in _walk(9)) == count3
 
 
 @pytest.mark.parametrize("q", INDEX_SET)
@@ -76,7 +127,7 @@ def test_walk_matches_the_public_constructor(q):
     # slots directly; the public constructor (here fed the points reversed)
     # does both the usual way
     previous = None
-    for basket in enumerate_baskets(q):
+    for basket in _walk(q):
         rebuilt = Basket(basket.points[::-1])
         assert basket == rebuilt
         assert hash(basket) == hash(rebuilt)
@@ -113,7 +164,7 @@ def test_filter_flags_are_the_config_fields_in_snapshot_order():
 
 def test_q19_basket_present():
     target = Basket.from_pairs([(3, 1), (4, 1), (5, 2), (7, 3)])
-    assert target in set(enumerate_baskets(19))
+    assert target in set(_walk(19))
 
 
 def _degrees(q, basket, config):
@@ -191,7 +242,7 @@ def test_capped_degree_range_matches_the_fraction_rule(bm, exception, monkeypatc
     monkeypatch.setattr(enumeration, "DEGREE_CAP_EXCEPTION", CAP_EXCEPTIONS[exception])
     config = CAPPED._replace(bm_inequality=bm)
     at_cap = 0
-    for basket in enumerate_baskets(5):
+    for basket in _walk(5):
         got = degree_candidates(5, basket, config)
         assert got == _reference_degree_range(5, basket, config)
         at_cap += basket.index_lcm % 2 == 0
@@ -206,7 +257,7 @@ def test_uncapped_degree_range_is_the_bm_range():
     # says: n <= 4 (24N - N sigma) / ((4q - 3) q), from a sigma in rationals
     configs = [DEFAULT_CONFIG._replace(bm_inequality=bm) for bm in (True, False)]
     for q in INDEX_SET:
-        for basket in enumerate_baskets(q):
+        for basket in _walk(q):
             n_lcm = math.lcm(*basket.indices)
             n_sigma = n_lcm * _reference_sigma(basket)
             assert n_sigma.denominator == 1
@@ -378,7 +429,7 @@ def test_short_scan_agrees_with_rational_reference():
     # period and up to 3N, so random triples with periods on both sides of
     # 3N, and with N on both sides of 17, must agree
     rng = random.Random(2010)
-    walked = {q: list(enumerate_baskets(q)) for q in (3, 4, 5)}
+    walked = {q: list(_walk(q)) for q in (3, 4, 5)}
     small = {q: [b for b in baskets if b.index_lcm <= 12] for q, baskets in walked.items()}
     large = {q: [b for b in baskets if 17 <= b.index_lcm <= 36] for q, baskets in walked.items()}
     triples = []
@@ -436,7 +487,7 @@ def test_scan_matches_the_per_k_loop(q):
     # that the basket's period table is shared between them
     verdicts = set()
     closed_forms = 0
-    for basket in enumerate_baskets(q):
+    for basket in _walk(q):
         numerators = degree_candidates(q, basket)
         if not numerators:
             continue
@@ -484,7 +535,7 @@ def test_one_period_congruences_match_the_differences():
     cases += [
         (q, b.index_lcm, n, 24 * b.index_lcm - b.sigma_scaled)
         for q in (3, 4, 7)
-        for b in itertools.islice(enumerate_baskets(q), 400)
+        for b in itertools.islice(_walk(q), 400)
         for n in range(1, 5)
     ]
     failing = set()
@@ -529,7 +580,7 @@ def test_one_period_and_the_congruences_decide_integrality(q, monkeypatch):
     monkeypatch.setattr(enumeration, "_scan_stop", lambda n_lcm: n_lcm)
     config = _config(enforce_vanishing=False, nonnegativity=False)
     passed = decided = 0
-    for basket in enumerate_baskets(q):
+    for basket in _walk(q):
         n_lcm = basket.index_lcm
         numerators = degree_candidates(q, basket)[:12]
         got = list(enumeration._passing_numerators(q, basket, numerators, config))
@@ -557,7 +608,7 @@ def test_scan_reads_every_k_below_its_stop(stop, monkeypatch):
     q = 5
     config = _config(enforce_vanishing=False)
     decided_last = 0
-    for basket in itertools.islice(enumerate_baskets(q), 0, None, 3):
+    for basket in itertools.islice(_walk(q), 0, None, 3):
         n_lcm = basket.index_lcm
         modulus = 12 * q * n_lcm
         linear = 24 * n_lcm - basket.sigma_scaled
@@ -593,7 +644,7 @@ def test_lemma_premises_hold_over_the_walk():
     for q in INDEX_SET:
         for p in point_domain(q):
             assert min(local_terms(q, p.r, p.a)) > -p.r**3
-        for basket in enumerate_baskets(q):
+        for basket in _walk(q):
             squares = sum(p.r * p.r for p in basket.points)
             assert squares <= 576 and squares <= 32 * basket.index_lcm
             largest = max(largest, squares)
@@ -604,7 +655,7 @@ def _walked_ids(q, config):
     # every degree degree_candidates allows, each through the public sieve
     return sorted(
         candidate_id(q, basket, a3)
-        for basket in enumerate_baskets(q)
+        for basket in _walk(q)
         for a3 in _degrees(q, basket, config)
         if _passes_integrality(
             FanoInput(q=q, basket=basket, a3=a3),
@@ -637,7 +688,7 @@ def test_every_row_follows_from_the_definition(name, full_db):
     for q in INDEX_SET:
         expected[q] = sorted(
             candidate_id(q, basket, Rational(n, basket.index_lcm))
-            for basket in enumerate_baskets(q)
+            for basket in _walk(q)
             for n in _reference_degree_range(q, basket, config)
             if _reference_scan(q, basket, n, nonnegativity=config.nonnegativity)
         )
@@ -656,7 +707,7 @@ def test_residue_class_matches_brute_force(q, full_db):
     # baskets make sure some basket has a solution
     shares = {k: enumeration._point_terms(q, k) for k in (-1, 1)}
     seen = set()
-    walk = list(enumerate_baskets(q))
+    walk = list(_walk(q))
     sample = random.Random(q).sample(walk[150:], min(150, len(walk) - 150))
     for basket in walk[:150] + sample + [c.basket for c in full_db if c.q == q]:
         n_lcm = basket.index_lcm
@@ -857,25 +908,26 @@ def test_shares_cover_every_index_once(monkeypatch):
         key=sort_key,
     )
     calls, scanned = [], []
-    real = enumeration._scan_baskets
+    real = enumeration._scan_share
 
-    def counting(q, config):
-        scanned.append(q)
-        return real(q, config)
+    def counting(share, config):
+        scanned.append(tuple(share))
+        return real(share, config)
 
-    monkeypatch.setattr(enumeration, "_scan_baskets", counting)
+    monkeypatch.setattr(enumeration, "_scan_share", counting)
     monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     _set_cpus(monkeypatch, 2)
     assert enumerate_candidates(qs, jobs=2) == serial
-    # three indices keep two workers busy: one whole walk per index, in the
-    # given order, and this process scans the first share
+    # three indices keep two workers busy: one walk per share, in the given
+    # order, and this process scans the first share
     assert calls == [([(10,), (6, 8)], [0, 1])]
-    assert scanned == [10, 6, 8]
+    assert scanned == [(10,), (6, 8)]
+    assert sorted(q for share in scanned for q in share) == sorted(qs)
     # fewer indices than workers: one share per index all the same
     _set_cpus(monkeypatch, 8)
     assert enumerate_candidates((6, 8), jobs=5) == enumerate_candidates((6, 8))
     assert calls[1] == ([(6,), (8,)], [0, 1])
-    assert scanned == [10, 6, 8, 6, 8, 6, 8]
+    assert scanned == [(10,), (6, 8), (6,), (8,), (6, 8)]
 
 
 needs_two_cpus = pytest.mark.skipif(
@@ -932,13 +984,14 @@ def test_forked_scan_pins_each_share(monkeypatch):
     cpus = sorted(os.sched_getaffinity(0))
     masks = {}
 
-    def mask_scan(q, config):
-        masks[q] = sorted(os.sched_getaffinity(0))
-        if q == 10:
+    def mask_scan(share, config):
+        for q in share:
+            masks[q] = sorted(os.sched_getaffinity(0))
+        if 10 in share:
             raise ValueError(masks)  # the child's record comes back in the exception
         return []
 
-    monkeypatch.setattr(enumeration, "_scan_baskets", mask_scan)
+    monkeypatch.setattr(enumeration, "_scan_share", mask_scan)
     with pytest.raises(ValueError) as raised:
         enumerate_candidates((6, 8, 9, 10), jobs=2)
     # (6, 8) was scanned here on the mask's first CPU, (9, 10) in the child
@@ -954,14 +1007,14 @@ def test_forked_scan_pins_each_share(monkeypatch):
 def test_forked_scan_failure_reaches_the_caller(failing, monkeypatch):
     # (6, 8) is scanned here and (9, 10) in the child; a failure in either
     # share reaches the caller, with its mask restored and no child left
-    real = enumeration._scan_baskets
+    real = enumeration._scan_share
 
-    def failing_scan(q, config):
-        if q == failing:
-            raise ValueError(f"no scan of q={q}")
-        return real(q, config)
+    def failing_scan(share, config):
+        if failing in share:
+            raise ValueError(f"no scan of q={failing}")
+        return real(share, config)
 
-    monkeypatch.setattr(enumeration, "_scan_baskets", failing_scan)
+    monkeypatch.setattr(enumeration, "_scan_share", failing_scan)
     mask = os.sched_getaffinity(0)
     with pytest.raises(ValueError, match=f"no scan of q={failing}") as raised:
         enumerate_candidates((6, 8, 9, 10), jobs=2)
@@ -974,15 +1027,15 @@ def test_forked_scan_failure_reaches_the_caller(failing, monkeypatch):
 @needs_two_cpus
 @pytest.mark.usefixtures("lone_thread")
 def test_forked_scan_reports_a_child_that_sent_nothing(monkeypatch):
-    real = enumeration._scan_baskets
+    real = enumeration._scan_share
     caller = os.getpid()
 
-    def dying_scan(q, config):
-        if q == 10 and os.getpid() != caller:
+    def dying_scan(share, config):
+        if 10 in share and os.getpid() != caller:
             os._exit(3)
-        return real(q, config)
+        return real(share, config)
 
-    monkeypatch.setattr(enumeration, "_scan_baskets", dying_scan)
+    monkeypatch.setattr(enumeration, "_scan_share", dying_scan)
     with pytest.raises(RuntimeError, match=r"q in \(9, 10\) exited with code 3"):
         enumerate_candidates((6, 8, 9, 10), jobs=2)
     _assert_no_child_left()
@@ -1079,7 +1132,7 @@ def test_each_flag_feeds_one_half_of_the_battery():
     configs = [*FILTER_SETS.values(), DEFAULT_CONFIG._replace(enforce_vanishing=False)]
     for config in configs:
         flipped = {f: config._replace(**{f: not getattr(config, f)}) for f in FILTER_FLAGS}
-        for basket in enumerate_baskets(5):
+        for basket in _walk(5):
             numerators = degree_candidates(5, basket, config)
             for flag in SIEVE_FLAGS:
                 assert degree_candidates(5, basket, flipped[flag]) == numerators
