@@ -111,15 +111,25 @@ def _writing(path: str):
         raise OutputError(path) from exc
 
 
-def _refuse_unwritable(*paths: str | None) -> None:
+def _refuse_unwritable(out: str | None, db: str | None, writes_db: bool = False) -> None:
     """Refuse, before any work is done, an output path that is empty or whose
-    directory is missing or not a directory.  The file itself is not opened,
-    since opening it would truncate it."""
-    for path in paths:
+    directory is missing or not a directory, and an ``out`` that names the
+    database file ``db``, which writing ``out`` would replace.  ``db`` is an
+    output path too when ``writes_db``.  No file is opened, since opening it
+    would truncate it."""
+    for path in (db, out) if writes_db else (out,):
         if path == "":
             raise OutputError("'' (an empty path names no file)")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise OutputError(path)
+    if out is None or not db:  # an empty db is a missing input, not a file
+        return
+    try:  # a hard link too, or a mount that shows one file under two paths
+        same = os.path.samefile(out, db)
+    except OSError:  # one of the two does not exist yet
+        same = os.path.realpath(out) == os.path.realpath(db)
+    if same:
+        raise OutputError(f"{out} (--out names the --db file)")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,7 +158,7 @@ def _build_database(filter_set: str, qs: Sequence[int], jobs: int) -> Database:
 
 
 def cmd_enumerate(args) -> int:
-    _refuse_unwritable(args.db, args.out)
+    _refuse_unwritable(args.out, args.db, writes_db=True)
     qs = INDEX_SET if args.all else (args.q,)
     db = _build_database(args.filter_set, qs, args.jobs)
     if args.db is not None:
@@ -164,7 +174,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _refuse_unwritable(args.out)
+    _refuse_unwritable(args.out, args.db)
     db = load_database(args.db)
     db.require_indices((SURVEYS[args.case].q,), f"table --case {args.case}")
     _emit(render_survey_table(args.case, db.candidates), args.out)
@@ -272,7 +282,7 @@ def cmd_facts(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _refuse_unwritable(args.out)
+    _refuse_unwritable(args.out, args.db)
     db = load_database(args.db)
     _emit(_render_db(db, args.format), args.out)
     return EXIT_OK

@@ -517,12 +517,12 @@ def _scan_shares(
 ) -> list[list[Candidate]]:
     """The candidates of each share: the first scanned here, each other in a forked child.
 
-    Share ``i`` runs pinned to CPU ``cpus[i]``: this process pins itself to
-    ``cpus[0]`` for its own share and then restores its mask.  It then reads
-    every child's pipe, reaps every child and re-raises the first exception a
-    child sent, from a ``RuntimeError`` that holds the child's traceback.  On
-    any error of its own it kills and reaps its children first, so none is
-    left running.
+    The child of share ``i`` (``i >= 1``) pins itself to CPU ``cpus[i - 1]``;
+    this process scans share 0 under its mask as it is.  It then reads every
+    child's pipe, reaps every child and re-raises the first exception a child
+    sent, from a ``RuntimeError`` that holds the child's traceback.  On any
+    error of its own it kills and reaps its children first, so none is left
+    running.
     """
     # imported here, not at the top: only a forked scan uses them, and every
     # command would pay for them at start-up
@@ -531,14 +531,9 @@ def _scan_shares(
 
     children: list[tuple[int, int]] = []  # (pid, read end) of each unreaped child
     try:
-        for cpu, share in zip(cpus[1:], shares[1:]):
+        for cpu, share in zip(cpus, shares[1:]):
             children.append(_fork_scan(share, config, cpu))
-        own = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, cpus[:1])
-        try:
-            per_share = [_scan_share(shares[0], config)]
-        finally:
-            os.sched_setaffinity(0, own)
+        per_share = [_scan_share(shares[0], config)]
         replies = []  # (payload, wait status) per child
         while children:
             pid, read = children[0]
@@ -581,10 +576,11 @@ def enumerate_candidates(
     ``jobs > 1`` splits the indices into contiguous shares of near-equal
     length, one per worker, with no more workers than ``jobs``, than
     indices, or than CPUs in this process's affinity mask.  This process
-    scans the first share and one forked child scans each other share
-    (:func:`_scan_shares`), every one pinned to its own CPU of the mask.
-    Unpinned, two processes often share one CPU while the other idles, and
-    the split does not pay.  So where the OS has no ``sched_setaffinity``,
+    scans the first share under its mask as it is, and one forked child scans
+    each other share (:func:`_scan_shares`), pinned to its own CPU of the
+    mask, the first one excepted.  A forked child starts on its parent's CPU,
+    and unpinned the two often stay there while the other CPU idles, so the
+    split does not pay.  So where the OS has no ``sched_setaffinity``,
     and for one CPU or one index, the scan runs here alone.  (An index is
     not split: every part would walk the index's whole basket tree again.)
     A caller with a live thread also scans here alone: a fork beside it
@@ -599,7 +595,7 @@ def enumerate_candidates(
         shares = [
             indices[i * size // workers:(i + 1) * size // workers] for i in range(workers)
         ]
-        per_share = _scan_shares(shares, config, cpus[:workers])
+        per_share = _scan_shares(shares, config, cpus[1:workers])
     else:
         per_share = [_scan_share(indices, config)]
     return sorted((c for part in per_share for c in part), key=_canonical_order)

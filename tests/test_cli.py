@@ -101,6 +101,43 @@ def test_unwritable_output_is_refused_before_enumerating(
     assert builds == []
 
 
+@pytest.mark.parametrize("spelling", ["same", "relative", "symlink", "hard link", "not yet"])
+@pytest.mark.parametrize("command", [
+    ["export"],
+    ["export", "--format", "json"],
+    ["table", "--case", "q5"],
+    ["enumerate", "--q", "8", "--format", "csv"],
+])
+def test_out_naming_the_db_file_is_refused(
+    command, spelling, db_path, tmp_path, monkeypatch, capsys
+):
+    # writing --out would replace the database with its own rendering, so the
+    # command is refused before the database is read or built
+    db = tmp_path / "db.json"
+    if spelling != "not yet":
+        db.write_bytes(db_path.read_bytes())
+    out = tmp_path / "other.json"
+    if spelling == "symlink":
+        out.symlink_to(db)
+    elif spelling == "hard link":
+        os.link(db, out)
+    else:
+        out = "./db.json" if spelling == "relative" else db
+    monkeypatch.chdir(tmp_path)
+    work = []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: work.append(args))
+    monkeypatch.setattr(cli, "load_database", lambda *args: work.append(args))
+    assert main([*command, "--db", str(db), "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"qfano: cannot write output: {out} (--out names the --db file)\n"
+    assert captured.out == ""
+    assert work == []
+    if spelling == "not yet":
+        assert not db.exists()
+    else:
+        assert db.read_bytes() == db_path.read_bytes()
+
+
 def test_export_to_unwritable_path_is_usage_error(db_path, tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     assert main(["export", "--db", str(db_path), "--out", str(target)]) == EXIT_USAGE
@@ -175,7 +212,7 @@ def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
     assert main(["enumerate", "--all", "--jobs", "2", "--db", str(db)]) == EXIT_OK
     assert "472 candidates" in capsys.readouterr().out
     # this process scans q = 3..8, one child the rest; every index once
-    assert calls == [([INDEX_SET[:6], INDEX_SET[6:]], [0, 1])]
+    assert calls == [([INDEX_SET[:6], INDEX_SET[6:]], [1])]
     assert scanned == [INDEX_SET[:6], INDEX_SET[6:]]
     assert sorted(q for share in scanned for q in share) == sorted(INDEX_SET)
 

@@ -834,7 +834,8 @@ def test_enumerate_candidates_jobs_equivalence():
 
 
 def _recording_forks(calls):
-    """A ``_scan_shares`` stand-in that records its shares and CPUs and scans them here."""
+    """A ``_scan_shares`` stand-in that records its shares and its children's CPUs
+    and scans every share here."""
 
     def record(shares, config, cpus):
         calls.append((list(shares), list(cpus)))
@@ -863,8 +864,9 @@ def test_worker_count_is_clamped(monkeypatch):
     assert enumerate_candidates(qs, jobs=2) == serial
     assert enumerate_candidates(qs, jobs=8) == serial
     assert _workers(calls) == [2, 3]
-    # contiguous shares of near-equal length, one CPU of the mask each
-    assert calls[1] == ([(8,), (9,), (10, 11)], [0, 1, 2])
+    # contiguous shares of near-equal length; each child gets one CPU of the
+    # mask, the first one excepted, and this process keeps its mask
+    assert calls[1] == ([(8,), (9,), (10, 11)], [1, 2])
     _set_cpus(monkeypatch, 1)
     assert enumerate_candidates(qs, jobs=8) == serial
     assert _workers(calls) == [2, 3]  # one CPU: no fork at all
@@ -890,10 +892,10 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     _set_cpus(monkeypatch, 2)
     assert enumerate_candidates(qs, jobs=8) == serial
     assert _workers(calls) == [2]
-    # the workers are pinned to the CPUs the mask holds, lowest first
+    # the child is pinned to a CPU the mask holds, past the lowest
     monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {7, 3})
     assert enumerate_candidates(qs, jobs=8) == serial
-    assert calls[-1] == ([(8, 9), (10, 11)], [3, 7])
+    assert calls[-1] == ([(8, 9), (10, 11)], [7])
     # without an affinity call there is nothing to pin into: the scan is serial
     monkeypatch.delattr(enumeration.os, "sched_setaffinity", raising=False)
     assert enumerate_candidates(qs, jobs=8) == serial
@@ -920,19 +922,19 @@ def test_shares_cover_every_index_once(monkeypatch):
     assert enumerate_candidates(qs, jobs=2) == serial
     # three indices keep two workers busy: one walk per share, in the given
     # order, and this process scans the first share
-    assert calls == [([(10,), (6, 8)], [0, 1])]
+    assert calls == [([(10,), (6, 8)], [1])]
     assert scanned == [(10,), (6, 8)]
     assert sorted(q for share in scanned for q in share) == sorted(qs)
     # fewer indices than workers: one share per index all the same
     _set_cpus(monkeypatch, 8)
     assert enumerate_candidates((6, 8), jobs=5) == enumerate_candidates((6, 8))
-    assert calls[1] == ([(6,), (8,)], [0, 1])
+    assert calls[1] == ([(6,), (8,)], [1])
     assert scanned == [(10,), (6, 8), (6,), (8,), (6, 8)]
 
 
 needs_two_cpus = pytest.mark.skipif(
     len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-    reason="the forked scan pins each share to its own CPU",
+    reason="the forked scan pins its child to a second CPU",
 )
 
 
@@ -981,7 +983,8 @@ def test_forked_scan_restores_the_mask():
 @needs_two_cpus
 @pytest.mark.usefixtures("lone_thread")
 def test_forked_scan_pins_each_share(monkeypatch):
-    cpus = sorted(os.sched_getaffinity(0))
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
     masks = {}
 
     def mask_scan(share, config):
@@ -994,10 +997,11 @@ def test_forked_scan_pins_each_share(monkeypatch):
     monkeypatch.setattr(enumeration, "_scan_share", mask_scan)
     with pytest.raises(ValueError) as raised:
         enumerate_candidates((6, 8, 9, 10), jobs=2)
-    # (6, 8) was scanned here on the mask's first CPU, (9, 10) in the child
-    # on its second
-    assert masks == {6: cpus[:1], 8: cpus[:1]}
+    # (6, 8) was scanned here under the mask as it was before the call, and
+    # (9, 10) in the child pinned to the mask's second CPU
+    assert masks == {6: cpus, 8: cpus}
     assert raised.value.args[0] == {9: cpus[1:2], 10: cpus[1:2]}
+    assert os.sched_getaffinity(0) == mask
     _assert_no_child_left()
 
 
@@ -1006,7 +1010,7 @@ def test_forked_scan_pins_each_share(monkeypatch):
 @pytest.mark.parametrize("failing", [10, 6], ids=["in-child", "in-caller"])
 def test_forked_scan_failure_reaches_the_caller(failing, monkeypatch):
     # (6, 8) is scanned here and (9, 10) in the child; a failure in either
-    # share reaches the caller, with its mask restored and no child left
+    # share reaches the caller, with its mask unchanged and no child left
     real = enumeration._scan_share
 
     def failing_scan(share, config):

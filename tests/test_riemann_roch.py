@@ -22,7 +22,13 @@ from qfano.riemann_roch import (
     local_index,
     local_terms,
 )
-from qfano.enumeration import INDEX_SET, point_domain
+from qfano.enumeration import (
+    DEFAULT_CONFIG,
+    FILTER_SETS,
+    INDEX_SET,
+    enumerate_candidates,
+    point_domain,
+)
 
 
 def test_singular_point_canonicalization():
@@ -256,6 +262,16 @@ def test_local_terms_cache_holds_a_domain_and_a_load(full_db):
     assert domain + len(load) <= local_terms.cache_info().maxsize
     with pytest.raises(IndexNotCoprimeError):
         local_terms(5, 10, 3)
+
+
+@pytest.mark.parametrize("config", [
+    DEFAULT_CONFIG, FILTER_SETS["capped"], DEFAULT_CONFIG._replace(enforce_vanishing=False)
+], ids=["default", "capped", "vanishing-off"])
+def test_a_scan_of_every_index_builds_each_table_once(config):
+    local_terms.cache_clear()
+    enumerate_candidates(INDEX_SET, config)
+    info = local_terms.cache_info()
+    assert info.misses == info.currsize == sum(len(point_domain(q)) for q in INDEX_SET)
 
 
 def test_chi_at_a_point_of_large_prime_index():
