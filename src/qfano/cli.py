@@ -1,5 +1,9 @@
 """The ``qfano`` command line tool.
 
+``enumerate`` writes the stored database and nothing else; every other
+command but ``diff`` reads one, and ``export`` is the one command that
+renders it whole.
+
 Exit codes: 0 success, 2 usage error (including an output path that cannot
 be written, and a standard output that is closed or cannot be written), 3
 missing or unreadable input, 4 internal consistency failure (a check the
@@ -111,18 +115,18 @@ def _writing(path: str):
         raise OutputError(path) from exc
 
 
-def _refuse_unwritable(out: str | None, db: str | None, writes_db: bool = False) -> None:
-    """Refuse, before any work is done, an output path that is empty or whose
-    directory is missing or not a directory, and an ``out`` that names the
-    database file ``db``, which writing ``out`` would replace.  ``db`` is an
-    output path too when ``writes_db``.  No file is opened, since opening it
-    would truncate it."""
-    for path in (db, out) if writes_db else (out,):
-        if path == "":
-            raise OutputError("'' (an empty path names no file)")
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise OutputError(path)
-    if out is None or not db:  # an empty db is a missing input, not a file
+def _refuse_unwritable(out: str | None, db: str | None = None) -> None:
+    """Refuse, before any work is done, an output path ``out`` that is empty,
+    is a directory, or whose directory is missing or not a directory, and one
+    that names the database file ``db``, which writing ``out`` would replace.
+    No file is opened, since opening it would truncate it."""
+    if out is None:
+        return
+    if out == "":
+        raise OutputError("'' (an empty path names no file)")
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise OutputError(out)
+    if not db:  # an empty db is a missing input, not a file
         return
     try:  # a hard link too, or a mount that shows one file under two paths
         same = os.path.samefile(out, db)
@@ -140,14 +144,6 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _render_db(db: Database, fmt: str) -> str:
-    if fmt == "json":
-        return dumps_database(db).rstrip("\n")
-    if fmt == "csv":
-        return render_candidate_csv(db.candidates)
-    return render_candidate_table(db.candidates)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -158,18 +154,12 @@ def _build_database(filter_set: str, qs: Sequence[int], jobs: int) -> Database:
 
 
 def cmd_enumerate(args) -> int:
-    _refuse_unwritable(args.out, args.db, writes_db=True)
+    _refuse_unwritable(args.db)
     qs = INDEX_SET if args.all else (args.q,)
     db = _build_database(args.filter_set, qs, args.jobs)
-    if args.db is not None:
-        with _writing(args.db):
-            save_database(db, args.db)
-        print(f"{render_counts(db)} -> {args.db}")
-        if args.format is None and args.out is None:
-            return EXIT_OK
-    else:
-        print(render_counts(db))
-    _emit(_render_db(db, args.format or "table"), args.out)
+    with _writing(args.db):
+        save_database(db, args.db)
+    print(f"{render_counts(db)} -> {args.db}")
     return EXIT_OK
 
 
@@ -284,7 +274,13 @@ def cmd_facts(args) -> int:
 def cmd_export(args) -> int:
     _refuse_unwritable(args.out, args.db)
     db = load_database(args.db)
-    _emit(_render_db(db, args.format), args.out)
+    if args.format == "json":
+        text = dumps_database(db).rstrip("\n")
+    elif args.format == "csv":
+        text = render_candidate_csv(db.candidates)
+    else:
+        text = render_candidate_table(db.candidates)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -324,16 +320,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="run the candidate enumeration")
+    p = sub.add_parser("enumerate", help="run the candidate enumeration into a database")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true", help="every admissible index")
     which.add_argument("--q", type=int, choices=INDEX_SET, metavar="Q",
                        help=f"one index from {INDEX_SET}")
     p.add_argument("--filter-set", choices=sorted(FILTER_SETS), default="default")
     p.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
-    p.add_argument("--db", metavar="PATH", help="write the database here")
-    p.add_argument("--format", choices=("table", "json", "csv"), default=None)
-    p.add_argument("--out", metavar="PATH", help="write formatted output here")
+    p.add_argument("--db", metavar="PATH", required=True, help="write the database here")
     p.set_defaults(func=cmd_enumerate)
 
     # every read takes the one stored database that enumerate --db writes
@@ -366,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("facts", parents=[read], help="check the classification-shaped facts")
     p.set_defaults(func=cmd_facts)
 
-    p = sub.add_parser("export", parents=[read], help="re-render a stored database")
+    p = sub.add_parser("export", parents=[read],
+                       help="render a stored database as a table, CSV or JSON")
     p.add_argument("--format", choices=("table", "json", "csv"), default="csv")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_export)

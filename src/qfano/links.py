@@ -45,6 +45,7 @@ refused rather than ignored.  So is an ``index_set`` entry outside
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -96,6 +97,14 @@ MAX_NESTING = 100
 #: sum give 19,448 monomials), so a product past this is refused before it
 #: is formed.  The shipped cases form at most a few pairs per product.
 MAX_PRODUCT_PAIRS = 10_000
+
+#: Most values one solve may try, over all its branches: each value a
+#: dimension floor's scan or the assignment of an unknown sets counts once.
+#: An unknown's bounds are any integers the case file gives, and an unknown
+#: no relation names makes every value in its range a solution, so without
+#: the cap the work and the solution list would grow with the bounds.  The
+#: shipped cases try 783, 0 and 314 values.
+MAX_SEARCH_NODES = 10_000
 
 
 class _Parser:
@@ -488,7 +497,7 @@ def _genus_floor(case: LinkCase, source: Candidate, alpha: Rational, base: int) 
 
 def _branch(
     case: LinkCase, source: Candidate, lookup: Callable[[int, int, int], int | None],
-    compiled: Sequence[tuple[_Terms, int]], qhat: int, alpha: Rational,
+    compiled: Sequence[tuple[_Terms, int]], qhat: int, alpha: Rational, nodes: Iterator[int],
 ) -> Iterator[tuple[int, ...]]:
     """The unknowns' values of every solution of the branch ``(qhat, alpha)``.
 
@@ -497,6 +506,9 @@ def _branch(
     constraints on each assignment the search proposes.  The search checks
     the root box once, then each value as it is set: a low corner past its
     target ends the variable's loop, a high corner short of it skips the value.
+    ``nodes`` counts the values tried, and is shared by every branch of one
+    solve: past :data:`MAX_SEARCH_NODES` the case is refused with a
+    :class:`LinkCaseError`.
     """
     if case.genus_transfer and alpha < 1 and lookup(qhat, 0, source.genus) is None:
         return  # no target at qhat supports the transferred genus
@@ -511,14 +523,24 @@ def _branch(
         got = lookup(qhat, s, gmin)
         return got is not None and got >= need
 
+    def tried() -> None:
+        if next(nodes) > MAX_SEARCH_NODES:
+            raise LinkCaseError(
+                f"case {case.name!r} tries more than {MAX_SEARCH_NODES} values "
+                f"(at qhat={qhat}, alpha={format_rational(alpha)}); narrow the unknowns' bounds"
+            )
+
     # per-variable bounds, tightened by the dimension floors
     lo = [u.lo for u in case.unknowns]
     hi = [u.hi for u in case.unknowns]
     for idx, need, gmin in floors:
-        smin = next((s for s in range(lo[idx], hi[idx] + 1) if meets(s, need, gmin)), None)
-        if smin is None:
+        for s in range(lo[idx], hi[idx] + 1):
+            tried()
+            if meets(s, need, gmin):
+                lo[idx] = s
+                break
+        else:
             return  # no value of the variable reaches the dimension needed
-        lo[idx] = smin
 
     relations = [(terms, qhat * scale) for terms, scale in compiled]
     lo_vals = list(lo)
@@ -530,6 +552,7 @@ def _branch(
             yield tuple(lo_vals)
             return
         for value in range(lo[idx], hi[idx] + 1):
+            tried()
             lo_vals[idx] = hi_vals[idx] = value
             if any(_evaluate(terms, lo_vals) > target for terms, target in relations):
                 break
@@ -562,12 +585,13 @@ def solve(
     names = [u.name for u in case.unknowns]
     position = {name: i for i, name in enumerate(names)}
     solutions: list[LinkSolution] = []
+    nodes = itertools.count(1)
     for alpha in case.alpha_options:
         compiled = [_compile(rel.rhs, alpha, position) for rel in case.relations]
         for qhat in case.target_index_set:
             solutions.extend(
                 LinkSolution(qhat=qhat, assignment=tuple(zip(names, found)), alpha=alpha)
-                for found in _branch(case, source, lookup, compiled, qhat, alpha)
+                for found in _branch(case, source, lookup, compiled, qhat, alpha, nodes)
             )
     solutions.sort(key=LinkSolution.sort_key)
     return solutions

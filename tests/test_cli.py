@@ -2,6 +2,7 @@ import argparse
 import errno
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -74,31 +75,48 @@ def test_unreadable_input_is_bad_input(argv, db_path, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+#: A command that writes the output path ``{out}``, by the option that names it.
+WRITES = {
+    "--db": ["enumerate", "--q", "6", "--db", "{out}"],
+    "--out": ["export", "--db", "{db}", "--out", "{out}"],
+}
+
+
 @pytest.mark.parametrize("option", ["--out", "--db"])
-def test_unwritable_output_is_usage_error(option, tmp_path, capsys):
+def test_unwritable_output_is_usage_error(option, db_path, tmp_path, capsys):
     target = tmp_path / "missing" / "dir" / "x.csv"
-    assert main(["enumerate", "--q", "8", option, str(target)]) == EXIT_USAGE
+    argv = [arg.format(db=db_path, out=target) for arg in WRITES[option]]
+    assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"cannot write output: {target}" in err
     assert "not found" not in err
     assert not target.parent.exists()
 
 
+def _recording_work(monkeypatch):
+    """Replace the build and the load of a database with recorders of their calls."""
+    work = []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: work.append(args))
+    monkeypatch.setattr(cli, "load_database", lambda *args: work.append(args))
+    return work
+
+
 @pytest.mark.parametrize("parent", ["missing", "file"])
 @pytest.mark.parametrize("option", ["--out", "--db"])
 def test_unwritable_output_is_refused_before_enumerating(
-    option, parent, tmp_path, monkeypatch, capsys
+    option, parent, db_path, tmp_path, monkeypatch, capsys
 ):
-    # a directory that is missing, or a file where the directory belongs
+    # a directory that is missing, or a file where the directory belongs:
+    # refused before the database is built or read
     (tmp_path / "file").write_text("", encoding="utf-8")
     target = tmp_path / parent / "x.csv"
-    builds = []
-    monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
-    assert main(["enumerate", "--q", "6", option, str(target)]) == EXIT_USAGE
+    work = _recording_work(monkeypatch)
+    argv = [arg.format(db=db_path, out=target) for arg in WRITES[option]]
+    assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"qfano: cannot write output: {target}\n"
     assert captured.out == ""
-    assert builds == []
+    assert work == []
 
 
 @pytest.mark.parametrize("spelling", ["same", "relative", "symlink", "hard link", "not yet"])
@@ -106,13 +124,13 @@ def test_unwritable_output_is_refused_before_enumerating(
     ["export"],
     ["export", "--format", "json"],
     ["table", "--case", "q5"],
-    ["enumerate", "--q", "8", "--format", "csv"],
+    ["export", "--format", "table"],
 ])
 def test_out_naming_the_db_file_is_refused(
     command, spelling, db_path, tmp_path, monkeypatch, capsys
 ):
     # writing --out would replace the database with its own rendering, so the
-    # command is refused before the database is read or built
+    # command is refused before the database is read
     db = tmp_path / "db.json"
     if spelling != "not yet":
         db.write_bytes(db_path.read_bytes())
@@ -124,9 +142,7 @@ def test_out_naming_the_db_file_is_refused(
     else:
         out = "./db.json" if spelling == "relative" else db
     monkeypatch.chdir(tmp_path)
-    work = []
-    monkeypatch.setattr(cli, "_build_database", lambda *args: work.append(args))
-    monkeypatch.setattr(cli, "load_database", lambda *args: work.append(args))
+    work = _recording_work(monkeypatch)
     assert main([*command, "--db", str(db), "--out", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"qfano: cannot write output: {out} (--out names the --db file)\n"
@@ -144,13 +160,16 @@ def test_export_to_unwritable_path_is_usage_error(db_path, tmp_path, capsys):
     assert "cannot write output" in capsys.readouterr().err
 
 
-def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
-    # a directory passes the check made before enumerating, and opening it
-    # for writing fails after: that too is an unwritable output
-    assert main(["enumerate", "--q", "6", "--out", str(tmp_path)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err == f"qfano: cannot write output: {tmp_path}\n"
-    assert captured.out == "11 candidates (q=6: 11)\n"
+def test_output_path_that_is_a_directory_is_usage_error(db_path, tmp_path, monkeypatch, capsys):
+    # a directory cannot be written as a file: refused before the database is
+    # built or read, with nothing on stdout
+    work = _recording_work(monkeypatch)
+    for argv in (["enumerate", "--all", "--db", "{dir}"],
+                 ["table", "--case", "q5", "--db", "{db}", "--out", "{dir}"],
+                 ["export", "--db", "{db}", "--out", "{dir}"]):
+        assert main([arg.format(db=db_path, dir=tmp_path) for arg in argv]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"qfano: cannot write output: {tmp_path}\n")
+    assert work == []
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -162,7 +181,8 @@ def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
      "input not found: ''"),
     (["export", "--db", ""], EXIT_MISSING_INPUT, "input not found: ''"),
     (["enumerate", "--q", "19", "--db", ""], EXIT_USAGE, "cannot write output: ''"),
-    (["enumerate", "--q", "19", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
+    (["table", "--case", "q3", "--db", "", "--out", ""], EXIT_USAGE,
+     "cannot write output: ''"),
     (["table", "--case", "q3", "--db", "{db}", "--out", ""], EXIT_USAGE,
      "cannot write output: ''"),
     (["export", "--db", "{db}", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
@@ -180,9 +200,12 @@ def test_empty_path_is_a_path(argv, code, message, db_path, monkeypatch, capsys)
     assert builds == []
 
 
-def test_enumerate_single_index_table(capsys):
-    assert main(["enumerate", "--q", "6", "--format", "table"]) == EXIT_OK
-    out = capsys.readouterr().out
+def test_enumerate_single_index_table(tmp_path, capsys):
+    # one index is inspected by storing it and rendering the stored file
+    db_file = tmp_path / "q6.json"
+    assert main(["enumerate", "--q", "6", "--db", str(db_file)]) == EXIT_OK
+    assert main(["export", "--db", str(db_file), "--format", "table"]) == EXIT_OK
+    out = capsys.readouterr().out.split("\n", 1)[1]
     assert "q6-7.3-a2.7" in out
     assert "[7:3]" in out
 
@@ -190,11 +213,50 @@ def test_enumerate_single_index_table(capsys):
 def test_enumerate_writes_database_with_summary(tmp_path, capsys):
     db_file = tmp_path / "q6.json"
     assert main(["enumerate", "--q", "6", "--db", str(db_file)]) == EXIT_OK
-    out = capsys.readouterr().out
     assert db_file.exists()
-    # no --format requested: a summary line only, not a rendered table
-    assert "11 candidates" in out
-    assert "[7:3]" not in out
+    # the summary line is all enumerate prints
+    assert capsys.readouterr().out == f"11 candidates (q=6: 11) -> {db_file}\n"
+
+
+@pytest.mark.parametrize("options", [[], ["--format", "csv"], ["--out", "{out}"]])
+def test_enumerate_writes_only_the_database(options, tmp_path, monkeypatch, capsys):
+    # without --db, or with a rendering option, enumerate is a usage error
+    # before anything is built; rendering is export's
+    builds = []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
+    db = [] if not options else ["--db", str(tmp_path / "db.json")]
+    argv = ["enumerate", "--q", "6", *db, *options]
+    assert main([arg.format(out=tmp_path / "out") for arg in argv]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err
+    assert builds == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def one_index_paths(tmp_path_factory):
+    """A one-index database per index, each written by ``enumerate --q Q --db``."""
+    base = tmp_path_factory.mktemp("one_index")
+    paths = {}
+    for q in INDEX_SET:
+        paths[q] = base / f"q{q}.json"
+        assert main(["enumerate", "--q", str(q), "--db", str(paths[q])]) == EXIT_OK
+    return paths
+
+
+def test_export_json_gives_back_the_stored_file(db_path, one_index_paths, capsys):
+    capsys.readouterr()
+    for path in (db_path, *one_index_paths.values()):
+        assert main(["export", "--db", str(path), "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+
+
+@pytest.mark.parametrize("q", INDEX_SET)
+def test_one_index_export_is_that_index_of_the_full_table(
+    q, one_index_paths, full_db, capsys
+):
+    assert main(["export", "--db", str(one_index_paths[q]), "--format", "table"]) == EXIT_OK
+    rows = [c for c in full_db if c.q == q]
+    assert capsys.readouterr().out == cli.render_candidate_table(rows) + "\n"
 
 
 def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
@@ -520,6 +582,20 @@ def test_link_solve_resolves_the_source_once(db_path, monkeypatch, capsys):
     assert [c.id for c in sources] == ["q9-2.1_4.1_5.2-a1.20"]
 
 
+def test_link_solve_past_the_search_budget_is_bad_input(db_path, tmp_path, capsys):
+    # every value of an unknown no relation names is a solution: the solve
+    # stops at its budget with one line on stderr, and prints no solution
+    doc = _case_doc()
+    doc["unknowns"].append({"name": "z", "min": 0, "max": 10**9})
+    case_file = tmp_path / "unbounded.case"
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_MISSING_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qfano: bad input: case ") and err.count("\n") == 1
+    assert f"tries more than {links.MAX_SEARCH_NODES} values" in err
+
+
 def test_link_solve_missing_case_file(db_path, tmp_path, monkeypatch, capsys):
     # a path with a directory part names that file; only a bare name falls
     # back to the shipped case of that name
@@ -608,7 +684,7 @@ def test_read_without_a_database_is_a_usage_error(command, monkeypatch, capsys):
 #: positional by its name, a mutually exclusive group as "A | B").
 PARSER_INVENTORY = {
     "enumerate": {"--all | --q": True, "--all": False, "--q": False, "--filter-set": False,
-                  "--jobs": False, "--db": False, "--format": False, "--out": False},
+                  "--jobs": False, "--db": True},
     "table": {"--db": True, "--case": True, "--out": False},
     "wps check": {"--db": True, "--weights": True, "--degree": False},
     "link solve": {"--db": True, "case": True},
@@ -635,8 +711,30 @@ def _inventory(parser, path=()):
 
 def test_parser_inventory():
     # a new option, or one that becomes required or optional, is a test edit;
-    # --jobs is enumerate's alone, and every read requires --db
+    # --jobs is enumerate's alone, every command but diff requires --db, and
+    # only table and export render to --out
     assert _inventory(cli._build_parser()) == PARSER_INVENTORY
+
+
+#: The arguments of every ``$ qfano ...`` example line in README.md.
+README_COMMANDS = [
+    line.removeprefix("$ qfano ")
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    if line.startswith("$ qfano ")
+]
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_examples_parse(command, capsys):
+    try:
+        cli._build_parser().parse_args(shlex.split(command))
+    except SystemExit:
+        pytest.fail(f"README example does not parse: qfano {command}\n{capsys.readouterr().err}")
+
+
+def test_readme_has_examples():
+    assert len(README_COMMANDS) >= 8
 
 
 @pytest.fixture(scope="module")
@@ -819,16 +917,16 @@ def test_case_file_missing_field(field, db_path, tmp_path, capsys):
     assert _bad_input_exit(argv, capsys) == EXIT_MISSING_INPUT
 
 
-def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
+def test_parser_is_built_once_and_keeps_no_state(db_path, tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(calls))
     _set_cpus(monkeypatch, 2)
     runs = [
         ["export", "--db", str(db_path), "--format", "json"],
         ["export", "--db", str(db_path)],
-        ["enumerate", "--all", "--jobs", "2", "--format", "csv"],
-        ["enumerate", "--all"],
-        ["enumerate", "--q", "20"],
+        ["enumerate", "--all", "--jobs", "2", "--db", str(tmp_path / "db2.json")],
+        ["enumerate", "--all", "--db", str(tmp_path / "db1.json")],
+        ["enumerate", "--q", "20", "--db", str(tmp_path / "db0.json")],
         ["diff", "--q", "8", "--flag", "nonnegativity", "--filter-set", "capped"],
         ["diff", "--q", "8", "--flag", "nonnegativity"],
         ["wps", "check", "--weights", "1,1,2,3", "--degree", "6", "--db", str(db_path)],
@@ -845,7 +943,7 @@ def test_parser_is_built_once_and_keeps_no_state(db_path, monkeypatch, capsys):
         cli._build_parser.cache_clear()
         assert (main(argv), capsys.readouterr()) == result
     assert _workers(calls) == [2, 2]
-    valid = [argv for argv in runs if argv[-1] != "20"]
+    valid = [argv for argv in runs if "20" not in argv]
     reused = cli._build_parser()
     in_turn = [vars(reused.parse_args(argv)) for argv in valid]
     assert in_turn == [vars(cli._build_parser.__wrapped__().parse_args(argv)) for argv in valid]

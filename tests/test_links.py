@@ -18,6 +18,7 @@ from qfano.links import (
     LinkSolution,
     MAX_NESTING,
     MAX_PRODUCT_PAIRS,
+    MAX_SEARCH_NODES,
     Relation,
     SourceRef,
     UnboundedCaseError,
@@ -703,6 +704,36 @@ def test_search_work_on_shipped_cases(name, full_db, monkeypatch):
     case = load_case_file(case_path(name))
     solve(case, case.source.resolve(full_db), dims_table(full_db))
     assert calls == EVALUATIONS[name]
+
+
+#: Values one ``solve`` tries on each shipped case: each value a dimension
+#: floor's scan or the assignment of an unknown sets.
+NODES = {"q9_4A.case": 783, "q6_basket7.case": 0, "q8_basket_3_9.case": 314}
+
+
+@pytest.mark.parametrize("name", SHIPPED_CASES)
+def test_shipped_cases_fit_the_search_budget(name, full_db, monkeypatch):
+    case = load_case_file(case_path(name))
+    source, lookup = case.source.resolve(full_db), dims_table(full_db)
+    solutions = solve(case, source, lookup)
+    assert NODES[name] < MAX_SEARCH_NODES
+    # a budget of exactly the values tried is enough, and one fewer is not
+    monkeypatch.setattr(links, "MAX_SEARCH_NODES", NODES[name])
+    assert solve(case, source, lookup) == solutions
+    if NODES[name]:
+        monkeypatch.setattr(links, "MAX_SEARCH_NODES", NODES[name] - 1)
+        with pytest.raises(LinkCaseError, match=f"more than {NODES[name] - 1} values"):
+            solve(case, source, lookup)
+
+
+def test_an_unknown_no_relation_names_is_refused_past_the_budget(full_db):
+    # every value of z completes every solution of q9_4A, so without the
+    # budget the search would try, and keep, a billion solutions per branch
+    doc = _case_doc("q9_4A.case")
+    doc["unknowns"].append({"name": "z", "min": 0, "max": 10**9})
+    case = load_case(json.dumps(doc))
+    with pytest.raises(LinkCaseError, match=f"tries more than {MAX_SEARCH_NODES} values"):
+        solve(case, case.source.resolve(full_db), dims_table(full_db))
 
 
 def test_solutions_at_a_bound_and_below_a_break(full_db):
