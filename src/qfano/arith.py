@@ -46,8 +46,7 @@ def parse_rational(text: str) -> Rational:
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num, den = map(int, m.groups("1"))
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)

@@ -119,12 +119,14 @@ def _refuse_unwritable(out: str | None, db: str | None = None) -> None:
     """Refuse, before any work is done, an output path ``out`` that is empty,
     is a directory, or whose directory is missing or not a directory, and one
     that names the database file ``db``, which writing ``out`` would replace.
-    No file is opened, since opening it would truncate it."""
+    The directory is that of the resolved path, since a symlink is written
+    through to its target.  No file is opened, since opening it would
+    truncate it."""
     if out is None:
         return
     if out == "":
         raise OutputError("'' (an empty path names no file)")
-    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.realpath(out))):
         raise OutputError(out)
     if not db:  # an empty db is a missing input, not a file
         return

@@ -19,16 +19,18 @@ index ``i = (-k q^{-1}) mod r`` is
 This module states the formula once, in integers: with ``N`` the lcm of
 the basket indices, :func:`scaled_kawamata_sum` is ``N sigma``, and
 :func:`local_terms` is the one statement of the local term: the table of
-``12 r c_p(k)`` by ``k mod r``, built once per ``(q, r, a)`` and cached.
-So ``12qN chi(k)`` less its degree term is the integer
-``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r c_p(k)``.  :func:`chi` reads
-``q``, the basket's points, ``N`` and ``N sigma`` and the integer ratio of
-``A^3`` once, and each point's table at ``k mod r``; it adds the degree term
-over ``12qN den(A^3)`` and divides once: an integral value (every value
-:func:`dims` and :func:`genus` read) is returned as ``Fraction(quotient)``,
-which needs no gcd, and any other value as the reduced ``Fraction`` of its
-numerator and denominator.  :mod:`qfano.enumeration` builds its sieve from
-the same two functions.
+``12 r c_p(k)`` by ``k mod r``, built once per ``(q, r, a)`` and kept in one
+bounded store, by ``q`` and then by point.  So ``12qN chi(k)`` less its
+degree term is the integer ``12qN + k(24N - N sigma) + q sum_p (N/r) 12 r
+c_p(k)``.  :func:`chi` reads ``q``, the basket's points, ``N`` and
+``N sigma`` and the integer ratio of ``A^3`` once; it finds its ``q``'s
+tables with one lookup and each point's table with one more, and reads it
+at ``k mod r``.  It adds the degree term over ``12qN den(A^3)`` and divides
+once.  An integral value (every value :func:`dims` and :func:`genus` read)
+is the ``Fraction`` of the quotient, taken from a prebuilt tuple for
+``0..255`` and otherwise built, with no gcd; any other value is the reduced
+``Fraction`` of its numerator and denominator.  :mod:`qfano.enumeration`
+builds its sieve from the same two functions.
 
 For an actual Fano threefold ``chi(k) = h^0(kA)`` for ``k >= 0`` (vanishing)
 and ``chi(k) = 0`` on the window ``-q < k < 0``, which is what makes the
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from typing import Iterable
 
 from .arith import Rational, canonical_orientation, format_rational
@@ -97,7 +98,7 @@ class Basket(namedtuple("Basket", "points index_lcm sigma_scaled")):
 
     def __new__(cls, points: Iterable[SingularPoint] = ()) -> "Basket":
         points = tuple(sorted(points))
-        n_lcm = math.lcm(*(p.r for p in points))
+        n_lcm = math.lcm(*[p.r for p in points])
         return tuple.__new__(cls, (points, n_lcm, scaled_kawamata_sum(points, n_lcm)))
 
     @classmethod
@@ -185,17 +186,32 @@ def local_index(k: int, q: int, point: SingularPoint) -> int:
     return (-k * pow(q, -1, point.r)) % point.r
 
 
-# room for every table a scan or a load reads: one per point of each index's
-# domain, 827 for all twelve indices (13,437 integers), so none is built twice.
-# The bound stays because chi also takes baskets outside every domain.
-@lru_cache(maxsize=1024)
+#: The one store of the local tables, ``_tables[q][(r, a)]``: a :func:`chi`
+#: call finds its ``q``'s tables with one lookup and each point's with one
+#: more.  It holds at most ``_MAX_TABLES`` tables and is emptied when full.
+#: That is room for every table a scan or a load reads: one per point of each
+#: index's domain, 827 for all twelve indices (13,437 integers), so none is
+#: built twice.  The bound stays because chi also takes baskets outside every
+#: domain.
+_MAX_TABLES = 1024
+_tables: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
+
+#: ``chi``'s integral values ``0..255``, built once: returning one builds no
+#: ``Fraction``.  Every ``chi`` a database holds lies in ``1..66``.
+_WHOLES = tuple(map(Rational, range(256)))
+
+
 def local_terms(q: int, r: int, a: int) -> tuple[int, ...]:
     """``12 r c_p(k)`` for the point ``1/r(a, -a, 1)`` of index-``q`` data, by ``k mod r``.
 
     The local index is linear in ``k``, ``i(k) = k i(1) mod r``, and the
     sum over ``j < i`` is one running total over ``i``, so a table costs
-    ``O(r)``.  Raises :class:`IndexNotCoprimeError` unless ``gcd(q, r) = 1``.
+    ``O(r)``; it is built once and kept in ``_tables``.  Raises
+    :class:`IndexNotCoprimeError` unless ``gcd(q, r) = 1``.
     """
+    table = _tables.get(q, {}).get((r, a))
+    if table is not None:
+        return table
     step = local_index(1, q, SingularPoint(r, a))
     by_index = [0] * r
     inner = 0
@@ -203,7 +219,11 @@ def local_terms(q: int, r: int, a: int) -> tuple[int, ...]:
         ja = ((i - 1) * a) % r
         inner += ja * (r - ja)
         by_index[i] = 6 * inner - i * (r * r - 1)
-    return tuple(by_index[k * step % r] for k in range(r))
+    table = tuple(by_index[k * step % r] for k in range(r))
+    if sum(map(len, _tables.values())) >= _MAX_TABLES:
+        _tables.clear()
+    _tables.setdefault(q, {})[r, a] = table
+    return table
 
 
 def chi(k: int, fano: FanoInput) -> Rational:
@@ -215,16 +235,20 @@ def chi(k: int, fano: FanoInput) -> Rational:
     q, (points, n_lcm, sigma_scaled), a3 = fano
     a3_num, a3_den = a3.as_integer_ratio()
     qn = q * n_lcm
+    # a point is a (r, a) pair, so it is its own key in its q's tables
+    tables = _tables.get(q, {})
+    local = 0
+    for p in points:
+        r = p[0]
+        local += (n_lcm // r) * (tables.get(p) or local_terms(q, r, p[1]))[k % r]
     # 12qN chi(k) less its degree term, in integers (module docstring)
-    rest = 12 * qn + k * (24 * n_lcm - sigma_scaled)
-    for r, a in points:
-        rest += q * (n_lcm // r) * local_terms(q, r, a)[k % r]
+    rest = 12 * qn + k * (24 * n_lcm - sigma_scaled) + q * local
     top = rest * a3_den + qn * k * (k + q) * (2 * k + q) * a3_num
     bottom = 12 * qn * a3_den
     whole, remainder = divmod(top, bottom)
-    if remainder == 0:
-        return Rational(whole)
-    return Rational(top, bottom)
+    if remainder:
+        return Rational(top, bottom)
+    return _WHOLES[whole] if 0 <= whole < len(_WHOLES) else Rational(whole)
 
 
 def chi_integer(k: int, fano: FanoInput) -> int:
@@ -247,4 +271,3 @@ def dims(fano: FanoInput, kmax: int) -> list[int]:
 def genus(fano: FanoInput) -> int:
     """Anticanonical genus ``g = dim |-K| - 1 = chi(q) - 2``."""
     return chi_integer(fano.q, fano) - 2
-

@@ -38,12 +38,11 @@ import functools
 import itertools
 import json
 import os
-import tempfile
 from collections import namedtuple
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
-from .arith import InputError, Rational, format_rational, parse_rational
+from .arith import InputError, format_rational, parse_rational
 from .enumeration import (
     DEGREE_CAP,
     DEGREE_CAP_EXCEPTION,
@@ -173,26 +172,22 @@ class Database(namedtuple("Database", "filter_set candidates")):
 
 # A row as json.dumps(document, indent=2) lays it out: the row at depth 2,
 # its fields at 3, its basket's pairs and its dims at 4, each pair's numbers
-# at 5.  The strings are quoted as json quotes them.
+# at 5.  The strings are quoted as json quotes them: a Fraction's %s is
+# format_rational's "n/d" or "n", and neither it nor an id (only [a-z0-9._-])
+# holds a character json escapes.
 _ROW = """\
     {
       "q": %d,
       "basket": %s,
-      "a3": %s,
-      "sigma": %s,
-      "minus_k3": %s,
-      "minus_k_c2": %s,
+      "a3": "%s",
+      "sigma": "%s",
+      "minus_k3": "%s",
+      "minus_k_c2": "%s",
       "dims": %s,
       "genus": %d,
-      "id": %s
+      "id": "%s"
     }"""
 _PAIR = "        [\n          %d,\n          %d\n        ]"
-
-
-def _quoted_rational(x: Rational) -> str:
-    """``format_rational(x)`` as a JSON string; it holds no character to escape."""
-    n, d = x.as_integer_ratio()
-    return '"%d"' % n if d == 1 else '"%d/%d"' % (n, d)
 
 
 def _row_text(c: Candidate) -> str:
@@ -202,14 +197,13 @@ def _row_text(c: Candidate) -> str:
     return _ROW % (
         q,
         basket if points else "[]",
-        _quoted_rational(a3),
-        _quoted_rational(sigma),
-        _quoted_rational(minus_k3),
-        _quoted_rational(minus_k_c2),
+        a3,
+        sigma,
+        minus_k3,
+        minus_k_c2,
         dims_text if dims else "[]",
         genus,
-        # an id holds only [a-z0-9._-], which json leaves as it is
-        '"' + id_ + '"',
+        id_,
     )
 
 
@@ -283,10 +277,17 @@ def loads_database(text: str) -> Database:
 
 
 def save_database(db: Database, path: str | os.PathLike) -> None:
-    """Write atomically: the target never holds a half-written database."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".qfano-db-", dir=directory, text=True)
+    """Write atomically: the target never holds a half-written database.
+
+    A symlink is followed, so the link stays and its target gets the
+    database.  The file gets mode ``0o666`` less the umask, as ``open``
+    would give it: the temporary file is created with that mode, not
+    through ``tempfile``, whose files are ``0o600``.
+    """
+    path = os.path.realpath(path)
+    # 64 random bits: a name that exists already is an error, not retried
+    tmp = os.path.join(os.path.dirname(path), ".qfano-db-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(dumps_database(db))

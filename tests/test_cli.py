@@ -119,6 +119,24 @@ def test_unwritable_output_is_refused_before_enumerating(
     assert work == []
 
 
+@pytest.mark.parametrize("option", ["--out", "--db"])
+def test_dangling_link_into_a_missing_directory_is_refused_before_any_work(
+    option, db_path, tmp_path, monkeypatch, capsys
+):
+    # the link's own directory exists, its target's does not: the output
+    # would be written through the link, so the target's directory decides
+    link = tmp_path / "dangling.json"
+    link.symlink_to(tmp_path / "missing" / "x.json")
+    work = _recording_work(monkeypatch)
+    argv = [arg.format(db=db_path, out=link) for arg in WRITES[option]]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"qfano: cannot write output: {link}\n"
+    assert captured.out == ""
+    assert work == []
+    assert link.is_symlink() and not link.exists()
+
+
 @pytest.mark.parametrize("spelling", ["same", "relative", "symlink", "hard link", "not yet"])
 @pytest.mark.parametrize("command", [
     ["export"],

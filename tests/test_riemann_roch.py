@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfano import riemann_roch
 from qfano.arith import NotCoprimeError, Rational
 from qfano.riemann_roch import (
     Basket,
@@ -254,24 +255,66 @@ def test_local_terms_match_the_sum_at_every_domain_point():
 
 
 def test_local_terms_cache_holds_a_domain_and_a_load(full_db):
-    # neither an index's scan nor a load of every candidate evicts a table
-    # it still needs
-    domain = max(len(point_domain(q)) for q in INDEX_SET)
+    # the store has room for every table of every index's domain, and a load
+    # reads only those, so neither a scan nor a load empties it
+    domains = {(q, p.r, p.a) for q in INDEX_SET for p in point_domain(q)}
     load = {(c.q, p.r, p.a) for c in full_db for p in c.basket.points}
-    assert (domain, len(load)) == (84, 125)
-    assert domain + len(load) <= local_terms.cache_info().maxsize
+    assert (len(domains), len(load)) == (827, 125)
+    assert load <= domains
+    assert len(domains) <= riemann_roch._MAX_TABLES
     with pytest.raises(IndexNotCoprimeError):
         local_terms(5, 10, 3)
+
+
+def _counting_table_builds(monkeypatch) -> list:
+    """Record each table build: a build, and nothing else, finds the local index of k = 1."""
+    builds = []
+    raw = riemann_roch.local_index
+
+    def counting(k, q, point):
+        builds.append((q, *point))
+        return raw(k, q, point)
+
+    monkeypatch.setattr(riemann_roch, "local_index", counting)
+    return builds
 
 
 @pytest.mark.parametrize("config", [
     DEFAULT_CONFIG, FILTER_SETS["capped"], DEFAULT_CONFIG._replace(enforce_vanishing=False)
 ], ids=["default", "capped", "vanishing-off"])
-def test_a_scan_of_every_index_builds_each_table_once(config):
-    local_terms.cache_clear()
+def test_a_scan_of_every_index_builds_each_table_once(config, monkeypatch):
+    riemann_roch._tables.clear()
+    builds = _counting_table_builds(monkeypatch)
     enumerate_candidates(INDEX_SET, config)
-    info = local_terms.cache_info()
-    assert info.misses == info.currsize == sum(len(point_domain(q)) for q in INDEX_SET)
+    stored = {(q, *point) for q, tables in riemann_roch._tables.items() for point in tables}
+    assert len(builds) == len(set(builds)) == sum(len(point_domain(q)) for q in INDEX_SET)
+    assert set(builds) == stored
+
+
+def test_chi_reads_each_table_from_the_store(full_db, monkeypatch):
+    # a basket point is its own key in its index's tables: each table a
+    # candidate's chi reads is built once, by the first call that needs it
+    riemann_roch._tables.clear()
+    builds = _counting_table_builds(monkeypatch)
+    for c in full_db:
+        for k in range(1, c.q + 1):
+            chi(k, c.fano)
+    assert sorted(builds) == sorted({(c.q, *p) for c in full_db for p in c.basket.points})
+
+
+def test_the_table_store_stays_bounded(monkeypatch):
+    # once full the store is emptied, and a table built again is the same
+    monkeypatch.setattr(riemann_roch, "_MAX_TABLES", 3)
+    riemann_roch._tables.clear()
+    builds = _counting_table_builds(monkeypatch)
+    keys = [(2, 5, 1), (2, 5, 2), (3, 7, 1), (3, 7, 2), (3, 7, 3), (2, 5, 1)]
+    first = {key: local_terms(*key) for key in keys}
+    sizes = []
+    for key in keys:
+        assert local_terms(*key) == first[key]
+        sizes.append(sum(map(len, riemann_roch._tables.values())))
+    assert max(sizes) <= 3
+    assert len(builds) > len(set(keys))
 
 
 def test_chi_at_a_point_of_large_prime_index():
@@ -374,6 +417,31 @@ def test_chi_is_a_fraction_on_integral_and_fractional_values(full_db):
             assert math.gcd(value.numerator, value.denominator) == 1
             kinds.add(value.denominator == 1)
     assert kinds == {True, False}
+
+
+def test_chi_is_the_reference_fraction_around_its_prebuilt_wholes():
+    # chi returns an integral value in 0..n-1 prebuilt, and builds any other;
+    # with q = 1 and no points chi(1) = 3 + A^3/2, so A^3 = 2(v - 3) puts v
+    # at k = 1: values just below, at and above the range, negative values
+    # at negative k, values at k > q, and values that are not integers
+    n = len(riemann_roch._WHOLES)
+    whole, fractional = set(), set()
+    for q, pairs, a3 in [
+        *((1, [], Rational(2 * (v - 3))) for v in (4, n - 2, n - 1, n, n + 1, 2 * n)),
+        (1, [], Rational(1)),
+        (2, [], Rational(1, 2)),
+        (7, [(2, 1), (3, 1)], Rational(1, 6)),
+        (7, [(2, 1), (3, 1)], Rational(1, 5)),
+    ]:
+        fano = FanoInput(q=q, basket=Basket.from_pairs(pairs), a3=a3)
+        for k in range(-q - 4, q + 6):
+            value = chi(k, fano)
+            assert type(value) is Fraction
+            assert value == _reference_chi(k, fano)
+            (whole if value.denominator == 1 else fractional).add(value.numerator)
+    assert {-1, 0, 1, n - 2, n - 1, n, n + 1} <= whole
+    assert min(whole) < -1 and max(whole) > 2 * n
+    assert fractional
 
 
 def test_chi_matches_reference_on_every_candidate(full_db):

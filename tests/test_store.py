@@ -1,3 +1,4 @@
+import collections
 import copy
 import errno
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfano
-from qfano import store
+from qfano import riemann_roch, store
 from qfano.arith import format_rational
 from qfano.enumeration import FILTER_SETS, INDEX_SET, Candidate, enumerate_candidates
 from qfano.store import (
@@ -123,6 +124,36 @@ def test_built_and_loaded_candidates_keep_their_field_types(full_db):
             assert type(c.genus) is int, c.id
 
 
+def _counting_chi(monkeypatch) -> collections.Counter:
+    """Count the ``chi`` calls per ``FanoInput`` that go through the module's ``chi``."""
+    calls = collections.Counter()
+    raw = riemann_roch.chi
+
+    def counting(k, fano):
+        calls[fano] += 1
+        return raw(k, fano)
+
+    monkeypatch.setattr(riemann_roch, "chi", counting)
+    return calls
+
+
+def test_a_candidate_costs_q_plus_one_chi_calls(full_db, monkeypatch):
+    # dims evaluates chi at k = 1..q and the genus chi(q) again
+    calls = _counting_chi(monkeypatch)
+    for c in full_db[::37]:
+        assert Candidate.from_parts(c.q, c.basket, c.a3) == c
+        assert calls[c.fano] == c.q + 1
+
+
+def test_a_load_of_the_full_database_makes_2406_chi_calls(db_path, monkeypatch):
+    text = db_path.read_text(encoding="utf-8")
+    calls = _counting_chi(monkeypatch)
+    db = loads_database(text)
+    assert len(db.candidates) == 472
+    assert sum(calls.values()) == 2_406
+    assert calls == {c.fano: c.q + 1 for c in db.candidates}
+
+
 def test_counts(small_db):
     assert small_db.counts() == {6: 11, 8: 10}
 
@@ -133,6 +164,33 @@ def test_file_round_trip(small_db, tmp_path):
     loaded = load_database(path)
     assert loaded.candidates == small_db.candidates
     assert dumps_database(loaded) == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_saved_database_gets_the_umask_mode(umask, tmp_path):
+    # as open() would make it: 0o666 less the umask, for a new file and for
+    # one replaced; the umask is set in a fresh interpreter, not in this one
+    src = str(Path(qfano.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = tmp_path / "db.json"
+    for _ in range(2):
+        subprocess.run(
+            [sys.executable, "-m", "qfano.cli", "enumerate", "--q", "19", "--db", str(path)],
+            env=env, umask=umask, check=True, capture_output=True, timeout=60,
+        )
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.json"]
+
+
+def test_save_through_a_symlink_writes_its_target(small_db, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("{}", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    save_database(small_db, link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text(encoding="utf-8") == dumps_database(small_db)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
 def test_failed_save_leaves_the_old_file_and_no_temporary(small_db, tmp_path, monkeypatch):
