@@ -5,8 +5,9 @@ works over exact rationals; floats never enter the pipeline.  ``Rational``
 is stdlib :class:`fractions.Fraction`, which already keeps values in lowest
 terms with a positive denominator.  This module adds the plain-text wire
 format used in tables and JSON ("n/d", or "n" for integers), the
-canonical orientation of a cyclic quotient point, and :class:`InputError`,
-the base of the errors that mean an input file cannot be used.
+canonical orientation of a cyclic quotient point, :class:`InputError`,
+the base of the errors that mean an input file cannot be used, and the one
+rule for reading an integer from such a file (:func:`json_integer`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ class InputError(ValueError):
     It lives here, in the module every other one imports, so the CLI can
     catch the errors of modules it imports only on demand.
     """
+
+
+def json_integer(value, what: str, error: type[InputError]) -> int:
+    """``value`` if it is a JSON integer: ``true``, ``2.0`` and ``"3"`` raise
+    ``error`` naming ``what``, where ``int()`` would coerce them."""
+    if type(value) is not int:
+        raise error(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 class NotCoprimeError(ValueError):

@@ -1,8 +1,8 @@
 """The ``qfano`` command line tool.
 
-``enumerate`` writes the stored database and nothing else; every other
-command but ``diff`` reads one, and ``export`` is the one command that
-renders it whole.
+``enumerate --all`` writes the stored database of every index and nothing
+else; every other command but ``diff`` reads one, which its load checks is
+complete, and ``export`` is the one command that renders it whole.
 
 Exit codes: 0 success, 2 usage error (including an output path that cannot
 be written, and a standard output that is closed or cannot be written), 3
@@ -150,15 +150,14 @@ def _emit(text: str, out: str | None) -> None:
 # commands
 
 
-def _build_database(filter_set: str, qs: Sequence[int], jobs: int) -> Database:
-    candidates = enumerate_candidates(qs, FILTER_SETS[filter_set], jobs=jobs)
+def _build_database(filter_set: str, jobs: int) -> Database:
+    candidates = enumerate_candidates(INDEX_SET, FILTER_SETS[filter_set], jobs=jobs)
     return Database(filter_set, tuple(candidates))
 
 
 def cmd_enumerate(args) -> int:
     _refuse_unwritable(args.db)
-    qs = INDEX_SET if args.all else (args.q,)
-    db = _build_database(args.filter_set, qs, args.jobs)
+    db = _build_database(args.filter_set, args.jobs)
     with _writing(args.db):
         save_database(db, args.db)
     print(f"{render_counts(db)} -> {args.db}")
@@ -168,7 +167,6 @@ def cmd_enumerate(args) -> int:
 def cmd_table(args) -> int:
     _refuse_unwritable(args.out, args.db)
     db = load_database(args.db)
-    db.require_indices((SURVEYS[args.case].q,), f"table --case {args.case}")
     _emit(render_survey_table(args.case, db.candidates), args.out)
     return EXIT_OK
 
@@ -201,7 +199,6 @@ def cmd_wps_check(args) -> int:
     q = fano_index(model)
     a3 = degree_a3(model)
     db = load_database(args.db)
-    db.require_indices((q,), "wps check")
     print(f"model: {model}")
     print(f"fano index q = {q}, A^3 = {format_rational(a3)}, "
           f"-K^3 = {format_rational(q**3 * a3)}")
@@ -240,7 +237,6 @@ def cmd_link_solve(args) -> int:
 
     case = load_case_file(_resolve_case_path(args.case))
     db = load_database(args.db)
-    db.require_indices((*case.target_index_set, case.source.q), "link solve")
     lookup = dims_table(db.candidates)
     source = case.source.resolve(db.candidates)
     solutions = solve(case, source, lookup)
@@ -264,7 +260,6 @@ def cmd_link_solve(args) -> int:
 
 def cmd_facts(args) -> int:
     db = load_database(args.db)
-    db.require_indices(INDEX_SET, "facts")
     all_hold = True
     for fact in facts(db.candidates):
         status = "PASS" if fact.holds else "FAIL"
@@ -323,10 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="run the candidate enumeration into a database")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--all", action="store_true", help="every admissible index")
-    which.add_argument("--q", type=int, choices=INDEX_SET, metavar="Q",
-                       help=f"one index from {INDEX_SET}")
+    # every database holds every index; required, as every command line says it
+    p.add_argument("--all", action="store_true", required=True,
+                   help=f"every admissible index, {INDEX_SET}")
     p.add_argument("--filter-set", choices=sorted(FILTER_SETS), default="default")
     p.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
     p.add_argument("--db", metavar="PATH", required=True, help="write the database here")

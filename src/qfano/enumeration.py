@@ -558,8 +558,9 @@ def _scan_shares(
     return per_share
 
 
-def _canonical_order(c: Candidate) -> tuple:
-    """Index, then degree descending, then basket, as one tuple of integers.
+def canonical_order(c: Candidate) -> tuple:
+    """Index, then degree descending, then basket, as one tuple of integers:
+    the order the enumeration sorts its result in and a load checks.
 
     An enumerated degree is ``n/N`` with ``N`` dividing :data:`_SIGMA_UNIT`,
     so ``A^3 * _SIGMA_UNIT`` is an integer.
@@ -598,7 +599,7 @@ def enumerate_candidates(
         per_share = _scan_shares(shares, config, cpus[1:workers])
     else:
         per_share = [_scan_share(indices, config)]
-    return sorted((c for part in per_share for c in part), key=_canonical_order)
+    return sorted((c for part in per_share for c in part), key=canonical_order)
 
 
 #: A machine-checked statement about the candidate database.

@@ -52,7 +52,7 @@ import re
 from collections import namedtuple
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .arith import InputError, Rational, format_rational, parse_rational
+from .arith import InputError, Rational, format_rational, json_integer, parse_rational
 from .enumeration import INDEX_SET, Candidate
 from .riemann_roch import SingularPoint
 
@@ -312,11 +312,7 @@ def _fields(obj, allowed: frozenset[str], what: str) -> dict:
     return obj
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer: ``true``, ``40.7`` and ``"40"`` are refused, not coerced."""
-    if type(value) is not int:
-        raise LinkCaseError(f"{what} must be a JSON integer, got {value!r}")
-    return value
+_integer = functools.partial(json_integer, error=LinkCaseError)
 
 
 def load_case(text: str) -> LinkCase:

@@ -15,21 +15,20 @@ accepted by one string comparison.  Any other text (compact or re-indented
 JSON, or a wrong document) is compared with it as compact JSON: so a header
 key, value, type or key order, or a row value or spelling, that the writer
 would not produce is refused, and the first disagreeing row is named.
-Rows must also be in the enumeration's canonical order without repeats,
-checked in integers: ``(q, -A^3, basket points)`` with the degrees of one
-index compared by cross-multiplying, so no key is built per row.  A
-row whose basket has an index above ``MAX_POINT_INDEX`` is refused before it
-is recomputed.  Each row is rebuilt under a single decode guard: a missing
-field, a value of the wrong shape, or data the formula refuses (a degree
-that is not positive, a non-integral ``chi``) is reported as a malformed
-row, while the index refusal passes through that guard with its own
-message.  Last, the rows at each index the database holds must be exactly
-its filter set's enumeration: their count and the sha256 of their ids must
-be the ones in :data:`ID_DIGESTS`, so a dropped or a forged row is refused.
-So a loaded database can be trusted as input without re-running the
-enumeration.  A consumer that quantifies over some indices calls
-:meth:`Database.require_indices`, which refuses a database with no rows at
-one of them.
+Rows must also be in the enumeration's canonical order without repeats, by
+the key :func:`~qfano.enumeration.canonical_order` sorts them with.  A row's
+``q`` and basket pairs must be JSON integers (:func:`~qfano.arith.json_integer`),
+and a row whose basket has an index above ``MAX_POINT_INDEX`` is refused
+before it is recomputed.  Each row is rebuilt under a single decode guard: a
+missing field, a value of the wrong shape, or data the formula refuses (a
+degree that is not positive, a non-integral ``chi``) is reported as a
+malformed row, while the integer and index refusals pass through that guard
+with their own messages.  Last, the database must be exactly its filter set's
+enumeration at every index of ``INDEX_SET``: at each index, the count of its
+rows and the sha256 of their ids must be the ones in :data:`ID_DIGESTS`, so a
+dropped or a forged row is refused, and so is a database with no rows at some
+index.  So a loaded database can be trusted as input without re-running the
+enumeration, and a command may read "no candidate qualifies" off it.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ import json
 import os
 from collections import namedtuple
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
-from .arith import InputError, format_rational, parse_rational
+from .arith import InputError, format_rational, json_integer, parse_rational
 from .enumeration import (
     DEGREE_CAP,
     DEGREE_CAP_EXCEPTION,
@@ -52,6 +51,7 @@ from .enumeration import (
     MAX_POINT_INDEX,
     Candidate,
     FilterConfig,
+    canonical_order,
 )
 from .riemann_roch import Basket, SingularPoint
 
@@ -124,13 +124,16 @@ def _rebuild_row(
 ) -> Candidate:
     """Recompute a row from its ``(q, basket, A^3)`` alone, its points made by ``point``."""
     try:
-        pairs = [(int(r), int(a)) for r, a in data["basket"]]
+        pairs = [(json_integer(r, "basket index in a stored row", StoreError),
+                  json_integer(a, "basket orientation in a stored row", StoreError))
+                 for r, a in data["basket"]]
         if any(r > MAX_POINT_INDEX for r, _ in pairs):
             # no enumerated basket has such a point, and recomputing the row
             # would cost time linear in its index
             raise StoreError(f"basket index above {MAX_POINT_INDEX} in a stored row")
         basket = Basket([point(r, a) for r, a in pairs])
-        return Candidate.from_parts(int(data["q"]), basket, parse_rational(data["a3"]))
+        q = json_integer(data["q"], "q in a stored row", StoreError)
+        return Candidate.from_parts(q, basket, parse_rational(data["a3"]))
     except StoreError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -152,22 +155,6 @@ class Database(namedtuple("Database", "filter_set candidates")):
         for c in self.candidates:
             out[c.q] = out.get(c.q, 0) + 1
         return out
-
-    def require_indices(self, indices: Iterable[int], consumer: str) -> None:
-        """Refuse to serve ``consumer``, which quantifies over ``indices``, if
-        this database has no rows at one of them.
-
-        Every filter set has rows at every index of ``INDEX_SET``, so such a
-        database is incomplete, and "no candidate qualifies" read off it
-        could be false.  Indices outside ``INDEX_SET`` never have rows.
-        """
-        present = self.counts()
-        missing = sorted(q for q in set(indices) if q in INDEX_SET and q not in present)
-        if missing:
-            raise StoreError(
-                f"{consumer} needs candidates of index {', '.join(map(str, missing))}, "
-                f"and this {self.filter_set!r} database has none: it is incomplete"
-            )
 
 
 # A row as json.dumps(document, indent=2) lays it out: the row at depth 2,
@@ -226,6 +213,8 @@ def dumps_database(db: Database) -> str:
 
 
 def loads_database(text: str) -> Database:
+    """The database in ``text``, which must be its filter set's whole
+    enumeration as this version writes it; else a :class:`StoreError`."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -253,11 +242,10 @@ def loads_database(text: str) -> Database:
                 if json.dumps(row) != json.dumps(data):
                     raise StoreError(f"stored row for {c.id!r} disagrees with recomputation")
             raise StoreError("the header is not the one this version writes")
-    # the canonical order, (q, -A^3, basket), read in integers: within one
-    # index the degrees n/d are compared by cross-multiplying
-    keys = [(c.q, *c.a3.as_integer_ratio(), c.basket.points) for c in db.candidates]
-    for (q0, n0, d0, p0), (q1, n1, d1, p1), candidate in zip(keys, keys[1:], db.candidates[1:]):
-        before, after = ((n1 * d0, p0), (n0 * d1, p1)) if q0 == q1 else (q0, q1)
+    # the key is exact for every enumerated degree; a row with another degree
+    # is refused, by this check or the digests below
+    keys = [canonical_order(c) for c in db.candidates]
+    for before, after, candidate in zip(keys, keys[1:], db.candidates[1:]):
         # one comparison per pair; only a failing pair is told apart
         if before >= after:
             if before == after:
@@ -267,12 +255,21 @@ def loads_database(text: str) -> Database:
     # command would pay at start-up, whether it loads a database or not
     import hashlib
 
-    # the rows are in canonical order, so each index's rows are one run
+    # the rows are in canonical order, so each index's rows are one run: the
+    # database is complete with one run per index of the digests, INDEX_SET
+    expected = ID_DIGESTS[filter_set]
+    runs = 0
     for q, rows_at_q in itertools.groupby(db.candidates, key=lambda c: c.q):
         found = [c.id for c in rows_at_q]
         digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
-        if (len(found), digest) != ID_DIGESTS[filter_set].get(q):
+        if (len(found), digest) != expected.get(q):
             raise StoreError(f"the rows at index {q} are not the {filter_set!r} enumeration")
+        runs += 1
+    if runs != len(expected):
+        missing = ", ".join(map(str, sorted(expected.keys() - db.counts())))
+        raise StoreError(
+            f"this {filter_set!r} database has no rows at q = {missing}: it is incomplete"
+        )
     return db
 
 

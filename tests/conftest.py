@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from qfano.enumeration import INDEX_SET, enumerate_candidates
+from qfano.enumeration import FILTER_SETS, INDEX_SET, enumerate_candidates
 from qfano.store import Database, save_database
 
 #: Wall-clock seconds spent building the session database, keyed by name.
@@ -16,6 +16,12 @@ def full_db():
     candidates = enumerate_candidates(INDEX_SET)
     BUILD_SECONDS["full"] = time.monotonic() - t0
     return candidates
+
+
+@pytest.fixture(scope="session")
+def capped_db():
+    """Every candidate of every admissible index, capped filters."""
+    return enumerate_candidates(INDEX_SET, FILTER_SETS["capped"])
 
 
 @pytest.fixture(scope="session")

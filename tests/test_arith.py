@@ -8,8 +8,11 @@ from qfano.arith import (
     Rational,
     canonical_orientation,
     format_rational,
+    json_integer,
     parse_rational,
 )
+from qfano.links import LinkCaseError
+from qfano.store import StoreError
 
 
 def test_format_rational():
@@ -62,3 +65,13 @@ def test_canonical_orientation_properties(r, a):
     assert c == canonical_orientation(r - a % r, r)
     assert c == canonical_orientation(c, r)  # idempotent
 
+
+
+@pytest.mark.parametrize("error", [StoreError, LinkCaseError])
+def test_json_integer_refuses_what_int_would_coerce(error):
+    # the one rule for database rows and case files alike
+    assert json_integer(3, "q", error) == 3 and json_integer(-2**70, "q", error) == -2**70
+    for value in (True, False, 2.0, "3", None, [1]):
+        with pytest.raises(error) as refused:
+            json_integer(value, "q", error)
+        assert str(refused.value) == f"q must be a JSON integer, got {value!r}"

@@ -1,10 +1,12 @@
 import argparse
 import errno
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from qfano.enumeration import (
     enumerate_candidates,
 )
 from qfano.riemann_roch import Basket
-from qfano.store import Database, load_database, save_database
+from qfano.store import Database, save_database
 
 from test_enumeration import _recording_forks, _set_cpus, _workers, sort_key
 from qfano.arith import Rational
@@ -39,13 +41,20 @@ def test_exit_codes_are_distinct():
 
 
 def test_invalid_index_is_usage_error(capsys):
-    assert main(["enumerate", "--q", "20"]) == EXIT_USAGE
+    assert main(["diff", "--q", "20"]) == EXIT_USAGE
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_enumerate_requires_scope(capsys):
-    assert main(["enumerate"]) == EXIT_USAGE
-    capsys.readouterr()
+def test_enumerate_requires_scope(tmp_path, monkeypatch, capsys):
+    # every database is the whole enumeration: --all is required, and there
+    # is no --q; no such command line builds or writes anything
+    builds = []
+    monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
+    for scope in ([], ["--q", "6"], ["--all", "--q", "6"]):
+        assert main(["enumerate", *scope, "--db", str(tmp_path / "db.json")]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "error: " in err
+    assert builds == [] and list(tmp_path.iterdir()) == []
 
 
 def test_missing_database_file(capsys):
@@ -77,7 +86,7 @@ def test_unreadable_input_is_bad_input(argv, db_path, tmp_path, capsys):
 
 #: A command that writes the output path ``{out}``, by the option that names it.
 WRITES = {
-    "--db": ["enumerate", "--q", "6", "--db", "{out}"],
+    "--db": ["enumerate", "--all", "--db", "{out}"],
     "--out": ["export", "--db", "{db}", "--out", "{out}"],
 }
 
@@ -198,7 +207,7 @@ def test_output_path_that_is_a_directory_is_usage_error(db_path, tmp_path, monke
     (["link", "solve", "q9_4A.case", "--db", ""], EXIT_MISSING_INPUT,
      "input not found: ''"),
     (["export", "--db", ""], EXIT_MISSING_INPUT, "input not found: ''"),
-    (["enumerate", "--q", "19", "--db", ""], EXIT_USAGE, "cannot write output: ''"),
+    (["enumerate", "--all", "--db", ""], EXIT_USAGE, "cannot write output: ''"),
     (["table", "--case", "q3", "--db", "", "--out", ""], EXIT_USAGE,
      "cannot write output: ''"),
     (["table", "--case", "q3", "--db", "{db}", "--out", ""], EXIT_USAGE,
@@ -218,22 +227,32 @@ def test_empty_path_is_a_path(argv, code, message, db_path, monkeypatch, capsys)
     assert builds == []
 
 
-def test_enumerate_single_index_table(tmp_path, capsys):
-    # one index is inspected by storing it and rendering the stored file
-    db_file = tmp_path / "q6.json"
-    assert main(["enumerate", "--q", "6", "--db", str(db_file)]) == EXIT_OK
-    assert main(["export", "--db", str(db_file), "--format", "table"]) == EXIT_OK
-    out = capsys.readouterr().out.split("\n", 1)[1]
-    assert "q6-7.3-a2.7" in out
-    assert "[7:3]" in out
+def test_enumerate_single_index_table(db_path, full_db, capsys):
+    # one index is inspected in the export of the whole database, whose
+    # rows give their index
+    assert main(["export", "--db", str(db_path), "--format", "csv"]) == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split(",")[:2] == ["id", "q"]
+    q6 = [row.split(",")[0] for row in rows if row.split(",")[1] == "6"]
+    assert q6 == [c.id for c in full_db if c.q == 6] and "q6-7.3-a2.7" in q6
 
 
-def test_enumerate_writes_database_with_summary(tmp_path, capsys):
-    db_file = tmp_path / "q6.json"
-    assert main(["enumerate", "--q", "6", "--db", str(db_file)]) == EXIT_OK
-    assert db_file.exists()
-    # the summary line is all enumerate prints
-    assert capsys.readouterr().out == f"11 candidates (q=6: 11) -> {db_file}\n"
+def test_enumerate_writes_database_with_summary(full_db, db_path, tmp_path, monkeypatch, capsys):
+    # the build is the session's: the file is the stored database, and the
+    # summary line, with every index, is all enumerate prints
+    builds = []
+
+    def build(*args):
+        builds.append(args)
+        return Database("default", tuple(full_db))
+
+    monkeypatch.setattr(cli, "_build_database", build)
+    db_file = tmp_path / "db.json"
+    assert main(["enumerate", "--all", "--db", str(db_file)]) == EXIT_OK
+    assert builds == [("default", 1)]
+    assert db_file.read_bytes() == db_path.read_bytes()
+    per_q = ", ".join(f"q={q}: {sum(c.q == q for c in full_db)}" for q in INDEX_SET)
+    assert capsys.readouterr().out == f"472 candidates ({per_q}) -> {db_file}\n"
 
 
 @pytest.mark.parametrize("options", [[], ["--format", "csv"], ["--out", "{out}"]])
@@ -243,7 +262,7 @@ def test_enumerate_writes_only_the_database(options, tmp_path, monkeypatch, caps
     builds = []
     monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
     db = [] if not options else ["--db", str(tmp_path / "db.json")]
-    argv = ["enumerate", "--q", "6", *db, *options]
+    argv = ["enumerate", "--all", *db, *options]
     assert main([arg.format(out=tmp_path / "out") for arg in argv]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and "error: " in err
@@ -251,30 +270,42 @@ def test_enumerate_writes_only_the_database(options, tmp_path, monkeypatch, caps
 
 
 @pytest.fixture(scope="module")
-def one_index_paths(tmp_path_factory):
-    """A one-index database per index, each written by ``enumerate --q Q --db``."""
-    base = tmp_path_factory.mktemp("one_index")
-    paths = {}
-    for q in INDEX_SET:
-        paths[q] = base / f"q{q}.json"
-        assert main(["enumerate", "--q", str(q), "--db", str(paths[q])]) == EXIT_OK
-    return paths
+def capped_path(capped_db, tmp_path_factory):
+    """The database of the capped filter set, saved once."""
+    path = tmp_path_factory.mktemp("capped") / "capped.json"
+    save_database(Database("capped", tuple(capped_db)), path)
+    return path
 
 
-def test_export_json_gives_back_the_stored_file(db_path, one_index_paths, capsys):
+def test_export_json_gives_back_the_stored_file(db_path, capped_path, capsys):
     capsys.readouterr()
-    for path in (db_path, *one_index_paths.values()):
+    for path in (db_path, capped_path):
         assert main(["export", "--db", str(path), "--format", "json"]) == EXIT_OK
         assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def full_table(db_path):
+    """The cells of each row of ``export --format table`` of the whole database."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["export", "--db", str(db_path), "--format", "table"]) == EXIT_OK
+    return [line.split("  ") for line in out.getvalue().splitlines()]
+
+
+def _cells(table):
+    return [[cell.strip() for cell in row if cell.strip()] for row in table]
+
+
 @pytest.mark.parametrize("q", INDEX_SET)
-def test_one_index_export_is_that_index_of_the_full_table(
-    q, one_index_paths, full_db, capsys
-):
-    assert main(["export", "--db", str(one_index_paths[q]), "--format", "table"]) == EXIT_OK
-    rows = [c for c in full_db if c.q == q]
-    assert capsys.readouterr().out == cli.render_candidate_table(rows) + "\n"
+def test_one_index_export_is_that_index_of_the_full_table(q, full_table):
+    # the one-index enumeration that diff runs, rendered alone, is cell for
+    # cell the rows of that index in the export of the whole database
+    alone = cli.render_candidate_table(enumerate_candidates(q))
+    in_full = [row for row in _cells(full_table[1:]) if row[1] == str(q)]
+    assert _cells(line.split("  ") for line in alone.splitlines()) == [
+        _cells(full_table[:1])[0], *in_full
+    ]
 
 
 def test_enumerate_all_forks_one_child(monkeypatch, tmp_path, capsys):
@@ -395,7 +426,7 @@ def test_help_on_a_full_device_is_a_usage_error(command, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [["facts", "--db", "{db}"], ["enumerate", "--q", "6", "--db", "{new}"]]
+    "command", [["facts", "--db", "{db}"], ["enumerate", "--all", "--db", "{new}"]]
 )
 def test_closed_stdout_is_refused_before_any_work(db_path, tmp_path, command):
     # started with fd 1 closed, Python sets sys.stdout to None and print
@@ -658,7 +689,7 @@ def test_diff_lists_twenty_changes_and_counts_the_rest(capsys):
     assert lines[-1] == "  + ... 8 more"
 
 
-@pytest.mark.parametrize("command", [["enumerate", "--q", "6"]])
+@pytest.mark.parametrize("command", [["enumerate", "--all"]])
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_bad_jobs_is_usage_error(command, jobs, capsys):
     assert main(command + ["--jobs", jobs]) == EXIT_USAGE
@@ -701,8 +732,7 @@ def test_read_without_a_database_is_a_usage_error(command, monkeypatch, capsys):
 #: Every command's options, each mapped to whether it is required (a
 #: positional by its name, a mutually exclusive group as "A | B").
 PARSER_INVENTORY = {
-    "enumerate": {"--all | --q": True, "--all": False, "--q": False, "--filter-set": False,
-                  "--jobs": False, "--db": True},
+    "enumerate": {"--all": True, "--filter-set": False, "--jobs": False, "--db": True},
     "table": {"--db": True, "--case": True, "--out": False},
     "wps check": {"--db": True, "--weights": True, "--degree": False},
     "link solve": {"--db": True, "case": True},
@@ -768,8 +798,8 @@ def _bad_input_exit(argv, capsys):
     code = main(argv)  # any exception escaping here fails the test
     err = capsys.readouterr().err
     assert "bad input" in err
-    # the q8-only database lacks indices facts needs: a malformed file must
-    # be refused for being malformed, before that
+    # the q8-only database is incomplete: a malformed file must be refused
+    # for being malformed, before that
     assert "incomplete" not in err
     return code
 
@@ -944,7 +974,7 @@ def test_parser_is_built_once_and_keeps_no_state(db_path, tmp_path, monkeypatch,
         ["export", "--db", str(db_path)],
         ["enumerate", "--all", "--jobs", "2", "--db", str(tmp_path / "db2.json")],
         ["enumerate", "--all", "--db", str(tmp_path / "db1.json")],
-        ["enumerate", "--q", "20", "--db", str(tmp_path / "db0.json")],
+        ["diff", "--q", "20"],
         ["diff", "--q", "8", "--flag", "nonnegativity", "--filter-set", "capped"],
         ["diff", "--q", "8", "--flag", "nonnegativity"],
         ["wps", "check", "--weights", "1,1,2,3", "--degree", "6", "--db", str(db_path)],
@@ -1011,23 +1041,36 @@ def no_q5_paths(full_db, tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def incomplete_paths(no_q5_paths, capped_db, tmp_path_factory):
+    """Databases the load refuses as incomplete, by the message it gives:
+    the default set without index 5, the capped set without index 19, and
+    the empty database."""
+    base = tmp_path_factory.mktemp("incomplete")
+    paths = {
+        no_q5_paths["default"]: "this 'default' database has no rows at q = 5: it is incomplete",
+        base / "capped.json": "this 'capped' database has no rows at q = 19: it is incomplete",
+        base / "empty.json": "this 'default' database has no rows at q = "
+                             f"{', '.join(map(str, INDEX_SET))}: it is incomplete",
+    }
+    save_database(Database("capped", tuple(c for c in capped_db if c.q != 19)), base / "capped.json")
+    save_database(Database("default", ()), base / "empty.json")
+    return paths
+
+
 @pytest.mark.parametrize("command", [
     ["link", "solve", "q9_4A.case"],
     ["facts"],
     ["table", "--case", "q5"],
     ["wps", "check", "--weights", "1,1,1,2"],
+    ["export"],
 ])
-def test_database_missing_an_index_is_refused(no_q5_paths, command, capsys):
-    assert main(command + ["--db", str(no_q5_paths["default"])]) == EXIT_MISSING_INPUT
-    err = capsys.readouterr().err
-    assert "needs candidates of index 5" in err and "incomplete" in err
-
-
-def test_database_missing_an_index_serves_the_others(no_q5_paths, db_path, capsys):
-    for path in (no_q5_paths["default"], db_path):
-        assert main(["table", "--case", "q6", "--db", str(path)]) == EXIT_OK
-    first, second = capsys.readouterr().out.split("index 6 survey")[1:]
-    assert first == second
+def test_database_missing_an_index_is_refused(incomplete_paths, command, capsys):
+    # the load refuses it, so every read does, export included, whatever
+    # indices the command itself would read
+    for path, message in incomplete_paths.items():
+        assert main(command + ["--db", str(path)]) == EXIT_MISSING_INPUT
+        assert capsys.readouterr() == ("", f"qfano: bad input: {message}\n")
 
 
 #: A row of the full database, and a triple that is integral at k = 1..8 with
@@ -1073,13 +1116,6 @@ def test_database_with_an_edited_index_is_refused(edited_paths, edit, command, c
     out, err = capsys.readouterr()
     assert out == ""
     assert "the rows at index 8 are not the 'default' enumeration" in err
-
-
-def test_named_databases_of_whole_indices_load(db_path, q8_doc, no_q5_paths, tmp_path):
-    q8_path = tmp_path / "q8.json"
-    q8_path.write_text(json.dumps(q8_doc), encoding="utf-8")
-    for path in (db_path, q8_path, no_q5_paths["default"]):
-        assert load_database(path).filter_set == "default"
 
 
 @pytest.mark.parametrize("command", [
