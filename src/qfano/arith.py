@@ -6,8 +6,9 @@ is stdlib :class:`fractions.Fraction`, which already keeps values in lowest
 terms with a positive denominator.  This module adds the plain-text wire
 format used in tables and JSON ("n/d", or "n" for integers), the
 canonical orientation of a cyclic quotient point, :class:`InputError`,
-the base of the errors that mean an input file cannot be used, and the one
-rule for reading an integer from such a file (:func:`json_integer`).
+the base of the errors that mean an input file cannot be used, the one
+reader of such a file (:func:`read_input`), and the one rule for reading an
+integer from it (:func:`json_integer`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,19 @@ class InputError(ValueError):
     It lives here, in the module every other one imports, so the CLI can
     catch the errors of modules it imports only on demand.
     """
+
+
+def read_input(path, what: str, error: type[InputError]) -> str:
+    """The UTF-8 text of the ``what`` at ``path``.  A missing file raises
+    ``FileNotFoundError``, which the CLI reports as a missing input; any
+    other ``OSError``, or text that is not UTF-8, raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
 
 
 def json_integer(value, what: str, error: type[InputError]) -> int:

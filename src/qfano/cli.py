@@ -2,13 +2,15 @@
 
 ``enumerate --all`` writes the stored database of every index and nothing
 else; every other command but ``diff`` reads one, which its load checks is
-complete, and ``export`` is the one command that renders it whole.
+complete, and ``export`` is the one command that renders it whole.  The
+database is the one file the tool writes: every rendering goes to standard
+output.
 
-Exit codes: 0 success, 2 usage error (including an output path that cannot
-be written, and a standard output that is closed or cannot be written), 3
-missing or unreadable input, 4 internal consistency failure (a check the
-tool makes about itself).  Standard output, ``--help`` included, is written
-once, when the command ends.
+Exit codes: 0 success, 2 usage error (including an ``enumerate --db`` path
+that cannot be written, and a standard output that is closed or cannot be
+written), 3 missing or unreadable input, 4 internal consistency failure (a
+check the tool makes about itself).  Standard output, ``--help`` included,
+is written once, when the command ends.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import io
 import math
 import os
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
@@ -103,47 +105,19 @@ def render_counts(db: Database) -> str:
 
 
 class OutputError(Exception):
-    """An output path the tool was asked to write cannot be written."""
+    """The database path that ``enumerate --db`` was given cannot be written."""
 
 
-@contextmanager
-def _writing(path: str):
-    """Report an unwritable output path as such, not as a missing input."""
-    try:
-        yield
-    except OSError as exc:
-        raise OutputError(path) from exc
-
-
-def _refuse_unwritable(out: str | None, db: str | None = None) -> None:
-    """Refuse, before any work is done, an output path ``out`` that is empty,
-    is a directory, or whose directory is missing or not a directory, and one
-    that names the database file ``db``, which writing ``out`` would replace.
+def _refuse_unwritable(db: str) -> None:
+    """Refuse, before any work is done, an ``enumerate --db`` path that is
+    empty, is a directory, or whose directory is missing or not a directory.
     The directory is that of the resolved path, since a symlink is written
     through to its target.  No file is opened, since opening it would
     truncate it."""
-    if out is None:
-        return
-    if out == "":
+    if db == "":
         raise OutputError("'' (an empty path names no file)")
-    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.realpath(out))):
-        raise OutputError(out)
-    if not db:  # an empty db is a missing input, not a file
-        return
-    try:  # a hard link too, or a mount that shows one file under two paths
-        same = os.path.samefile(out, db)
-    except OSError:  # one of the two does not exist yet
-        same = os.path.realpath(out) == os.path.realpath(db)
-    if same:
-        raise OutputError(f"{out} (--out names the --db file)")
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is not None:
-        with _writing(out), open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    if os.path.isdir(db) or not os.path.isdir(os.path.dirname(os.path.realpath(db))):
+        raise OutputError(db)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +132,17 @@ def _build_database(filter_set: str, jobs: int) -> Database:
 def cmd_enumerate(args) -> int:
     _refuse_unwritable(args.db)
     db = _build_database(args.filter_set, args.jobs)
-    with _writing(args.db):
+    try:
         save_database(db, args.db)
+    except OSError as exc:  # an unwritable path, not a missing input
+        raise OutputError(args.db) from exc
     print(f"{render_counts(db)} -> {args.db}")
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    _refuse_unwritable(args.out, args.db)
     db = load_database(args.db)
-    _emit(render_survey_table(args.case, db.candidates), args.out)
+    print(render_survey_table(args.case, db.candidates))
     return EXIT_OK
 
 
@@ -269,7 +244,6 @@ def cmd_facts(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _refuse_unwritable(args.out, args.db)
     db = load_database(args.db)
     if args.format == "json":
         text = dumps_database(db).rstrip("\n")
@@ -277,7 +251,7 @@ def cmd_export(args) -> int:
         text = render_candidate_csv(db.candidates)
     else:
         text = render_candidate_table(db.candidates)
-    _emit(text, args.out)
+    print(text)
     return EXIT_OK
 
 
@@ -332,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[read], help="render one survey table")
     p.add_argument("--case", choices=sorted(SURVEYS), required=True)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("wps", help="weighted projective space oracles")
@@ -359,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", parents=[read],
                        help="render a stored database as a table, CSV or JSON")
     p.add_argument("--format", choices=("table", "json", "csv"), default="csv")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("diff", help="show what each filter switch adds or removes")

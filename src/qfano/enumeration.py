@@ -134,6 +134,12 @@ DEGREE_CAP_EXCEPTION: tuple[int, Basket, Rational] = (
 )
 
 
+def in_survey_range(c: Candidate) -> bool:
+    """Whether ``c`` lies in the survey degree range ``-K^3 <= 125/2``
+    (equality admitted): the rows the survey tables and :func:`facts` cover."""
+    return c.minus_k3 <= DEGREE_CAP
+
+
 class FilterConfig(
     namedtuple(
         "FilterConfig",
@@ -620,7 +626,7 @@ def facts(candidates: Sequence[Candidate]) -> list[Fact]:
     the same facts hold whether or not the database was enumerated with the
     cap enforced.
     """
-    candidates = [c for c in candidates if c.minus_k3 <= DEGREE_CAP]
+    candidates = [c for c in candidates if in_survey_range(c)]
     out = []
 
     high = [c for c in candidates if c.q >= 8]

@@ -38,8 +38,8 @@ of the search's scaling or pruning.
 
 Case documents are strict JSON: integer fields must be JSON integers,
 ``genus_transfer`` a JSON boolean, and a key the format does not define is
-refused rather than ignored.  So is an ``index_set`` entry outside
-``INDEX_SET``, where no candidate is enumerated to eliminate.
+refused rather than ignored.  So is an empty ``index_set``, or an entry
+outside ``INDEX_SET``, where no candidate is enumerated to eliminate.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import re
 from collections import namedtuple
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .arith import InputError, Rational, format_rational, json_integer, parse_rational
+from .arith import InputError, Rational, format_rational, json_integer, parse_rational, read_input
 from .enumeration import INDEX_SET, Candidate
 from .riemann_roch import SingularPoint
 
@@ -283,6 +283,9 @@ class LinkCase(
         # a repeated branch would be searched twice and each solution printed twice
         if len(set(self.alpha_options)) != len(self.alpha_options):
             raise LinkCaseError("alpha options repeat a value")
+        if not self.target_index_set:
+            # no branch would be searched: an elimination would be vacuous
+            raise LinkCaseError("index_set is empty")
         if len(set(self.target_index_set)) != len(self.target_index_set):
             raise LinkCaseError("index_set repeats an entry")
         outside = sorted(set(self.target_index_set) - set(INDEX_SET))
@@ -394,14 +397,7 @@ def load_case(text: str) -> LinkCase:
 
 
 def load_case_file(path) -> LinkCase:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LinkCaseError(f"cannot read case file: {exc}") from exc
-    return load_case(text)
+    return load_case(read_input(path, "case file", LinkCaseError))
 
 
 class LinkSolution(namedtuple("LinkSolution", "qhat assignment alpha")):

@@ -38,10 +38,9 @@ import itertools
 import json
 import os
 from collections import namedtuple
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-from .arith import InputError, format_rational, json_integer, parse_rational
+from .arith import InputError, format_rational, json_integer, parse_rational, read_input
 from .enumeration import (
     DEGREE_CAP,
     DEGREE_CAP_EXCEPTION,
@@ -94,15 +93,6 @@ ID_DIGESTS: dict[str, dict[int, tuple[int, str]]] = {
 
 class StoreError(InputError):
     """The file is not a database this version can vouch for."""
-
-
-@contextmanager
-def _decoding(what: str) -> Iterator[None]:
-    """Turn a missing field or a value of the wrong shape into a StoreError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"malformed {what}: {exc!r}") from exc
 
 
 def config_to_json(config: FilterConfig) -> dict[str, Any]:
@@ -220,10 +210,12 @@ def loads_database(text: str) -> Database:
     except (ValueError, RecursionError) as exc:
         # RecursionError: arrays or objects nested too deeply to decode
         raise StoreError(f"malformed JSON document: {exc!r}") from exc
-    with _decoding("database"):
+    try:
         filter_set = doc["filter_set"]
         rows = list(doc["candidates"])
         known = filter_set in FILTER_SETS
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key or a wrong shape
+        raise StoreError(f"malformed database: {exc!r}") from exc
     if not known:
         raise StoreError(f"unknown filter set {filter_set!r}")
     # one point per distinct (r, a), built and oriented once for this load:
@@ -298,11 +290,4 @@ def save_database(db: Database, path: str | os.PathLike) -> None:
 
 
 def load_database(path: str | os.PathLike) -> Database:
-    try:
-        with open(path, "r", encoding="utf-8") as handle, _decoding("database file"):
-            text = handle.read()
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise StoreError(f"cannot read database file: {exc}") from exc
-    return loads_database(text)
+    return loads_database(read_input(path, "database file", StoreError))

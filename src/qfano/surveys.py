@@ -14,7 +14,7 @@ from collections import namedtuple
 from typing import Sequence
 
 from .arith import Rational
-from .enumeration import DEGREE_CAP, Candidate
+from .enumeration import Candidate, in_survey_range
 
 
 class Survey(namedtuple("Survey", "key q description extra")):
@@ -27,11 +27,7 @@ class Survey(namedtuple("Survey", "key q description extra")):
     __slots__ = ()
 
     def admits(self, candidate: Candidate) -> bool:
-        if candidate.q != self.q:
-            return False
-        if candidate.minus_k3 > DEGREE_CAP:
-            return False
-        return self.extra(candidate)
+        return candidate.q == self.q and in_survey_range(candidate) and self.extra(candidate)
 
 
 SURVEYS: dict[str, Survey] = {

@@ -84,24 +84,6 @@ def test_unreadable_input_is_bad_input(argv, db_path, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-#: A command that writes the output path ``{out}``, by the option that names it.
-WRITES = {
-    "--db": ["enumerate", "--all", "--db", "{out}"],
-    "--out": ["export", "--db", "{db}", "--out", "{out}"],
-}
-
-
-@pytest.mark.parametrize("option", ["--out", "--db"])
-def test_unwritable_output_is_usage_error(option, db_path, tmp_path, capsys):
-    target = tmp_path / "missing" / "dir" / "x.csv"
-    argv = [arg.format(db=db_path, out=target) for arg in WRITES[option]]
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"cannot write output: {target}" in err
-    assert "not found" not in err
-    assert not target.parent.exists()
-
-
 def _recording_work(monkeypatch):
     """Replace the build and the load of a database with recorders of their calls."""
     work = []
@@ -110,35 +92,43 @@ def _recording_work(monkeypatch):
     return work
 
 
+@pytest.mark.parametrize("option", ["--db"])  # enumerate --db is the one output path
+def test_unwritable_output_is_usage_error(option, tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.json"
+    assert main(["enumerate", "--all", option, str(target)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot write output: {target}" in err
+    assert "not found" not in err
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("parent", ["missing", "file"])
-@pytest.mark.parametrize("option", ["--out", "--db"])
+@pytest.mark.parametrize("option", ["--db"])
 def test_unwritable_output_is_refused_before_enumerating(
-    option, parent, db_path, tmp_path, monkeypatch, capsys
+    option, parent, tmp_path, monkeypatch, capsys
 ):
     # a directory that is missing, or a file where the directory belongs:
-    # refused before the database is built or read
+    # refused before the database is built
     (tmp_path / "file").write_text("", encoding="utf-8")
-    target = tmp_path / parent / "x.csv"
+    target = tmp_path / parent / "x.json"
     work = _recording_work(monkeypatch)
-    argv = [arg.format(db=db_path, out=target) for arg in WRITES[option]]
-    assert main(argv) == EXIT_USAGE
+    assert main(["enumerate", "--all", option, str(target)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"qfano: cannot write output: {target}\n"
     assert captured.out == ""
     assert work == []
 
 
-@pytest.mark.parametrize("option", ["--out", "--db"])
+@pytest.mark.parametrize("option", ["--db"])
 def test_dangling_link_into_a_missing_directory_is_refused_before_any_work(
-    option, db_path, tmp_path, monkeypatch, capsys
+    option, tmp_path, monkeypatch, capsys
 ):
-    # the link's own directory exists, its target's does not: the output
+    # the link's own directory exists, its target's does not: the database
     # would be written through the link, so the target's directory decides
     link = tmp_path / "dangling.json"
     link.symlink_to(tmp_path / "missing" / "x.json")
     work = _recording_work(monkeypatch)
-    argv = [arg.format(db=db_path, out=link) for arg in WRITES[option]]
-    assert main(argv) == EXIT_USAGE
+    assert main(["enumerate", "--all", option, str(link)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"qfano: cannot write output: {link}\n"
     assert captured.out == ""
@@ -146,56 +136,31 @@ def test_dangling_link_into_a_missing_directory_is_refused_before_any_work(
     assert link.is_symlink() and not link.exists()
 
 
-@pytest.mark.parametrize("spelling", ["same", "relative", "symlink", "hard link", "not yet"])
 @pytest.mark.parametrize("command", [
     ["export"],
     ["export", "--format", "json"],
     ["table", "--case", "q5"],
     ["export", "--format", "table"],
 ])
-def test_out_naming_the_db_file_is_refused(
-    command, spelling, db_path, tmp_path, monkeypatch, capsys
-):
-    # writing --out would replace the database with its own rendering, so the
-    # command is refused before the database is read
-    db = tmp_path / "db.json"
-    if spelling != "not yet":
-        db.write_bytes(db_path.read_bytes())
-    out = tmp_path / "other.json"
-    if spelling == "symlink":
-        out.symlink_to(db)
-    elif spelling == "hard link":
-        os.link(db, out)
-    else:
-        out = "./db.json" if spelling == "relative" else db
-    monkeypatch.chdir(tmp_path)
+def test_renders_have_no_out_option(command, db_path, tmp_path, monkeypatch, capsys):
+    # a rendering goes to stdout, and --out is refused by the parser before
+    # the database is read: the database is the one file the tool writes
     work = _recording_work(monkeypatch)
-    assert main([*command, "--db", str(db), "--out", str(out)]) == EXIT_USAGE
+    out = tmp_path / "X"
+    assert main([*command, "--db", str(db_path), "--out", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == f"qfano: cannot write output: {out} (--out names the --db file)\n"
     assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: --out {out}\n")
     assert work == []
-    if spelling == "not yet":
-        assert not db.exists()
-    else:
-        assert db.read_bytes() == db_path.read_bytes()
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_export_to_unwritable_path_is_usage_error(db_path, tmp_path, capsys):
-    target = tmp_path / "missing" / "x.csv"
-    assert main(["export", "--db", str(db_path), "--out", str(target)]) == EXIT_USAGE
-    assert "cannot write output" in capsys.readouterr().err
-
-
-def test_output_path_that_is_a_directory_is_usage_error(db_path, tmp_path, monkeypatch, capsys):
+def test_output_path_that_is_a_directory_is_usage_error(tmp_path, monkeypatch, capsys):
     # a directory cannot be written as a file: refused before the database is
-    # built or read, with nothing on stdout
+    # built, with nothing on stdout
     work = _recording_work(monkeypatch)
-    for argv in (["enumerate", "--all", "--db", "{dir}"],
-                 ["table", "--case", "q5", "--db", "{db}", "--out", "{dir}"],
-                 ["export", "--db", "{db}", "--out", "{dir}"]):
-        assert main([arg.format(db=db_path, dir=tmp_path) for arg in argv]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"qfano: cannot write output: {tmp_path}\n")
+    assert main(["enumerate", "--all", "--db", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"qfano: cannot write output: {tmp_path}\n")
     assert work == []
 
 
@@ -208,15 +173,10 @@ def test_output_path_that_is_a_directory_is_usage_error(db_path, tmp_path, monke
      "input not found: ''"),
     (["export", "--db", ""], EXIT_MISSING_INPUT, "input not found: ''"),
     (["enumerate", "--all", "--db", ""], EXIT_USAGE, "cannot write output: ''"),
-    (["table", "--case", "q3", "--db", "", "--out", ""], EXIT_USAGE,
-     "cannot write output: ''"),
-    (["table", "--case", "q3", "--db", "{db}", "--out", ""], EXIT_USAGE,
-     "cannot write output: ''"),
-    (["export", "--db", "{db}", "--out", ""], EXIT_USAGE, "cannot write output: ''"),
 ])
 def test_empty_path_is_a_path(argv, code, message, db_path, monkeypatch, capsys):
-    # an empty --db or --out is refused like any other path that names no
-    # file, before anything is enumerated
+    # an empty --db is refused like any other path that names no file,
+    # before anything is enumerated
     builds = []
     monkeypatch.setattr(cli, "_build_database", lambda *args: builds.append(args))
     argv = [arg.format(db=db_path) for arg in argv]
@@ -661,14 +621,9 @@ def test_link_solve_blank_case_name(name, db_path, capsys):
     assert capsys.readouterr().err == f"qfano: input not found: {name!r}\n"
 
 
-def test_export_csv(db_path, tmp_path, capsys):
-    out_file = tmp_path / "dump.csv"
-    code = main(
-        ["export", "--db", str(db_path), "--format", "csv", "--out", str(out_file)]
-    )
-    assert code == EXIT_OK
-    capsys.readouterr()
-    lines = out_file.read_text(encoding="utf-8").strip().splitlines()
+def test_export_csv(db_path, capsys):
+    assert main(["export", "--db", str(db_path), "--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("id,")
     assert len(lines) == 1 + 472
 
@@ -733,11 +688,11 @@ def test_read_without_a_database_is_a_usage_error(command, monkeypatch, capsys):
 #: positional by its name, a mutually exclusive group as "A | B").
 PARSER_INVENTORY = {
     "enumerate": {"--all": True, "--filter-set": False, "--jobs": False, "--db": True},
-    "table": {"--db": True, "--case": True, "--out": False},
+    "table": {"--db": True, "--case": True},
     "wps check": {"--db": True, "--weights": True, "--degree": False},
     "link solve": {"--db": True, "case": True},
     "facts": {"--db": True},
-    "export": {"--db": True, "--format": False, "--out": False},
+    "export": {"--db": True, "--format": False},
     "diff": {"--q": True, "--flag": False, "--filter-set": False},
 }
 
@@ -760,7 +715,7 @@ def _inventory(parser, path=()):
 def test_parser_inventory():
     # a new option, or one that becomes required or optional, is a test edit;
     # --jobs is enumerate's alone, every command but diff requires --db, and
-    # only table and export render to --out
+    # no command takes an output path but enumerate's --db
     assert _inventory(cli._build_parser()) == PARSER_INVENTORY
 
 
@@ -937,6 +892,17 @@ def test_case_index_outside_index_set_is_refused(index_set, db_path, tmp_path, c
     captured = capsys.readouterr()
     assert "bad input: index_set entries" in captured.err
     assert captured.out == ""
+
+
+def test_case_with_an_empty_index_set_is_refused(db_path, tmp_path, capsys):
+    # the shipped q9_4A case searched at no target index would print
+    # "case eliminated" and exit 0
+    doc = _case_doc()
+    doc["index_set"] = []
+    case_file = tmp_path / "empty.case"
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["link", "solve", str(case_file), "--db", str(db_path)]) == EXIT_MISSING_INPUT
+    assert capsys.readouterr() == ("", "qfano: bad input: index_set is empty\n")
 
 
 @pytest.mark.parametrize("overrides", [

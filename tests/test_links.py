@@ -189,6 +189,7 @@ def test_load_case_roundtrip():
 @pytest.mark.parametrize("field, value, message", [
     ("q", 8, "source candidate index differs from case index"),
     ("threshold_floor", -3, "threshold_floor must be positive, got -3"),
+    ("target_index_set", (), "index_set is empty"),
 ])
 def test_replace_checks_the_case_level_fields(field, value, message):
     case = load_case_file(case_path("q9_4A.case"))
@@ -250,6 +251,8 @@ E_UNKNOWN = {"name": "e", "min": 1, "max": 3}
         # a repeated branch would be searched, and its solutions printed, twice
         {"index_set": [5, 5]},
         {"alpha": ["1/2", "2/4"], "index_set": [5]},
+        # no branch would be searched: a vacuous elimination
+        {"index_set": []},
     ],
 )
 def test_load_case_validation_errors(overrides):
