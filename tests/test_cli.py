@@ -136,23 +136,41 @@ def test_dangling_link_into_a_missing_directory_is_refused_before_any_work(
     assert link.is_symlink() and not link.exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "relative", "symlink", "hard link", "not yet"])
 @pytest.mark.parametrize("command", [
     ["export"],
     ["export", "--format", "json"],
     ["table", "--case", "q5"],
     ["export", "--format", "table"],
 ])
-def test_renders_have_no_out_option(command, db_path, tmp_path, monkeypatch, capsys):
-    # a rendering goes to stdout, and --out is refused by the parser before
-    # the database is read: the database is the one file the tool writes
+def test_out_naming_the_db_file_is_refused(
+    command, spelling, db_path, tmp_path, monkeypatch, capsys
+):
+    # a rendering goes to stdout: --out is refused by the parser before the
+    # database is read, however it names the --db file, and no file is written
+    db = tmp_path / "db.json"
+    if spelling != "not yet":
+        db.write_bytes(db_path.read_bytes())
+    out = tmp_path / "other.json"
+    if spelling == "symlink":
+        out.symlink_to(db)
+    elif spelling == "hard link":
+        os.link(db, out)
+    else:
+        out = "./db.json" if spelling == "relative" else db
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
     work = _recording_work(monkeypatch)
-    out = tmp_path / "X"
-    assert main([*command, "--db", str(db_path), "--out", str(out)]) == EXIT_USAGE
+    assert main([*command, "--db", str(db), "--out", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: unrecognized arguments: --out {out}\n")
     assert work == []
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == before
+    if spelling == "not yet":
+        assert not db.exists()
+    else:
+        assert db.read_bytes() == db_path.read_bytes()
 
 
 def test_output_path_that_is_a_directory_is_usage_error(tmp_path, monkeypatch, capsys):
