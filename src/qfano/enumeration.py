@@ -27,13 +27,19 @@ the work small:
   only that one degree is scanned (the full battery still runs on it).
 * **One residue class.**  ``T(1) = c + q(q+1)(q+2) n`` is linear in ``n``,
   and the scan rejects a degree whose ``T(1)`` is not a multiple of
-  ``12qN``.  With ``g = gcd(q(q+1)(q+2), 12qN)`` that congruence has no
+  ``M = 12qN``.  With ``g = gcd(q(q+1)(q+2), M)`` that congruence has no
   solution unless ``g`` divides ``c``, and otherwise its solutions are one
-  class mod ``12qN/g``.  So with the vanishing filter off (the degree walk)
-  a basket is scanned only at the numerators of that class.  This ``c``
-  and the closed-form numerator are both sums of the per-point shares of
+  class mod ``M/g``.  So with the vanishing filter off (the degree walk)
+  a basket is scanned only at the numerators of that class, and of those
+  only at the ones with ``T(-1) = c' - q(q-1)(q-2) n = 0 (mod M)``: a
+  second linear congruence, which narrows the class to a class.  It drops
+  no survivor.  A survivor passes the one-period lemma's congruences, so
+  ``D1 = 0 (mod M)`` at every integer ``k`` (Newton's binomials are
+  integers at negative ``k`` too), and ``T(-1) = T(N-1) - D1(-1)``, where
+  ``T(N-1)`` is scanned (``T(0) = 12qN`` for ``N = 1``).  ``c``, ``c'``
+  and the closed-form numerator are sums of the per-point shares of
   :func:`_point_terms` (at ``k = 1`` and ``k = -1``); :func:`_residue_class`
-  solves the congruence.
+  solves each congruence.
 * **The one-period lemma.**  Write ``T(k) = P(k) + q W(k)`` with
   ``P(k) = 12qN + q n k(k+q)(2k+q) + k C`` and ``C = 24N - N sigma``.
   ``W`` is periodic mod ``N``, so ``D1(k) = P(k+N) - P(k)`` and
@@ -432,30 +438,40 @@ def _passing_numerators(
 def _residue_class(numerators: range, const: int, coeff: int, modulus: int) -> range:
     """The ``n`` in ``numerators`` with ``const + coeff n = 0 (mod modulus)``.
 
-    They form one class mod ``modulus / g``, ``g = gcd(coeff, modulus)``, or
-    none when ``g`` does not divide ``const``.
+    Writing ``n = start + step t``, they are the ``t`` of one class mod
+    ``modulus / g``, ``g = gcd(coeff step, modulus)``, or none when ``g``
+    does not divide ``const + coeff start``: again a range, so a second
+    congruence narrows the first one's answer.
     """
+    start, step = numerators.start, numerators.step
+    const += coeff * start
+    coeff *= step
     g = math.gcd(coeff, modulus)
     if const % g:
         return range(0)
-    step = modulus // g
-    n0 = -(const // g) * pow(coeff // g, -1, step)
-    start = numerators.start
-    return range(start + (n0 - start) % step, numerators.stop, step)
+    period = modulus // g
+    t0 = -(const // g) * pow(coeff // g, -1, period) % period
+    return range(start + step * t0, numerators.stop, step * period)
 
 
 def _scan_share(share: Sequence[int], config: FilterConfig) -> list[Candidate]:
     """Every candidate of the indices in ``share``: one walk of their baskets."""
+
+    def scaled_shares(q: int, k: int) -> dict[SingularPoint, int]:
+        # each point's share of T(k) in units of 1/_SIGMA_UNIT
+        return {p: (_SIGMA_UNIT // p.r) * term for p, term in _point_terms(q, k).items()}
+
     setups = {}
     for q in share:
         # with vanishing on, chi(-1) = 0 fixes the degree when its coefficient
         # q(q-1)(q-2) is nonzero; otherwise chi(1) integral confines the walk
         # to one residue class (module docstring)
         k = -1 if config.enforce_vanishing and q * (q - 1) * (q - 2) else 1
-        # each point's share of T(k) in units of 1/_SIGMA_UNIT; sums[d] sums
-        # those of q's last basket of d points (at most 15: sigma(r) >= 3/2)
-        shares = {p: (_SIGMA_UNIT // p.r) * term for p, term in _point_terms(q, k).items()}
+        # sums[d] sums the shares of q's last basket of d points (at most 15:
+        # sigma(r) >= 3/2)
+        shares = scaled_shares(q, k)
         setups[q] = (k, q * k * (k + q) * (2 * k + q), 12 * q + 24 * k, shares, [0] * 16)
+    minus_shares: dict[int, dict[SingularPoint, int]] = {}  # by q, built on first use
     found, last = [], None
     for q, basket in enumerate_baskets(share):
         if q != last:
@@ -477,7 +493,18 @@ def _scan_share(share: Sequence[int], config: FilterConfig) -> list[Candidate]:
                 continue
             numerators = (n,)
         else:
-            numerators = _residue_class(numerators, const, coeff, 12 * q * n_lcm)
+            modulus = 12 * q * n_lcm
+            numerators = _residue_class(numerators, const, coeff, modulus)
+            if not numerators:
+                continue
+            # every survivor also has T(-1) = 0 (mod 12qN) (module docstring)
+            minus = minus_shares.get(q)
+            if minus is None:
+                minus = minus_shares[q] = scaled_shares(q, -1)
+            const = (12 * q - 24) * n_lcm + sum([minus[p] for p in points]) // (
+                _SIGMA_UNIT // n_lcm
+            )
+            numerators = _residue_class(numerators, const, -q * (q - 1) * (q - 2), modulus)
             if not numerators:
                 continue
         for n in _passing_numerators(q, basket, numerators, config):
@@ -698,17 +725,22 @@ def filter_diff(
     disappear / appear when ``flag`` is flipped.  Backs the ``diff`` command
     demanded by the count-calibration protocol.
 
-    Every flip but one is nested: the side with ``flag`` on keeps exactly the
-    candidates of the side with it off that also pass the on side's checks.
-    So the off side is enumerated once, and each of its candidates is
-    re-checked only on the half of the battery the flag feeds, since the
-    other half reads none of its flags and its verdict cannot change:
+    Without the cap, ``bm_inequality`` changes nothing
+    (:func:`degree_candidates` returns the BM range on both sides, and
+    nothing else reads the flag), so its flip is ``([], [])`` at once, with
+    no walk.
+
+    Every other flip but one is nested: the side with ``flag`` on keeps
+    exactly the candidates of the side with it off that also pass the on
+    side's checks.  So the off side is enumerated once, and each of its
+    candidates is re-checked only on the half of the battery the flag feeds,
+    since the other half reads none of its flags and its verdict cannot
+    change:
 
     * ``degree_cap_enforced`` and ``bm_inequality`` only narrow the range
-      (under the cap, BM cuts ``cap`` to ``min(cap, BM)``, and without it
-      BM bounds both sides; the cap with BM on cuts ``BM`` to
-      ``min(cap, BM)``).  A candidate is kept when its numerator is in the on
-      side's :func:`degree_candidates`.
+      (under the cap, BM cuts ``cap`` to ``min(cap, BM)``; the cap with BM
+      on cuts ``BM`` to ``min(cap, BM)``).  A candidate is kept when its
+      numerator is in the on side's :func:`degree_candidates`.
     * ``enforce_vanishing`` and ``nonnegativity`` only add a check to the
       sieve.  A candidate is kept when it passes the on side's
       :func:`_passing_numerators`; for ``enforce_vanishing`` that is the
@@ -721,6 +753,8 @@ def filter_diff(
     """
     if flag not in FILTER_FLAGS:
         raise ValueError(f"unknown filter flag {flag!r}; choose from {FILTER_FLAGS}")
+    if flag == "bm_inequality" and not config.degree_cap_enforced:
+        return [], []
     looser, tighter = (config._replace(**{flag: on}) for on in (False, True))
     loose = enumerate_candidates(q, looser)
     if flag == "degree_cap_enforced" and not config.bm_inequality:

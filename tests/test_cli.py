@@ -990,15 +990,28 @@ def test_diff_walks_the_baskets_once_per_flag(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "enumerate_baskets", counting)
-    per_flag = []
+    # each flip walks once, but the uncapped bm_inequality flip, which
+    # cannot change anything there, walks none
+    per_flag, walks = [], []
     for flag in FILTER_FLAGS:
+        calls.clear()
         assert main(["diff", "--q", "5", "--flag", flag]) == EXIT_OK
         per_flag.append(capsys.readouterr().out)
-        assert len(calls) == len(per_flag)
+        walks.append(len(calls))
+    assert FILTER_FLAGS == (
+        "degree_cap_enforced", "enforce_vanishing", "bm_inequality", "nonnegativity"
+    )
+    assert walks == [1, 1, 0, 1]
     calls.clear()
     assert main(["diff", "--q", "5"]) == EXIT_OK
     assert capsys.readouterr().out == "".join(per_flag)
-    assert len(calls) == len(FILTER_FLAGS)
+    assert len(calls) == 3
+    # under the cap the flag acts, and its flip walks once
+    calls.clear()
+    argv = ["diff", "--q", "5", "--flag", "bm_inequality", "--filter-set", "capped"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("bm_inequality: True -> False: removes 0, adds 66")
+    assert len(calls) == 1
     # one index: every enumeration runs in this process, with no fork
     forks = []
     monkeypatch.setattr(enumeration, "_scan_shares", _recording_forks(forks))

@@ -666,10 +666,11 @@ def _walked_ids(q, config):
 
 
 @pytest.mark.parametrize("name", sorted(FILTER_SETS))
-@pytest.mark.parametrize("q", [6, 8, 11, 13])
+@pytest.mark.parametrize("q", [5, 6, 7, 8, 11, 13])
 def test_closed_form_degree_matches_the_walk(q, name):
-    # the enumeration scans the closed-form degree, or with vanishing off one
-    # residue class per basket; the walk scans every degree it may scan
+    # the enumeration scans the closed-form degree, or with vanishing off the
+    # numerators of the chi(1) residue class with T(-1) = 0 (mod 12qN); the
+    # walk scans every degree it may scan
     for vanishing in (True, False):
         config = FILTER_SETS[name]._replace(enforce_vanishing=vanishing)
         found = enumerate_candidates(q, config)
@@ -720,10 +721,48 @@ def test_residue_class_matches_brute_force(q, full_db):
             integral = [n for n in numerators if _t_scaled(q, basket, 1, n) % modulus == 0]
             solved = enumeration._residue_class(numerators, const, coeff, modulus)
             assert list(solved) == integral
+            # T(-1) = T(-1)|_{n=0} - q(q-1)(q-2) n, solved within the class
+            narrowed = enumeration._residue_class(
+                solved, _t_scaled(q, basket, -1, 0), -q * (q - 1) * (q - 2), modulus
+            )
+            assert list(narrowed) == [
+                n for n in integral if _t_scaled(q, basket, -1, n) % modulus == 0
+            ]
             if numerators:
-                seen.add(bool(integral))
-    # an allowed range met both a class and no solution at all
-    assert seen == {False, True}
+                seen.add((bool(integral), bool(narrowed)))
+    # an allowed range met a class that both congruences keep and no
+    # solution at all; one that the second empties, at every index but 17
+    assert {(False, False), (True, True)} <= seen
+    assert ((True, False) in seen) == (q != 17)
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SETS))
+def test_no_vanishing_survivors_vanish_at_minus_one_mod_the_period(name):
+    # the walk with vanishing off keeps only numerators with T(-1) = 0
+    # (mod 12qN); every survivor has it, as T(-1) = T(N-1) (mod 12qN)
+    config = FILTER_SETS[name]._replace(enforce_vanishing=False)
+    found = enumerate_candidates(INDEX_SET, config)
+    assert len(found) == sum(NO_VANISHING_COUNTS[name])
+    for c in found:
+        n_lcm = c.basket.index_lcm
+        n = c.a3.numerator * (n_lcm // c.a3.denominator)
+        assert _t_scaled(c.q, c.basket, -1, n) % (12 * c.q * n_lcm) == 0
+
+
+def test_no_vanishing_walk_hands_the_sieve_only_the_doubly_congruent(monkeypatch):
+    # at q = 5 the chi(1) class alone reaches 234 baskets (258 numerators);
+    # T(-1) = 0 (mod 12qN) leaves 78 baskets of one numerator each, 74 of
+    # which survive.  No output shows the pruning, so count what it hands on.
+    handed = []
+    real = enumeration._passing_numerators
+
+    def counting(q, basket, numerators, config):
+        handed.append(len(numerators))
+        return real(q, basket, numerators, config)
+
+    monkeypatch.setattr(enumeration, "_passing_numerators", counting)
+    found = enumerate_candidates(5, DEFAULT_CONFIG._replace(enforce_vanishing=False))
+    assert (len(handed), sum(handed), len(found)) == (78, 78, 74)
 
 
 #: Candidates per index in INDEX_SET with ``enforce_vanishing=False``.
