@@ -15,7 +15,7 @@ over a rescaled integer kernel: it tests ``T(k) = 12 q N chi(k)`` with
 machine integers, from the terms of :mod:`qfano.riemann_roch`, and drops a
 degree at its first failing ``k``; the test suite cross-checks it against
 ``_reference_chi``, a rational transcription of the formula, and against a
-per-``k`` evaluation of ``T(k)``, both kept in the tests.  Three facts keep
+per-``k`` evaluation of ``T(k)``, both kept in the tests.  Four facts keep
 the work small:
 
 * **Closed-form degree.**  For ``q >= 3`` the coefficient of ``A^3`` in
@@ -76,8 +76,19 @@ the work small:
   So the scan of one degree checks the two congruences and runs over
   ``1 <= k < min(3N, max(N, 17))`` (:func:`_scan_stop`).
   :func:`enumerate_baskets` yields only baskets with ``sigma < 24``.
+* **Half the window.**  As a function of the local index ``i``, a point's
+  term ``w(i) = 12 r c_p`` has ``w(i) + w((1-i) mod r) = -(r^2-1)``:
+  ``w(0) = 0`` and ``w(1) = -(r^2-1)``, and for ``2 <= i < r`` the two
+  inner sums together run over ``j = 1..r-1`` once, where ``ja mod r``
+  takes every value ``m`` once and ``6 sum m(r-m) = r(r^2-1)``.  The local
+  index of ``-q-k`` is ``1 - i(k) mod r``, so ``q W(k) + q W(-q-k) = -qN
+  sigma``, while ``P(k) + P(-q-k) = 24qN - q(24N - N sigma) = qN sigma``
+  (the cubic is odd about ``-q/2``): ``T(k) + T(-q-k) = 0``, Serre
+  symmetry.  So ``T`` vanishes on the window ``-q < k < 0`` exactly when it
+  does on ``-floor((q-1)/2) <= k < 0`` (for even ``q``, ``T(-q/2) = 0``
+  always), and :func:`_vanishes` checks only that half.
 
-Two more keep the per-basket work flat:
+Three more keep the per-node work flat:
 
 * **One walk, a sum carried down it.**  :func:`enumerate_baskets` walks
   several indices' basket trees as one, each index's baskets in depth-first
@@ -86,6 +97,12 @@ Two more keep the per-basket work flat:
   per depth, ``S = sum_p (L/r) share_p`` in units of ``1/L`` (``L`` =
   :data:`_SIGMA_UNIT`), and reads the constant of ``T(k)`` as ``(12q + 24k)
   N + S / (L/N)``: one table lookup per ``(q, basket)``, not one per point.
+* **A node read once.**  The walk builds each node's :class:`Basket` once
+  and yields its pairs back to back, one per admitting index, all with that
+  one object (and keeps ``L/N`` beside each ``N``'s admitting indices).  So
+  :func:`_scan_share` reads a node's points, ``N``, ``L/N``, depth and last
+  point on its first pair and reuses them while the same object comes back;
+  only the index's own setup and running sum change from pair to pair.
 * **Forward differences.**  Past the vanishing window,
   :func:`_passing_numerators` reads ``q W(k)`` from one table of a period
   ``N``, built once per basket and cycled to the end of the scan, and
@@ -261,7 +278,8 @@ def enumerate_baskets(indices: Sequence[int]) -> Iterator[tuple[int, Basket]]:
     full = 24 * _SIGMA_UNIT
     # the sentinel ends every search: no budget exceeds it
     sigmas = [scaled_kawamata_sum((p,), _SIGMA_UNIT) for p in domain] + [full]
-    admitted: dict[int, tuple[int, ...]] = {}  # N -> the indices coprime to it
+    # N -> (the indices coprime to it, L/N)
+    admitted: dict[int, tuple[tuple[int, ...], int]] = {}
     make, gcd, lcm, fits = Basket._from_sorted, math.gcd, math.lcm, bisect.bisect_left
     # depth-first, children pushed last-first so they pop in order; a node
     # is (first domain index it may add, points, N, budget)
@@ -269,12 +287,15 @@ def enumerate_baskets(indices: Sequence[int]) -> Iterator[tuple[int, Basket]]:
     pop, push = stack.pop, stack.append
     while stack:
         start, points, n_lcm, budget = pop()
-        qs = admitted.get(n_lcm)
-        if qs is None:
-            qs = admitted[n_lcm] = tuple(q for q in indices if gcd(q, n_lcm) == 1)
+        entry = admitted.get(n_lcm)
+        if entry is None:
+            entry = admitted[n_lcm] = (
+                tuple(q for q in indices if gcd(q, n_lcm) == 1), _SIGMA_UNIT // n_lcm
+            )
+        qs, unit = entry
         if not qs:  # nor to any multiple of N: nothing below is admitted
             continue
-        basket = make(points, n_lcm, (full - budget) // (_SIGMA_UNIT // n_lcm))
+        basket = make(points, n_lcm, (full - budget) // unit)
         for q in qs:
             yield q, basket
         # sigma is non-decreasing along the domain, so the points that still
@@ -347,14 +368,23 @@ def _columns(q: int, basket: Basket) -> list[tuple[int, tuple[int, ...]]]:
     return columns
 
 
-def _vanishes(q: int, n: int, basket: Basket, columns: list[tuple[int, tuple[int, ...]]]) -> bool:
-    """Whether ``T(k) = 0`` at ``A^3 = n/N`` for every ``k`` in the window ``-q < k < 0``."""
-    n_lcm, qn = basket.index_lcm, q * n
-    linear = 24 * n_lcm - basket.sigma_scaled
+def _vanishes(q: int, n: int, basket: Basket) -> bool:
+    """Whether ``T(k) = 0`` at ``A^3 = n/N`` for every ``k`` in the window ``-q < k < 0``.
+
+    Serre symmetry, ``T(k) + T(-q-k) = 0`` (module docstring), pairs the
+    window's ``k`` with ``-q-k``, so its half ``-floor((q-1)/2) <= k < 0``
+    decides it.  Each point's term is read from its
+    :func:`~qfano.riemann_roch.local_terms` table at ``k mod r``.
+    """
+    points, n_lcm, sigma_scaled = basket
+    qn = q * n
+    const = 12 * q * n_lcm
+    linear = 24 * n_lcm - sigma_scaled
+    terms = [(q * (n_lcm // r), r, local_terms(q, r, a)) for r, a in points]
     return not any(
-        12 * q * n_lcm + qn * k * (k + q) * (2 * k + q) + k * linear
-        + sum(column[k % r] for r, column in columns)
-        for k in range(1 - q, 0)
+        const + qn * k * (k + q) * (2 * k + q) + k * linear
+        + sum([weight * table[k % r] for weight, r, table in terms])
+        for k in range(-((q - 1) // 2), 0)
     )
 
 
@@ -393,9 +423,10 @@ def _passing_numerators(
     from the per-point tables :func:`~qfano.riemann_roch.local_terms`,
     indexed by ``k mod r``.  ``chi(k)`` is integral iff ``T(k) % 12qN == 0``,
     and signs and zeros transfer directly.  The vanishing window
-    ``-q < k < 0`` (:func:`_vanishes`) reads each point's column at
-    ``k mod r``.  Past it, ``q W`` is read from one table of a period ``N``,
-    built once per basket by the first degree that gets that far, and the
+    ``-q < k < 0`` is checked on its half (:func:`_vanishes`).  Past it,
+    ``q W`` is read from one table of a period ``N``, built from
+    :func:`_columns` once per basket by the first degree that gets that far
+    (a basket none of whose degrees gets that far builds no columns), and the
     rest of ``T(k)``, a cubic in ``k``, steps by forward differences (third
     difference ``12qn``).  A degree stops at the first ``k`` that fails, and
     at ``min(3N, max(N, 17))``; :func:`_one_period_suffices`, checked
@@ -406,18 +437,17 @@ def _passing_numerators(
     n_lcm = basket.index_lcm
     modulus = 12 * q * n_lcm
     linear = 24 * n_lcm - basket.sigma_scaled
-    columns = _columns(q, basket)
     nonnegativity = config.nonnegativity
     stop = _scan_stop(n_lcm)
     period = None
     for n in numerators:
         if not _one_period_suffices(q, n_lcm, n, linear):
             continue
-        if config.enforce_vanishing and not _vanishes(q, n, basket, columns):
+        if config.enforce_vanishing and not _vanishes(q, n, basket):
             continue
         qn = q * n
         if period is None:
-            tiled = [column * (n_lcm // r) for r, column in columns]
+            tiled = [column * (n_lcm // r) for r, column in _columns(q, basket)]
             period = list(map(sum, zip(*tiled))) if tiled else [0]
         # P(1) and its first, second and third differences at k = 1
         value = modulus + qn * (q + 1) * (q + 2) + linear
@@ -472,21 +502,27 @@ def _scan_share(share: Sequence[int], config: FilterConfig) -> list[Candidate]:
         shares = scaled_shares(q, k)
         setups[q] = (k, q * k * (k + q) * (2 * k + q), 12 * q + 24 * k, shares, [0] * 16)
     minus_shares: dict[int, dict[SingularPoint, int]] = {}  # by q, built on first use
-    found, last = [], None
+    found, node, index = [], None, None
     for q, basket in enumerate_baskets(share):
-        if q != last:
+        # a node's pairs come back to back with one Basket: read it once
+        if basket is not node:
+            node = basket
+            points, n_lcm, _ = basket
+            depth = len(points)
+            last = points[-1] if depth else None
+            unit = _SIGMA_UNIT // n_lcm
+        # an index's setup changes with q: at almost every pair of a walk of
+        # several indices, and never in the walk of one (filter_diff's)
+        if q != index:
             k, coeff, base, shares, sums = setups[q]
-            last = q
-        points = basket.points
-        depth = len(points)
+            index = q
         if depth:
-            sums[depth] = sums[depth - 1] + shares[points[-1]]
+            sums[depth] = sums[depth - 1] + shares[last]
         numerators = degree_candidates(q, basket, config)
         if not numerators:
             continue
-        n_lcm = basket.index_lcm
         # T(k) = const + coeff * n
-        const = base * n_lcm + sums[depth] // (_SIGMA_UNIT // n_lcm)
+        const = base * n_lcm + sums[depth] // unit
         if k == -1:
             n, rest = divmod(const, -coeff)
             if rest or n not in numerators:
@@ -501,9 +537,7 @@ def _scan_share(share: Sequence[int], config: FilterConfig) -> list[Candidate]:
             minus = minus_shares.get(q)
             if minus is None:
                 minus = minus_shares[q] = scaled_shares(q, -1)
-            const = (12 * q - 24) * n_lcm + sum([minus[p] for p in points]) // (
-                _SIGMA_UNIT // n_lcm
-            )
+            const = (12 * q - 24) * n_lcm + sum([minus[p] for p in points]) // unit
             numerators = _residue_class(numerators, const, -q * (q - 1) * (q - 2), modulus)
             if not numerators:
                 continue
@@ -745,7 +779,9 @@ def filter_diff(
       sieve.  A candidate is kept when it passes the on side's
       :func:`_passing_numerators`; for ``enforce_vanishing`` that is the
       window check :func:`_vanishes` alone, since the off side already
-      passed the rest of the sieve.
+      passed the rest of the sieve.  It reads the point tables on half the
+      window and builds no columns: the walk built each loose candidate's
+      once, for its scan.
 
     The exception is ``degree_cap_enforced`` with ``bm_inequality`` off: the
     cap-only and the BM-only ranges do not nest, so both sides are
@@ -767,7 +803,7 @@ def filter_diff(
             if flag in ("degree_cap_enforced", "bm_inequality"):
                 kept = n in degree_candidates(q, basket, tighter)
             elif flag == "enforce_vanishing":
-                kept = _vanishes(q, n, basket, _columns(q, basket))
+                kept = _vanishes(q, n, basket)
             else:
                 kept = any(_passing_numerators(q, basket, (n,), tighter))
             if kept:

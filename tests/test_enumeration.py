@@ -98,10 +98,18 @@ def test_one_walk_yields_each_index_walk(share):
     for q in share:
         assert [basket for index, basket in pairs if index == q] == list(_reference_walk(q))
     assert {index for index, _ in pairs} == set(share)
+    # each node is built once and shared by every index that admits it, and
+    # its pairs come back to back, in the share's order: _scan_share reads
+    # a node's points, N, L/N, depth and last point once, on the first
+    runs = [
+        [index for index, _ in run]
+        for _, run in itertools.groupby(pairs, key=lambda pair: id(pair[1]))
+    ]
+    assert len(runs) == len({id(basket) for _, basket in pairs})
+    assert all(run == [q for q in share if q in run] for run in runs)
     if share == INDEX_SET:
-        # each node is built once and shared by every index that admits it
         assert len(pairs) == 49587
-        assert len({id(basket) for _, basket in pairs}) == 8314
+        assert len(runs) == 8314
 
 
 def test_enumerate_baskets_basics():
@@ -505,6 +513,66 @@ def test_scan_matches_the_per_k_loop(q):
         _scan_agrees(q, basket, sorted({*solved, *closed, *extra}), verdicts)
     assert closed_forms
     assert len(verdicts) == 8
+
+
+@pytest.mark.parametrize("q", [5, 19])
+def test_serre_symmetry_holds_on_the_kernel(q):
+    # T(k) + T(-q-k) = 0 at every walked basket, degree and k of the window,
+    # from the sieve's own columns: what lets _vanishes check half of it.
+    # T(k) = 12qN + k (24N - N sigma) + q W(k) + n q k(k+q)(2k+q), and each
+    # k of the window is in one pair (k, -q-k) with -(q-1)/2 <= k < 0, or
+    # is k = -q/2
+    pairs = [(k, -q - k) for k in range(-(q // 2), 0)]
+    cubic = {k: q * k * (k + q) * (2 * k + q) for k in range(1 - q, 0)}
+    for basket in _walk(q):
+        n_lcm = basket.index_lcm
+        linear = 24 * n_lcm - basket.sigma_scaled
+        columns = enumeration._columns(q, basket)
+        const = {
+            k: 12 * q * n_lcm + k * linear + sum(column[k % r] for r, column in columns)
+            for k in cubic
+        }
+        assert not any(
+            const[k] + const[j] + n * (cubic[k] + cubic[j]) for k, j in pairs for n in (1, 2, 3)
+        ), basket
+
+
+def _diff_vanishing_configs():
+    """The configs ``diff`` walks with the vanishing filter on, under both named sets."""
+    walked = set()
+    for config in FILTER_SETS.values():
+        for flag in FILTER_FLAGS:
+            if flag == "bm_inequality" and not config.degree_cap_enforced:
+                continue  # the flip walks nothing
+            looser, tighter = (config._replace(**{flag: on}) for on in (False, True))
+            walked.add(looser)
+            if flag == "degree_cap_enforced" and not config.bm_inequality:
+                walked.add(tighter)
+    return {config for config in walked if config.enforce_vanishing}
+
+
+def test_half_window_decides_the_window(monkeypatch):
+    # every (q, basket, n) the walk hands the sieve with vanishing on, in
+    # each config diff walks, against one T(k) per k of the whole window
+    handed = set()
+
+    def recording(q, basket, numerators, config):
+        handed.update((q, basket, n) for n in numerators)
+        return iter(())
+
+    monkeypatch.setattr(enumeration, "_passing_numerators", recording)
+    configs = _diff_vanishing_configs()
+    assert len(configs) == 4
+    # the walk reads no sieve flag but the vanishing one, so configs that
+    # differ in nonnegativity alone hand the sieve the same triples
+    for config in {config._replace(nonnegativity=True) for config in configs}:
+        enumerate_candidates(INDEX_SET, config)
+    verdicts = set()
+    for q, basket, n in handed:
+        whole = all(_t_scaled(q, basket, k, n) == 0 for k in range(1 - q, 0))
+        assert enumeration._vanishes(q, n, basket) == whole, (q, basket, n)
+        verdicts.add(whole)
+    assert verdicts == {True, False}
 
 
 def _t_cubic(q, n_lcm, n, linear, k):
@@ -1208,6 +1276,36 @@ def test_filter_diff_vanishing_adds():
     assert all(
         _passes_integrality(c.fano, enforce_vanishing=False) for c in added
     )
+
+
+def test_filter_diff_builds_columns_once_per_scanned_basket(monkeypatch):
+    # the sieve builds a basket's columns only when one of its degrees gets
+    # past the congruences and the window, and the vanishing re-check of
+    # the loose candidates builds none
+    built, reached = [], []
+    real_columns = enumeration._columns
+    real_passing = enumeration._passing_numerators
+
+    def columns(q, basket):
+        built.append(basket)
+        return real_columns(q, basket)
+
+    def passing(q, basket, numerators, config):
+        n_lcm = basket.index_lcm
+        linear = 24 * n_lcm - basket.sigma_scaled
+        if any(
+            enumeration._one_period_suffices(q, n_lcm, n, linear)
+            and (not config.enforce_vanishing or enumeration._vanishes(q, n, basket))
+            for n in numerators
+        ):
+            reached.append(basket)
+        return real_passing(q, basket, numerators, config)
+
+    monkeypatch.setattr(enumeration, "_columns", columns)
+    monkeypatch.setattr(enumeration, "_passing_numerators", passing)
+    filter_diff(5, "enforce_vanishing")
+    assert built == reached
+    assert len(set(built)) == len(built) == 78
 
 
 def test_facts_all_hold(full_db):
